@@ -46,8 +46,8 @@ def main() -> None:
     campaign = run_campaign(
         traces,
         factories,
-        progress=lambda trace, name, mpki: print(
-            f"  {trace:<24} {name:<9} {mpki:7.4f}"
+        progress=lambda trace, name, mpki, index, total: print(
+            f"  [{index + 1:>3}/{total}] {trace:<24} {name:<9} {mpki:7.4f}"
         ),
     )
     print()

@@ -49,7 +49,7 @@ from repro.core.hibtb import HierarchicalIBTB
 from repro.core.histories import BLBPHistories
 from repro.core.ibtb import IndirectBTB
 from repro.core.regions import RegionArray
-from repro.core.subpredictor import BankView, FusedWeightBanks
+from repro.core.subpredictor import FusedWeightBanks
 from repro.core.threshold import PerBitAdaptiveThreshold
 from repro.core.transfer import TransferFunction
 from repro.predictors.base import IndirectBranchPredictor
@@ -117,11 +117,6 @@ class BLBP(IndirectBranchPredictor):
         self.stat_predictions = 0
         self.stat_ibtb_probes = 0
         self.stat_trained_bits = 0
-
-    @property
-    def banks(self) -> List[BankView]:
-        """Per-bank views over the fused weight tensor (introspection)."""
-        return self.weights.bank_views()
 
     # ------------------------------------------------------------------
     # Prediction (Algorithm 1)
@@ -337,13 +332,13 @@ class BLBP(IndirectBranchPredictor):
     def storage_budget(self) -> StorageBudget:
         cfg = self.config
         budget = StorageBudget(self.name)
-        for position, bank in enumerate(self.banks):
+        for position, bank in enumerate(self.weights.weights):
             label = (
                 "weights (local history)"
                 if position == 0
                 else f"weights (interval {cfg.effective_intervals[position - 1]})"
             )
-            budget.add(label, bank.storage_bits(cfg.weight_bits))
+            budget.add(label, bank.size * cfg.weight_bits)
         budget.add("global history", cfg.global_history_bits)
         budget.add(
             "local histories", cfg.local_histories * cfg.local_history_bits

@@ -18,7 +18,7 @@ behaviour.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 import numpy as np
 
@@ -96,29 +96,6 @@ class WeightBank(Stateful):
         self.weights[...] = weights
 
 
-class BankView:
-    """A read view of one bank inside a :class:`FusedWeightBanks` tensor.
-
-    Presents the :class:`WeightBank` surface that introspection code
-    (tests, storage accounting, examples) relies on; ``weights`` is a
-    live ``(rows, K)`` NumPy view into the fused tensor.
-    """
-
-    __slots__ = ("rows", "num_bits", "magnitude", "weights")
-
-    def __init__(self, weights: np.ndarray, magnitude: int) -> None:
-        self.weights = weights
-        self.rows, self.num_bits = weights.shape
-        self.magnitude = magnitude
-
-    def read(self, row: int) -> np.ndarray:
-        """The K-length weight vector at ``row`` (a live view)."""
-        return self.weights[row]
-
-    def storage_bits(self, weight_bits: int) -> int:
-        return self.rows * self.num_bits * weight_bits
-
-
 class FusedWeightBanks(Stateful):
     """All N sub-predictor banks in one ``(N, rows, K)`` int8 tensor.
 
@@ -166,13 +143,6 @@ class FusedWeightBanks(Stateful):
         np.clip(selected, -self.magnitude, self.magnitude, out=selected)
         self.weights[self._bank_arange, rows] = selected.astype(np.int8)
 
-    def bank_views(self) -> List[BankView]:
-        """Per-bank views (introspection; the hot path never needs them)."""
-        return [
-            BankView(self.weights[bank], self.magnitude)
-            for bank in range(self.num_banks)
-        ]
-
     def storage_bits(self, weight_bits: int) -> int:
         return self.num_banks * self.rows * self.num_bits * weight_bits
 
@@ -202,5 +172,5 @@ class FusedWeightBanks(Stateful):
             and weights.dtype == self.weights.dtype,
             "FusedWeightBanks tensor shape/dtype mismatch",
         )
-        # In-place copy: BankViews hold live views of the tensor.
+        # In-place copy: the columnar kernel mutates this tensor in place.
         self.weights[...] = weights

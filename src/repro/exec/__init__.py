@@ -72,12 +72,7 @@ from repro.exec.pool import (
     run_fused_cell,
 )
 from repro.sim.metrics import CampaignResult
-from repro.sim.runner import (
-    PredictorFactory,
-    ProgressCallback,
-    invoke_progress,
-    progress_arity,
-)
+from repro.sim.runner import PredictorFactory, ProgressCallback
 from repro.trace.stream import Trace
 
 #: Environment variable selecting the default worker count.
@@ -106,18 +101,15 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 
 def _progress_sink(progress: ProgressCallback) -> EventSink:
     """Adapt a runner-style progress callback into an event sink."""
-    arity = progress_arity(progress)
 
     def sink(event: ExecEvent) -> None:
         if event.kind in (CELL_FINISH, CELL_SKIPPED):
-            invoke_progress(
-                progress,
+            progress(
                 event.trace,
                 event.predictor,
                 event.mpki,
                 event.index,
                 event.total,
-                arity=arity,
             )
 
     return sink
@@ -147,7 +139,7 @@ def run_campaign_parallel(
 
     Args:
         traces, factories, ras_depth, warmup_records, progress: as the
-            serial runner (both progress arities supported).
+            serial runner.
         jobs: worker processes; ``None`` reads ``REPRO_JOBS`` (default 1).
         journal_path: JSONL checkpoint; pass the same path again to
             resume an interrupted campaign.

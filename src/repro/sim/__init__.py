@@ -27,13 +27,7 @@ from repro.sim.engine import (
 from repro.sim.metrics import CampaignResult, SimulationResult
 from repro.sim.performance import PipelineModel
 from repro.sim.ras import ReturnAddressStack
-from repro.sim.runner import (
-    PredictorFactory,
-    ProgressCallback,
-    invoke_progress,
-    progress_arity,
-    run_campaign,
-)
+from repro.sim.runner import PredictorFactory, ProgressCallback, run_campaign
 from repro.sim.report import format_campaign, format_mpki_table
 
 __all__ = [
@@ -58,8 +52,6 @@ __all__ = [
     "run_campaign",
     "PredictorFactory",
     "ProgressCallback",
-    "invoke_progress",
-    "progress_arity",
     "format_campaign",
     "format_mpki_table",
 ]

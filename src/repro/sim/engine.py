@@ -234,9 +234,11 @@ def simulate(
             "columnar-strict".  The columnar backend produces
             bit-identical results and final predictor state; it falls
             back to the scalar loop for predictors it does not support
-            (with a ``RuntimeWarning`` naming the reason) and for
-            features it does not cover (checkpointing, resume,
-            profiling counters).  "columnar-strict" never falls back —
+            (with a ``RuntimeWarning`` naming the reason; on a host
+            where the compiled replay cores cannot be built, that is
+            every predictor) and for features it does not cover
+            (checkpointing, resume, profiling counters).
+            "columnar-strict" never falls back —
             it raises :class:`ColumnarUnsupportedError` instead, for
             callers that need the kernel's throughput or an explicit
             failure.

@@ -2,10 +2,11 @@
 
 The scalar engine retires branches one at a time through Python; this
 module replays the same simulation as a handful of whole-trace numpy
-tensor passes over the RPDERIV1 derived plane.  The result — predictor
-state, per-branch predictions, every counter — is bit-identical to the
-scalar loop (pinned by the equivalence suite over the full workload
-suite); only the schedule of the arithmetic changes.
+tensor passes over the RPDERIV1 derived plane, followed by one compiled
+retirement-order replay of the prediction-dependent state.  The result
+— predictor state, per-branch predictions, every counter — is
+bit-identical to the scalar loop (pinned by the equivalence suite over
+the full workload suite); only the schedule of the arithmetic changes.
 
 The kernel exploits a structural property of BLBP: almost everything the
 scalar loop computes per branch is a pure function of the *trace*, not
@@ -24,13 +25,12 @@ of earlier predictions.
 * **IBTB.**  Candidate sets evolve from actual targets only, never from
   predictions, so a single cheap structural replay in retirement order
   yields every branch's candidate-set snapshot up front.
-* **Weights and θ.**  These *are* prediction-dependent, so the branch
-  stream is cut into chunks at **update barriers**: a chunk ends where a
-  branch would read a (bank, row) an earlier in-chunk branch writes.
-  Within a chunk, every gather/dot/score/argmax/train step batches into
-  one tensor op; the per-bit adaptive-θ recurrence replays with an
-  optimistic-saturation scan (vectorized until the first counter
-  saturation, exact scalar semantics at the saturation row, resume).
+* **Weights and θ.**  These *are* prediction-dependent, so they replay
+  in retirement order through the compiled ``blbp_replay_many`` core
+  (:mod:`repro.sim.native`) over the precomputed planes: a solo run is
+  a one-lane call, a fused group of compatible lanes one multi-lane
+  call.  Without the compiled cores, :func:`columnar_support` reports
+  why and callers run the scalar oracle instead.
 
 This module is the front door for every columnar predictor, not just
 BLBP: :func:`simulate_columnar` dispatches to the ITTAGE and VPC
@@ -66,19 +66,15 @@ from repro.sim.metrics import SimulationResult
 from repro.trace.derived import DerivedPlane, compute_derived
 from repro.trace.stream import Trace
 
-#: Hard ceiling on chunk length.  Barriers already bound chunks by
-#: dependency; the cap bounds the transient tensors (``MAX_CHUNK × N × K``).
-MAX_CHUNK = 512
-
-#: Score used to mask candidate-set padding out of the argmax.  Real
-#: scores are bounded by K · max_transfer · N ≪ 2^31.
-_NEG_SCORE = np.int32(-(2**31) + 1)
-
-
-#: Exact predictor types with a columnar kernel.  The kernels replicate
-#: each type's architectural state transitions; subclasses may override
-#: hooks a kernel cannot see, so the checks are intentionally exact-type.
-_COLUMNAR_TYPES: Tuple[type, ...] = (BLBP, ITTAGE, VPCPredictor)
+#: Exact predictor types with a columnar kernel, and the kernel's name.
+#: The kernels replicate each type's architectural state transitions;
+#: subclasses may override hooks a kernel cannot see, so the checks are
+#: intentionally exact-type.
+_KERNELS: Dict[type, str] = {
+    BLBP: "BLBP columnar kernel (repro.sim.kernel)",
+    ITTAGE: "ITTAGE columnar kernel (repro.sim.kernel_ittage)",
+    VPCPredictor: "VPC columnar kernel (repro.sim.kernel_vpc)",
+}
 
 
 def columnar_support(predictor: object) -> Tuple[bool, str]:
@@ -87,17 +83,25 @@ def columnar_support(predictor: object) -> Tuple[bool, str]:
     Returns ``(True, "<kernel name>")`` for supported predictors and
     ``(False, "<actionable reason>")`` otherwise — the reason string is
     what ``--backend columnar-strict`` errors and fallback warnings
-    surface, so it names both the offending type and the remedy.
+    surface, so it names both the offending type (or the missing
+    compiled cores) and the remedy.  This is the one place that
+    decides: every columnar replay runs through the compiled cores in
+    :mod:`repro.sim.native`, so a host that cannot build them runs the
+    scalar oracle instead.
     """
     kind = type(predictor)
-    if kind is BLBP:
-        return True, "BLBP columnar kernel (repro.sim.kernel)"
-    if kind is ITTAGE:
-        return True, "ITTAGE columnar kernel (repro.sim.kernel_ittage)"
-    if kind is VPCPredictor:
-        return True, "VPC columnar kernel (repro.sim.kernel_vpc)"
-    supported_names = ", ".join(t.__name__ for t in _COLUMNAR_TYPES)
-    for base in _COLUMNAR_TYPES:
+    if kind in _KERNELS:
+        missing = native.unavailable_reason()
+        if missing is not None:
+            return False, (
+                f"the {kind.__name__} columnar kernel needs the compiled "
+                f"replay cores, which are unavailable: {missing}.  "
+                f"Install a C compiler (or point CC at one), or use the "
+                f"scalar backend."
+            )
+        return True, _KERNELS[kind]
+    supported_names = ", ".join(t.__name__ for t in _KERNELS)
+    for base in _KERNELS:
         if isinstance(predictor, base):
             return False, (
                 f"{kind.__name__} subclasses {base.__name__}, but the "
@@ -444,296 +448,6 @@ def _candidate_tensors(
 
 
 # ----------------------------------------------------------------------
-# Update barriers
-# ----------------------------------------------------------------------
-
-
-def _previous_conflict(rows: np.ndarray, table_rows: int) -> np.ndarray:
-    """Per branch, the latest earlier branch sharing any (bank, row).
-
-    ``-1`` when none.  Computed with one stable argsort over
-    bank-qualified row keys: equal keys sort adjacent in retirement
-    order, so each element's predecessor under the sort is its latest
-    earlier conflict.
-    """
-    count, banks = rows.shape
-    keys = rows + (np.arange(banks, dtype=np.int64) * table_rows)[None, :]
-    flat = keys.ravel()
-    order = np.argsort(flat, kind="stable")
-    ordered = flat[order]
-    same = ordered[1:] == ordered[:-1]
-    previous_flat = np.full(count * banks, -1, dtype=np.int64)
-    previous_flat[order[1:][same]] = order[:-1][same]
-    return (previous_flat // banks).reshape(count, banks).max(axis=1)
-
-
-def _chunk_bounds(previous: np.ndarray, limit: int) -> List[int]:
-    """Chunk boundaries: cut where a branch reads an in-chunk write."""
-    count = len(previous)
-    bounds = [0]
-    start = 0
-    conflicts = previous.tolist()
-    for branch in range(1, count):
-        if conflicts[branch] >= start or branch - start >= limit:
-            bounds.append(branch)
-            start = branch
-    bounds.append(count)
-    return bounds
-
-
-# ----------------------------------------------------------------------
-# Adaptive-θ replay
-# ----------------------------------------------------------------------
-
-
-def _observe_row(
-    active: np.ndarray,
-    correct: np.ndarray,
-    magnitudes: np.ndarray,
-    theta: np.ndarray,
-    counter: np.ndarray,
-    cmax: int,
-    cmin: int,
-    out_mask: np.ndarray,
-) -> None:
-    """Exact scalar ``observe_and_mask`` semantics for one branch."""
-    for bit in range(len(theta)):
-        if not active[bit]:
-            continue
-        current = int(theta[bit])
-        if correct[bit]:
-            magnitude = int(magnitudes[bit])
-            if magnitude >= current:
-                continue
-            counter[bit] -= 1
-            if counter[bit] <= cmin:
-                counter[bit] = 0
-                if current > 1:
-                    current -= 1
-                    theta[bit] = current
-            out_mask[bit] = magnitude < current
-        else:
-            counter[bit] += 1
-            if counter[bit] >= cmax:
-                counter[bit] = 0
-                theta[bit] = current + 1
-            out_mask[bit] = True
-
-
-def _theta_replay(
-    differs: np.ndarray,
-    correct: np.ndarray,
-    magnitudes: np.ndarray,
-    theta: np.ndarray,
-    counter: np.ndarray,
-    cmax: int,
-    cmin: int,
-    adaptive: bool,
-) -> np.ndarray:
-    """Chunk-batched replay of the per-bit threshold controllers.
-
-    θ only moves when a controller counter saturates, which takes tens
-    of net observations, so the common case is *no* movement within a
-    chunk.  The replay assumes that optimistically: with θ frozen, the
-    counter trajectory is a running sum of ±1 deltas, computed for the
-    whole chunk in one cumsum.  The first row where that trajectory
-    saturates falls back to the exact scalar update (which may move θ),
-    and the scan resumes after it.  Before the first saturation the
-    trajectory is exact, so the fallback row — and therefore the whole
-    replay — is exact.
-    """
-    count, _num_bits = differs.shape
-    mask = np.zeros_like(differs)
-    if not adaptive:
-        np.logical_and(
-            differs, ~correct | (magnitudes < theta[None, :]), out=mask
-        )
-        return mask
-    cursor = 0
-    while cursor < count:
-        low = magnitudes[cursor:] < theta[None, :]
-        active = differs[cursor:]
-        right = correct[cursor:]
-        delta = np.where(
-            active, np.where(right, np.where(low, -1, 0), 1), 0
-        ).astype(np.int32)
-        trajectory = np.cumsum(delta, axis=0)
-        trajectory += counter[None, :]
-        saturated = ((trajectory >= cmax) & (delta == 1)) | (
-            (trajectory <= cmin) & (delta == -1)
-        )
-        hit_rows = np.flatnonzero(saturated.any(axis=1))
-        if hit_rows.size == 0:
-            mask[cursor:] = active & (~right | low)
-            counter[:] = trajectory[-1]
-            return mask
-        first = int(hit_rows[0])
-        if first > 0:
-            mask[cursor : cursor + first] = active[:first] & (
-                ~right[:first] | low[:first]
-            )
-            counter[:] = trajectory[first - 1]
-        row = cursor + first
-        _observe_row(
-            differs[row],
-            correct[row],
-            magnitudes[row],
-            theta,
-            counter,
-            cmax,
-            cmin,
-            mask[row],
-        )
-        cursor = row + 1
-    return mask
-
-
-# ----------------------------------------------------------------------
-# Prediction-dependent replay (two interchangeable implementations)
-# ----------------------------------------------------------------------
-
-
-def _replay_chunked(
-    rows: np.ndarray,
-    table_rows: int,
-    set_ids: np.ndarray,
-    padded_targets: np.ndarray,
-    set_sizes: np.ndarray,
-    bit_matrices: np.ndarray,
-    differs_all: np.ndarray,
-    desired_bits: np.ndarray,
-    lut: np.ndarray,
-    lut_offset: int,
-    tensor: np.ndarray,
-    magnitude: int,
-    theta: np.ndarray,
-    counter: np.ndarray,
-    cmax: int,
-    cmin: int,
-    adaptive: bool,
-    predictions: np.ndarray,
-) -> int:
-    """Pure-numpy replay: batched tensor ops between update barriers.
-
-    Mutates ``tensor`` / ``theta`` / ``counter`` / ``predictions`` in
-    place and returns the number of trained weight bits — the same
-    contract as :func:`_replay_compiled`.
-    """
-    branch_count, bank_count = rows.shape
-    previous = _previous_conflict(rows, table_rows)
-    bounds = _chunk_bounds(previous, MAX_CHUNK)
-    bank_index = np.arange(bank_count)[None, :]
-    width_index = np.arange(padded_targets.shape[1])[None, :]
-    trained_bits = 0
-
-    for chunk in range(len(bounds) - 1):
-        lo, hi = bounds[chunk], bounds[chunk + 1]
-        chunk_rows = rows[lo:hi]
-        raw = tensor[bank_index, chunk_rows]
-        yout = lut[raw.astype(np.intp) + lut_offset].sum(
-            axis=1, dtype=np.int32
-        )
-
-        chunk_sets = set_ids[lo:hi]
-        scores = np.matmul(
-            bit_matrices[chunk_sets], yout[:, :, None]
-        )[:, :, 0]
-        valid = width_index < set_sizes[chunk_sets][:, None]
-        best = np.argmax(
-            np.where(valid, scores, _NEG_SCORE), axis=1
-        )
-        predictions[lo:hi] = padded_targets[chunk_sets, best]
-
-        desired = desired_bits[lo:hi]
-        correct = (yout >= 0) == desired
-        magnitudes = np.abs(yout)
-        mask = _theta_replay(
-            differs_all[lo:hi],
-            correct,
-            magnitudes,
-            theta,
-            counter,
-            cmax,
-            cmin,
-            adaptive,
-        )
-        trained = int(mask.sum())
-        if trained:
-            trained_bits += trained
-            touched = mask.any(axis=1)
-            rows_sel = chunk_rows[touched]
-            update = np.where(
-                mask[touched], np.where(desired[touched], 1, -1), 0
-            ).astype(np.int16)[:, None, :]
-            current = tensor[bank_index, rows_sel].astype(np.int16)
-            current += update
-            np.clip(current, -magnitude, magnitude, out=current)
-            tensor[bank_index, rows_sel] = current.astype(np.int8)
-    return trained_bits
-
-
-def _replay_compiled(
-    fn,
-    rows: np.ndarray,
-    table_rows: int,
-    set_ids: np.ndarray,
-    padded_targets: np.ndarray,
-    set_sizes: np.ndarray,
-    bit_matrices: np.ndarray,
-    differs_all: np.ndarray,
-    desired_bits: np.ndarray,
-    lut: np.ndarray,
-    lut_offset: int,
-    tensor: np.ndarray,
-    magnitude: int,
-    theta: np.ndarray,
-    counter: np.ndarray,
-    cmax: int,
-    cmin: int,
-    adaptive: bool,
-    predictions: np.ndarray,
-) -> int:
-    """Replay through the compiled core (:mod:`repro.sim.native`).
-
-    One C call walks the branch stream in retirement order over the
-    same precomputed tensors the chunked path consumes; no barriers are
-    needed because the walk is already sequential.
-    """
-    branch_count, bank_count = rows.shape
-    num_bits = tensor.shape[2]
-    tmax = padded_targets.shape[1]
-    differs_u8 = np.ascontiguousarray(differs_all, dtype=np.uint8)
-    desired_u8 = np.ascontiguousarray(desired_bits, dtype=np.uint8)
-    lut32 = np.ascontiguousarray(lut, dtype=np.int32)
-    return int(
-        fn(
-            branch_count,
-            bank_count,
-            num_bits,
-            table_rows,
-            tmax,
-            rows.ctypes.data,
-            set_ids.ctypes.data,
-            padded_targets.ctypes.data,
-            set_sizes.ctypes.data,
-            bit_matrices.ctypes.data,
-            differs_u8.ctypes.data,
-            desired_u8.ctypes.data,
-            lut32.ctypes.data,
-            lut_offset,
-            tensor.ctypes.data,
-            magnitude,
-            theta.ctypes.data,
-            counter.ctypes.data,
-            cmax,
-            cmin,
-            1 if adaptive else 0,
-            predictions.ctypes.data,
-        )
-    )
-
-
-# ----------------------------------------------------------------------
 # The kernel
 # ----------------------------------------------------------------------
 
@@ -767,7 +481,7 @@ def _prepare_blbp(
     cached under keys embedding their remaining inputs — initial
     register values, geometry, bit shifts — so fused lanes with equal
     keys receive identical objects; the returned prep dict carries both
-    the replay argument tuple and everything the write-back needs.
+    the replay inputs and everything the write-back needs.
     """
     config = predictor.config
     histories = predictor.histories
@@ -971,8 +685,10 @@ def _prepare_blbp(
     )
 
     # --- mutable per-lane state ---------------------------------------
-    tensor = weights.weights
-    lut = transfer._lut
+    # The compiled core walks raw C-order buffers and updates the weight
+    # tensor in place, so the predictor must own a contiguous one.
+    if not weights.weights.flags.c_contiguous:
+        weights.weights = np.ascontiguousarray(weights.weights)
     theta = np.asarray(threshold._theta, dtype=np.int64)
     counter = np.asarray(threshold._counter, dtype=np.int64)
     predictions = np.zeros(branch_count, dtype=np.uint64)
@@ -985,19 +701,16 @@ def _prepare_blbp(
         "tmax": padded_targets.shape[1],
         "bank_count": bank_count,
         "table_rows": table_rows,
-        "rows": rows,
+        "rows": np.ascontiguousarray(rows),
         "set_ids": set_ids,
         "padded_targets": padded_targets,
         "set_sizes": set_sizes,
         "bit_matrices": bit_matrices,
-        "differs_all": differs_all,
-        "desired_bits": desired_bits,
         "differs_u8": differs_u8,
         "desired_u8": desired_u8,
-        "lut": lut,
-        "lut32": np.ascontiguousarray(lut, dtype=np.int32),
+        "lut32": np.ascontiguousarray(transfer._lut, dtype=np.int32),
         "lut_offset": transfer.magnitude_max,
-        "tensor": tensor,
+        "tensor": weights.weights,
         "magnitude": weights.magnitude,
         "theta": theta,
         "counter": counter,
@@ -1037,37 +750,6 @@ def _prepare_blbp(
     }
 
 
-def _replay_blbp(prep: dict) -> None:
-    """Solo prediction-dependent replay for one prepared BLBP lane."""
-    if not prep["branch_count"]:
-        return
-    arguments = (
-        prep["rows"],
-        prep["table_rows"],
-        prep["set_ids"],
-        prep["padded_targets"],
-        prep["set_sizes"],
-        prep["bit_matrices"],
-        prep["differs_all"],
-        prep["desired_bits"],
-        prep["lut"],
-        prep["lut_offset"],
-        prep["tensor"],
-        prep["magnitude"],
-        prep["theta"],
-        prep["counter"],
-        prep["cmax"],
-        prep["cmin"],
-        prep["adaptive"],
-        prep["predictions"],
-    )
-    replay = native.load() if prep["tensor"].flags.c_contiguous else None
-    if replay is not None:
-        prep["trained"] = _replay_compiled(replay, *arguments)
-    else:
-        prep["trained"] = _replay_chunked(*arguments)
-
-
 def _pointer_array(arrays: List[np.ndarray]) -> np.ndarray:
     """Per-lane base addresses, marshalled as a ``uint64`` vector."""
     return np.asarray(
@@ -1075,25 +757,16 @@ def _pointer_array(arrays: List[np.ndarray]) -> np.ndarray:
     )
 
 
-def _replay_blbp_group(preps: List[dict]) -> bool:
-    """Lane-parallel compiled replay for a fused BLBP group.
+def _replay_blbp_group(preps: List[dict]) -> None:
+    """Lane-parallel compiled replay for one or more BLBP lanes.
 
     Every prep in ``preps`` must carry the same ``group_key`` — i.e.
-    identical shared planes by object identity.  Returns False (caller
-    replays each lane solo, same results) when the compiled library is
-    unavailable or a lane's mutable tensors are not contiguous.
+    identical shared planes by object identity.  A solo run is a
+    one-lane group.
     """
-    if len(preps) < 2 or not preps[0]["branch_count"]:
-        return False
+    if not preps[0]["branch_count"]:
+        return
     fn = native.load("blbp_replay_many")
-    if fn is None:
-        return False
-    for prep in preps:
-        if not (
-            prep["tensor"].flags.c_contiguous
-            and prep["rows"].flags.c_contiguous
-        ):
-            return False
 
     first = preps[0]
     lanes = len(preps)
@@ -1148,7 +821,6 @@ def _replay_blbp_group(preps: List[dict]) -> bool:
     )
     for lane, prep in enumerate(preps):
         prep["trained"] = int(trained[lane])
-    return True
 
 
 def _finish_blbp(
@@ -1344,7 +1016,7 @@ def simulate_columnar(
         )
 
     prep = _prepare_blbp(predictor, trace, derived, shared)
-    _replay_blbp(prep)
+    _replay_blbp_group([prep])
     return _finish_blbp(
         prep, trace, derived, warmup_records, collect_per_pc,
         prediction_sink,
@@ -1412,10 +1084,7 @@ def simulate_columnar_many(
         if prep is not None:
             groups.setdefault(prep["group_key"], []).append(position)
     for members in groups.values():
-        lane_preps = [preps[position] for position in members]
-        if not _replay_blbp_group(lane_preps):
-            for prep in lane_preps:
-                _replay_blbp(prep)
+        _replay_blbp_group([preps[position] for position in members])
     for position, prep in enumerate(preps):
         if prep is not None:
             results[position] = _finish_blbp(

@@ -24,16 +24,16 @@ prediction-dependent.
 The replay itself — provider/altpred selection, confidence and
 usefulness counters, the use-alt meta-counter, allocation with Seznec's
 geometric RNG skew, periodic usefulness reset — is inherently
-sequential and runs either as a Python loop over the precomputed index
-planes or through the compiled ``ittage_replay`` core in
-:mod:`repro.sim.native` (the allocation tie-breaker calls back into the
-predictor's own ``numpy`` Generator, so the RNG stream is shared
-bit-for-bit between all three paths).
+sequential and runs through the compiled ``ittage_replay`` core in
+:mod:`repro.sim.native` over the precomputed index planes (the
+allocation tie-breaker calls back into the predictor's own ``numpy``
+Generator, so the RNG stream is shared bit-for-bit with the scalar
+path).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -289,172 +289,8 @@ def _prepare(
 
 
 # ----------------------------------------------------------------------
-# Prediction-dependent replay (two interchangeable implementations)
+# Prediction-dependent replay
 # ----------------------------------------------------------------------
-
-
-def _replay_python(
-    idx_rows: List[List[int]],
-    tag_rows: List[List[int]],
-    base_rows: List[int],
-    target_list: List[int],
-    tab_tags: List[List[int]],
-    tab_targets: List[List[int]],
-    tab_ctr: List[List[int]],
-    tab_useful: List[List[int]],
-    tab_valid: List[List[int]],
-    base_targets: List[int],
-    base_ctr: List[int],
-    base_valid: List[int],
-    num_tagged: int,
-    entries: int,
-    conf_max: int,
-    useful_max: int,
-    use_alt_min: int,
-    use_alt_max: int,
-    u_reset_period: int,
-    use_alt: int,
-    updates: int,
-    rng_random,
-    predictions: List[int],
-    valid_out: List[int],
-) -> Tuple[int, int]:
-    """Pure-Python replay over the precomputed index/tag planes.
-
-    Statement-for-statement the scalar ``predict_target``/``train``
-    pair, with the hash pipeline stripped out; returns the final
-    ``(use_alt, updates)`` meta-state.
-    """
-    for b in range(len(base_rows)):
-        indices = idx_rows[b]
-        tags = tag_rows[b]
-        target = target_list[b]
-
-        provider_t = -1
-        provider_i = -1
-        alt_t = -1
-        alt_i = -1
-        for t in range(num_tagged - 1, -1, -1):
-            i = indices[t]
-            if tab_valid[t][i] and tab_tags[t][i] == tags[t]:
-                if provider_t < 0:
-                    provider_t = t
-                    provider_i = i
-                else:
-                    alt_t = t
-                    alt_i = i
-                    break
-
-        bi = base_rows[b]
-        base_present = base_valid[bi]
-        base_target = base_targets[bi] if base_present else None
-
-        if provider_t >= 0:
-            provider_target = tab_targets[provider_t][provider_i]
-            provider_ctr = tab_ctr[provider_t][provider_i]
-        else:
-            provider_target = None
-            provider_ctr = 0
-        if alt_t >= 0:
-            alt_target: Optional[int] = tab_targets[alt_t][alt_i]
-        else:
-            alt_target = base_target
-
-        if provider_t < 0:
-            final = base_target
-        elif provider_ctr == 0 and use_alt >= 0 and alt_target is not None:
-            final = alt_target
-        else:
-            final = provider_target
-
-        if final is not None:
-            predictions[b] = final
-            valid_out[b] = 1
-        mispredicted = final != target
-
-        if provider_t >= 0:
-            provider_correct = provider_target == target
-            alt_correct = alt_target == target
-            if provider_ctr == 0 and provider_target != alt_target:
-                if alt_correct and not provider_correct:
-                    if use_alt < use_alt_max:
-                        use_alt += 1
-                elif provider_correct and not alt_correct:
-                    if use_alt > use_alt_min:
-                        use_alt -= 1
-            if provider_target != alt_target:
-                u = tab_useful[provider_t][provider_i]
-                if provider_correct and u < useful_max:
-                    tab_useful[provider_t][provider_i] = u + 1
-                elif not provider_correct and u > 0:
-                    tab_useful[provider_t][provider_i] = u - 1
-            if provider_correct:
-                if tab_ctr[provider_t][provider_i] < conf_max:
-                    tab_ctr[provider_t][provider_i] += 1
-            elif tab_ctr[provider_t][provider_i] > 0:
-                tab_ctr[provider_t][provider_i] -= 1
-            else:
-                tab_targets[provider_t][provider_i] = target
-                tab_ctr[provider_t][provider_i] = 1
-
-        if not base_present:
-            base_valid[bi] = 1
-            base_targets[bi] = target
-            base_ctr[bi] = 1
-        elif base_targets[bi] == target:
-            if base_ctr[bi] < conf_max:
-                base_ctr[bi] += 1
-        elif base_ctr[bi] > 0:
-            base_ctr[bi] -= 1
-        else:
-            base_targets[bi] = target
-            base_ctr[bi] = 1
-
-        if mispredicted:
-            first = -1
-            second = -1
-            for t in range(provider_t + 1, num_tagged):
-                if tab_useful[t][indices[t]] == 0:
-                    if first < 0:
-                        first = t
-                    else:
-                        second = t
-                        break
-            if first < 0:
-                for t in range(provider_t + 1, num_tagged):
-                    i = indices[t]
-                    if tab_useful[t][i] > 0:
-                        tab_useful[t][i] -= 1
-            else:
-                chosen = first
-                if second >= 0:
-                    # Seznec's geometric skew over the free candidates,
-                    # in the scalar loop's exact RNG draw order.
-                    candidate = second
-                    while True:
-                        if rng_random() < 0.5:
-                            break
-                        chosen = candidate
-                        candidate = -1
-                        for t in range(chosen + 1, num_tagged):
-                            if tab_useful[t][indices[t]] == 0:
-                                candidate = t
-                                break
-                        if candidate < 0:
-                            break
-                i = indices[chosen]
-                tab_valid[chosen][i] = 1
-                tab_tags[chosen][i] = tags[chosen]
-                tab_targets[chosen][i] = target
-                tab_ctr[chosen][i] = 0
-                tab_useful[chosen][i] = 0
-
-        updates += 1
-        if updates % u_reset_period == 0:
-            zeros = [0] * entries
-            for t in range(num_tagged):
-                tab_useful[t] = list(zeros)
-    return use_alt, updates
 
 
 def _replay(predictor: ITTAGE, prep: dict) -> None:
@@ -493,86 +329,37 @@ def _replay(predictor: ITTAGE, prep: dict) -> None:
 
     if branch_count:
         fn = native.load("ittage_replay")
-        if fn is not None:
-            rng_callback = native.RNG_CALLBACK(predictor._rng.random)
-            state = np.asarray([use_alt, updates], dtype=np.int64)
-            fn(
-                branch_count,
-                num_tagged,
-                entries,
-                len(base_targets),
-                prep["idx"].ctypes.data,
-                prep["tag"].ctypes.data,
-                prep["base_idx"].ctypes.data,
-                prep["targets"].ctypes.data,
-                tab_tags.ctypes.data,
-                tab_targets.ctypes.data,
-                tab_ctr.ctypes.data,
-                tab_useful.ctypes.data,
-                tab_valid.ctypes.data,
-                base_targets.ctypes.data,
-                base_ctr.ctypes.data,
-                base_valid.ctypes.data,
-                predictor._conf_max,
-                predictor._useful_max,
-                predictor._use_alt_min,
-                predictor._use_alt_max,
-                cfg.u_reset_period,
-                state.ctypes.data,
-                rng_callback,
-                predictions.ctypes.data,
-                valid_out.ctypes.data,
-            )
-            use_alt = int(state[0])
-            updates = int(state[1])
-        else:
-            pred_list = [0] * branch_count
-            valid_list = [0] * branch_count
-            tags_l = [row.tolist() for row in tab_tags]
-            tgts_l = [row.tolist() for row in tab_targets]
-            ctr_l = [row.tolist() for row in tab_ctr]
-            useful_l = [row.tolist() for row in tab_useful]
-            valid_l = [row.tolist() for row in tab_valid]
-            b_tgt = base_targets.tolist()
-            b_ctr = base_ctr.tolist()
-            b_val = base_valid.tolist()
-            use_alt, updates = _replay_python(
-                prep["idx"].tolist(),
-                prep["tag"].tolist(),
-                prep["base_idx"].tolist(),
-                prep["targets"].tolist(),
-                tags_l,
-                tgts_l,
-                ctr_l,
-                useful_l,
-                valid_l,
-                b_tgt,
-                b_ctr,
-                b_val,
-                num_tagged,
-                entries,
-                predictor._conf_max,
-                predictor._useful_max,
-                predictor._use_alt_min,
-                predictor._use_alt_max,
-                cfg.u_reset_period,
-                use_alt,
-                updates,
-                predictor._rng.random,
-                pred_list,
-                valid_list,
-            )
-            for t in range(num_tagged):
-                tab_tags[t] = tags_l[t]
-                tab_targets[t] = tgts_l[t]
-                tab_ctr[t] = ctr_l[t]
-                tab_useful[t] = useful_l[t]
-                tab_valid[t] = valid_l[t]
-            base_targets = np.asarray(b_tgt, dtype=np.uint64)
-            base_ctr = np.asarray(b_ctr, dtype=np.int8)
-            base_valid = np.asarray(b_val, dtype=np.uint8)
-            predictions[:] = pred_list
-            valid_out[:] = valid_list
+        rng_callback = native.RNG_CALLBACK(predictor._rng.random)
+        state = np.asarray([use_alt, updates], dtype=np.int64)
+        fn(
+            branch_count,
+            num_tagged,
+            entries,
+            len(base_targets),
+            prep["idx"].ctypes.data,
+            prep["tag"].ctypes.data,
+            prep["base_idx"].ctypes.data,
+            prep["targets"].ctypes.data,
+            tab_tags.ctypes.data,
+            tab_targets.ctypes.data,
+            tab_ctr.ctypes.data,
+            tab_useful.ctypes.data,
+            tab_valid.ctypes.data,
+            base_targets.ctypes.data,
+            base_ctr.ctypes.data,
+            base_valid.ctypes.data,
+            predictor._conf_max,
+            predictor._useful_max,
+            predictor._use_alt_min,
+            predictor._use_alt_max,
+            cfg.u_reset_period,
+            state.ctypes.data,
+            rng_callback,
+            predictions.ctypes.data,
+            valid_out.ctypes.data,
+        )
+        use_alt = int(state[0])
+        updates = int(state[1])
 
     # --- state write-back ---------------------------------------------
     for t, table in enumerate(tables):

@@ -12,17 +12,16 @@ What remains sequential is genuinely architectural: the direct-mapped
 BTB (tags/targets/recency ticks) and the shared conditional predictor,
 which VPC consults per virtual branch *and* trains on every real
 conditional.  The replay therefore walks a merged event stream —
-conditionals and indirect branches in record order — either as a
-Python loop or through the compiled ``vpc_replay`` core in
-:mod:`repro.sim.native`; the conditional predictor is an arbitrary
-Python object either way (the C core reaches it through ctypes
-callbacks in exactly the scalar call sequence), so any conditional
-component works unchanged.
+conditionals and indirect branches in record order — through the
+compiled ``vpc_replay`` core in :mod:`repro.sim.native`; the
+conditional predictor is an arbitrary Python object (the C core reaches
+it through ctypes callbacks in exactly the scalar call sequence), so
+any conditional component works unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -140,127 +139,6 @@ def _prepare(
 # ----------------------------------------------------------------------
 
 
-def _replay_python(
-    kinds: List[int],
-    ev_a: List[int],
-    ev_taken: List[int],
-    targets: List[int],
-    max_iter: int,
-    fallback: bool,
-    vpcas: List[List[int]],
-    slots: List[List[int]],
-    vtags: List[List[int]],
-    btb_tags: List[int],
-    btb_targets: List[int],
-    btb_ticks: List[int],
-    clock: int,
-    cond_count: int,
-    cond_misp: int,
-    conditional,
-    predictions: List[int],
-    valid_out: List[int],
-) -> Tuple[int, int, int]:
-    """Event-order replay, statement-for-statement the scalar
-    ``on_conditional``/``predict_target``/``train`` sequence with the
-    hashing replaced by precomputed table reads."""
-    cond_predict = conditional.predict
-    cond_train = conditional.train_weights
-    cond_update = conditional.update
-    branch = 0
-    for e in range(len(kinds)):
-        if kinds[e] == 0:
-            pc = ev_a[e]
-            taken = bool(ev_taken[e])
-            predicted = cond_predict(pc)
-            cond_count += 1
-            if predicted != taken:
-                cond_misp += 1
-            cond_update(pc, taken)
-            continue
-
-        row = ev_a[e]
-        row_vpcas = vpcas[row]
-        row_slots = slots[row]
-        row_vtags = vtags[row]
-        target = targets[branch]
-
-        visited = 0
-        has_pred = False
-        pred = 0
-        hit_it = -1
-        for it in range(max_iter):
-            s = row_slots[it]
-            if btb_tags[s] != row_vtags[it]:
-                break
-            visited += 1
-            if cond_predict(row_vpcas[it]):
-                pred = btb_targets[s]
-                has_pred = True
-                hit_it = it
-                break
-        if not has_pred and visited and fallback:
-            pred = btb_targets[row_slots[0]]
-            has_pred = True
-            hit_it = 0
-        if has_pred:
-            predictions[branch] = pred
-            valid_out[branch] = 1
-        branch += 1
-
-        if has_pred and pred == target:
-            for it in range(visited):
-                cond_train(row_vpcas[it], taken=(it == hit_it))
-            s = row_slots[hit_it]
-            if btb_tags[s] == row_vtags[hit_it]:
-                clock += 1
-                btb_ticks[s] = clock
-            continue
-
-        found = -1
-        for it in range(max_iter):
-            s = row_slots[it]
-            if (
-                found < 0
-                and btb_tags[s] == row_vtags[it]
-                and btb_targets[s] == target
-            ):
-                found = it
-        if found >= 0:
-            for it in range(found + 1):
-                s = row_slots[it]
-                if btb_tags[s] == row_vtags[it] or it == found:
-                    cond_train(row_vpcas[it], taken=(it == found))
-            s = row_slots[found]
-            if btb_tags[s] == row_vtags[found]:
-                clock += 1
-                btb_ticks[s] = clock
-            continue
-
-        victim = -1
-        for it in range(max_iter):
-            if btb_tags[row_slots[it]] != row_vtags[it]:
-                victim = it
-                break
-        if victim < 0:
-            best_tick = btb_ticks[row_slots[0]]
-            victim = 0
-            for it in range(1, max_iter):
-                tick = btb_ticks[row_slots[it]]
-                if tick < best_tick:
-                    best_tick = tick
-                    victim = it
-        for it in range(visited):
-            if it != victim:
-                cond_train(row_vpcas[it], taken=False)
-        s = row_slots[victim]
-        clock += 1
-        btb_tags[s] = row_vtags[victim]
-        btb_targets[s] = target
-        btb_ticks[s] = clock
-        cond_train(row_vpcas[victim], taken=True)
-    return clock, cond_count, cond_misp
-
-
 def _replay(predictor: VPCPredictor, prep: dict) -> None:
     cfg = predictor.config
     btb = predictor._btb
@@ -274,77 +152,44 @@ def _replay(predictor: VPCPredictor, prep: dict) -> None:
 
     if len(prep["kinds"]):
         fn = native.load("vpc_replay")
-        if fn is not None:
-            counters = np.asarray(
-                [clock, cond_count, cond_misp], dtype=np.int64
+        counters = np.asarray(
+            [clock, cond_count, cond_misp], dtype=np.int64
+        )
+        predict_cb = native.COND_PREDICT(
+            lambda pc: 1 if conditional.predict(int(pc)) else 0
+        )
+        train_cb = native.COND_TRAIN(
+            lambda vpca, taken: conditional.train_weights(
+                int(vpca), taken=bool(taken)
             )
-            predict_cb = native.COND_PREDICT(
-                lambda pc: 1 if conditional.predict(int(pc)) else 0
-            )
-            train_cb = native.COND_TRAIN(
-                lambda vpca, taken: conditional.train_weights(
-                    int(vpca), taken=bool(taken)
-                )
-            )
-            update_cb = native.COND_TRAIN(
-                lambda pc, taken: conditional.update(int(pc), bool(taken))
-            )
-            fn(
-                len(prep["kinds"]),
-                prep["kinds"].ctypes.data,
-                prep["ev_a"].ctypes.data,
-                prep["ev_taken"].ctypes.data,
-                prep["targets"].ctypes.data,
-                cfg.max_iterations,
-                1 if cfg.fallback_to_first else 0,
-                prep["vpcas"].ctypes.data,
-                prep["slots"].ctypes.data,
-                prep["vtags"].ctypes.data,
-                btb_tags.ctypes.data,
-                btb_targets.ctypes.data,
-                btb_ticks.ctypes.data,
-                counters.ctypes.data,
-                predict_cb,
-                train_cb,
-                update_cb,
-                prep["predictions"].ctypes.data,
-                prep["valid"].ctypes.data,
-            )
-            clock = int(counters[0])
-            cond_count = int(counters[1])
-            cond_misp = int(counters[2])
-        else:
-            branch_count = len(prep["targets"])
-            pred_list = [0] * branch_count
-            valid_list = [0] * branch_count
-            tags_l = btb_tags.tolist()
-            tgts_l = btb_targets.tolist()
-            ticks_l = btb_ticks.tolist()
-            clock, cond_count, cond_misp = _replay_python(
-                prep["kinds"].tolist(),
-                prep["ev_a"].tolist(),
-                prep["ev_taken"].tolist(),
-                prep["targets"].tolist(),
-                cfg.max_iterations,
-                cfg.fallback_to_first,
-                prep["vpcas"].tolist(),
-                prep["slots"].tolist(),
-                prep["vtags"].tolist(),
-                tags_l,
-                tgts_l,
-                ticks_l,
-                clock,
-                cond_count,
-                cond_misp,
-                conditional,
-                pred_list,
-                valid_list,
-            )
-            btb_tags = np.asarray(tags_l, dtype=np.int64)
-            btb_targets = np.asarray(tgts_l, dtype=np.uint64)
-            btb_ticks = np.asarray(ticks_l, dtype=np.int64)
-            prep["predictions"][:] = pred_list
-            prep["valid"][:] = valid_list
+        )
+        update_cb = native.COND_TRAIN(
+            lambda pc, taken: conditional.update(int(pc), bool(taken))
+        )
+        fn(
+            len(prep["kinds"]),
+            prep["kinds"].ctypes.data,
+            prep["ev_a"].ctypes.data,
+            prep["ev_taken"].ctypes.data,
+            prep["targets"].ctypes.data,
+            cfg.max_iterations,
+            1 if cfg.fallback_to_first else 0,
+            prep["vpcas"].ctypes.data,
+            prep["slots"].ctypes.data,
+            prep["vtags"].ctypes.data,
+            btb_tags.ctypes.data,
+            btb_targets.ctypes.data,
+            btb_ticks.ctypes.data,
+            counters.ctypes.data,
+            predict_cb,
+            train_cb,
+            update_cb,
+            prep["predictions"].ctypes.data,
+            prep["valid"].ctypes.data,
+        )
+        clock = int(counters[0])
+        cond_count = int(counters[1])
+        cond_misp = int(counters[2])
 
     btb._tags = btb_tags
     btb._targets = btb_targets

@@ -1,25 +1,23 @@
-"""Optional compiled replay cores for the columnar kernels.
+"""Compiled replay cores for the columnar kernels.
 
 The columnar kernels (:mod:`repro.sim.kernel` and friends) split a
 trace into trace-pure precomputation (folds, local registers, IBTB
 candidate sets, ITTAGE index/tag planes, VPC virtual-PC tables — all
 batched numpy) and a prediction-dependent replay over the mutable
 predictor state.  The replay is the only part that is inherently
-sequential, and this module provides compiled implementations of it:
-C functions that walk the branch stream in retirement order, consuming
-exactly the same precomputed tensors as the numpy loops and mutating
-the same state with identical integer arithmetic.
+sequential, and this module provides it: C functions that walk the
+branch stream in retirement order over the precomputed tensors,
+mutating the predictor state with the scalar loop's integer arithmetic.
 
-Four entry points live in one shared library:
+Three entry points live in one shared library:
 
-``blbp_replay``
-    The BLBP weight/θ recurrence for a single predictor.
 ``blbp_replay_many``
-    The same recurrence advanced lane-parallel for a fused group of
-    BLBP lanes sharing one precompute (same IBTB candidate tensors and
-    ``differs``/``desired`` planes); each branch touches every lane
+    The BLBP weight/θ recurrence, advanced lane-parallel for one or
+    more BLBP lanes sharing one precompute (same IBTB candidate tensors
+    and ``differs``/``desired`` planes); each branch touches every lane
     before the next branch, with per-lane weight banks and θ
     controllers, so lane ``i`` evolves exactly as a solo replay would.
+    A solo BLBP run is a one-lane call.
 ``ittage_replay``
     ITTAGE provider/altpred selection, confidence/usefulness counters
     and allocation over precomputed per-(branch, table) index/tag
@@ -35,14 +33,16 @@ The source is compiled on first use with the system C compiler at
 ``-O3`` (the dot-product and update inner loops are written so the
 compiler auto-vectorizes them) into a content-addressed shared library
 under the user cache directory and loaded with :mod:`ctypes` — no
-build-time dependency, no new packages.  When no compiler is available
-(or ``REPRO_COLUMNAR_COMPILED=0``), the kernels transparently fall
-back to their pure-numpy replays; both paths are pinned bit-identical
-by the equivalence suite.  Concurrent builders (dist worker pools on
-one node) race benignly: each compiles into a private temp file and
-atomically publishes with ``os.replace``, and a builder whose own
-compile fails re-checks for a concurrently published library before
-giving up.
+build-time dependency, no new packages.  There is no interpreted
+fallback: when the library cannot be built or loaded,
+:func:`unavailable_reason` says why (no compiler, the compiler's exit
+status and first stderr line, or the ``dlopen`` error), and
+:func:`repro.sim.kernel.columnar_support` reports that reason so
+callers run the scalar oracle instead.  Concurrent builders (dist
+worker pools on one node) race benignly: each compiles into a private
+temp file and atomically publishes with ``os.replace``, and a builder
+whose own compile fails re-checks for a concurrently published library
+before giving up.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from typing import Dict, List, Optional
 __all__ = [
     "available",
     "load",
+    "unavailable_reason",
     "cache_dir",
     "RNG_CALLBACK",
     "COND_PREDICT",
@@ -77,138 +78,16 @@ typedef double (*rng_fn)(void);
 typedef int (*cond_predict_fn)(uint64_t);
 typedef void (*cond_train_fn)(uint64_t, int);
 
-/* Retirement-order replay of the BLBP weight/θ recurrence.
+/* Retirement-order replay of the BLBP weight/θ recurrence, for one or
+ * more lanes sharing one precompute.
  *
  * Everything prediction-independent (row indices, candidate sets,
- * desired/active bit planes) arrives precomputed; this loop performs
+ * desired/active bit planes) arrives precomputed; the loop performs
  * only the prediction-dependent arithmetic: the fused int8 weight-bank
  * gather + transfer-LUT dot product, candidate scoring (first-max
- * argmax, matching numpy), the per-bit adaptive-θ controllers, and the
- * masked saturating ±1 weight update.  Integer-for-integer identical
- * to BLBP.predict_target/train.
- */
-int64_t blbp_replay(
-    int64_t branches,
-    int64_t banks,
-    int64_t bits,
-    int64_t table_rows,
-    int64_t tmax,
-    const int64_t *rows,            /* (branches, banks) */
-    const int64_t *set_ids,         /* (branches,) */
-    const uint64_t *padded_targets, /* (sets, tmax) */
-    const int64_t *set_sizes,       /* (sets,) */
-    const int32_t *bit_matrices,    /* (sets, tmax, bits) */
-    const uint8_t *differs,         /* (branches, bits) */
-    const uint8_t *desired,         /* (branches, bits) */
-    const int32_t *lut,             /* (2 * lut_offset + 1,) */
-    int64_t lut_offset,
-    int8_t *weights,                /* (banks, table_rows, bits) */
-    int64_t magnitude,
-    int64_t *theta,                 /* (bits,) */
-    int64_t *counter,               /* (bits,) */
-    int64_t counter_max,
-    int64_t counter_min,
-    int64_t adaptive,
-    uint64_t *predictions)          /* (branches,) zero-initialised */
-{
-    int64_t trained = 0;
-    int32_t yout[bits];
-    uint8_t mask[bits];
-    for (int64_t b = 0; b < branches; ++b) {
-        const int64_t *brow = rows + b * banks;
-        for (int64_t k = 0; k < bits; ++k)
-            yout[k] = 0;
-        for (int64_t n = 0; n < banks; ++n) {
-            const int8_t *w = weights + (n * table_rows + brow[n]) * bits;
-            for (int64_t k = 0; k < bits; ++k)
-                yout[k] += lut[(int64_t)w[k] + lut_offset];
-        }
-
-        const int64_t sid = set_ids[b];
-        const int64_t size = set_sizes[sid];
-        if (size > 0) {
-            const int32_t *mat = bit_matrices + sid * tmax * bits;
-            int64_t best = 0;
-            int32_t best_score = INT32_MIN;
-            for (int64_t t = 0; t < size; ++t) {
-                const int32_t *mrow = mat + t * bits;
-                int32_t score = 0;
-                for (int64_t k = 0; k < bits; ++k)
-                    score += mrow[k] * yout[k];
-                if (score > best_score) {
-                    best_score = score;
-                    best = t;
-                }
-            }
-            predictions[b] = padded_targets[sid * tmax + best];
-        }
-
-        const uint8_t *diff = differs + b * bits;
-        const uint8_t *des = desired + b * bits;
-        int any_active = 0;
-        for (int64_t k = 0; k < bits; ++k)
-            any_active |= diff[k];
-        if (!any_active)
-            continue;
-
-        int any_mask = 0;
-        for (int64_t k = 0; k < bits; ++k) {
-            mask[k] = 0;
-            if (!diff[k])
-                continue;
-            const int32_t value = yout[k];
-            const int correct = (value >= 0) == (des[k] != 0);
-            const int32_t mag = value >= 0 ? value : -value;
-            if (adaptive) {
-                int64_t current = theta[k];
-                if (correct) {
-                    if (mag >= current)
-                        continue;
-                    counter[k] -= 1;
-                    if (counter[k] <= counter_min) {
-                        counter[k] = 0;
-                        if (current > 1) {
-                            current -= 1;
-                            theta[k] = current;
-                        }
-                    }
-                    mask[k] = mag < current;
-                } else {
-                    counter[k] += 1;
-                    if (counter[k] >= counter_max) {
-                        counter[k] = 0;
-                        theta[k] = current + 1;
-                    }
-                    mask[k] = 1;
-                }
-            } else {
-                mask[k] = !correct || mag < theta[k];
-            }
-            any_mask |= mask[k];
-        }
-        if (!any_mask)
-            continue;
-
-        for (int64_t k = 0; k < bits; ++k)
-            trained += mask[k];
-        for (int64_t n = 0; n < banks; ++n) {
-            int8_t *w = weights + (n * table_rows + brow[n]) * bits;
-            for (int64_t k = 0; k < bits; ++k) {
-                if (!mask[k])
-                    continue;
-                int32_t value = (int32_t)w[k] + (des[k] ? 1 : -1);
-                if (value > magnitude)
-                    value = (int32_t)magnitude;
-                if (value < -magnitude)
-                    value = (int32_t)-magnitude;
-                w[k] = (int8_t)value;
-            }
-        }
-    }
-    return trained;
-}
-
-/* Multi-lane BLBP replay for a fused group sharing one precompute.
+ * argmax), the per-bit adaptive-θ controllers, and the masked
+ * saturating ±1 weight update.  Integer-for-integer identical to
+ * BLBP.predict_target/train.
  *
  * The shared planes (candidate sets, differs/desired) are identical
  * across lanes by construction — the kernel only groups lanes whose
@@ -216,8 +95,8 @@ int64_t blbp_replay(
  * (weight banks, θ/counter controllers, LUT, geometry) arrives as
  * pointer/scalar arrays indexed by lane.  Each branch advances every
  * lane before the next branch; lanes are independent, so each lane's
- * state trajectory is exactly its solo blbp_replay trajectory, while
- * the shared planes stay hot in cache across the lane loop.
+ * state trajectory is exactly its one-lane trajectory, while the
+ * shared planes stay hot in cache across the lane loop.
  */
 void blbp_replay_many(
     int64_t lanes,
@@ -711,18 +590,6 @@ _PTR = ctypes.c_void_p
 
 #: (restype, argtypes) per exported function; `load(name)` applies them.
 _SIGNATURES: Dict[str, tuple] = {
-    "blbp_replay": (
-        _I64,
-        [
-            _I64, _I64, _I64, _I64, _I64,   # branches, banks, bits, rows, tmax
-            _PTR, _PTR, _PTR, _PTR, _PTR,   # rows, set_ids, targets, sizes, mats
-            _PTR, _PTR,                     # differs, desired
-            _PTR, _I64,                     # lut, lut_offset
-            _PTR, _I64,                     # weights, magnitude
-            _PTR, _PTR, _I64, _I64, _I64,   # theta, counter, cmax, cmin, adaptive
-            _PTR,                           # predictions
-        ],
-    ),
     "blbp_replay_many": (
         None,
         [
@@ -768,6 +635,8 @@ _SIGNATURES: Dict[str, tuple] = {
 _lib: Optional[ctypes.CDLL] = None
 _fns: Dict[str, object] = {}
 _attempted = False
+#: Why the build or load attempt failed; read only while ``_lib`` is None.
+_failure: Optional[str] = None
 
 
 def cache_dir() -> str:
@@ -792,14 +661,15 @@ def _compiler() -> Optional[str]:
 def _build() -> Optional[str]:
     """Compile the replay cores, once, into the shared cache.
 
-    Returns the library path, or None on failure.  Safe under
-    concurrent builders (dist worker pools sharing one cache): each
-    compiles into a private mkstemp file and publishes with an atomic
-    ``os.replace``; a builder whose own compile fails re-checks whether
-    a concurrent builder already published the library before giving
-    up, so transient contention never blacklists the compiled path for
-    the whole process.
+    Returns the library path, or None on failure with the reason in
+    ``_failure``.  Safe under concurrent builders (dist worker pools
+    sharing one cache): each compiles into a private mkstemp file and
+    publishes with an atomic ``os.replace``; a builder whose own compile
+    fails re-checks whether a concurrent builder already published the
+    library before giving up, so transient contention never blacklists
+    the compiled path for the whole process.
     """
+    global _failure
     source_id = _SOURCE + "\n".join(_CFLAGS)
     digest = hashlib.sha256(source_id.encode()).hexdigest()[:16]
     directory = cache_dir()
@@ -808,6 +678,9 @@ def _build() -> Optional[str]:
         return path
     compiler = _compiler()
     if compiler is None:
+        _failure = (
+            "no C compiler found (tried $CC, cc, gcc and clang on PATH)"
+        )
         return None
     try:
         os.makedirs(directory, exist_ok=True)
@@ -822,6 +695,12 @@ def _build() -> Optional[str]:
                 timeout=120,
             )
             if result.returncode != 0:
+                stderr = result.stderr.decode(errors="replace").strip()
+                first = stderr.splitlines()[0] if stderr else "no stderr"
+                _failure = (
+                    f"{compiler} exited with status {result.returncode}: "
+                    f"{first}"
+                )
                 return path if os.path.exists(path) else None
             # Atomic publish: concurrent builders race benignly.
             os.replace(temp_so, path)
@@ -832,13 +711,14 @@ def _build() -> Optional[str]:
                 except OSError:
                     pass
         return path
-    except (OSError, subprocess.SubprocessError):
+    except (OSError, subprocess.SubprocessError) as exc:
+        _failure = f"building with {compiler} failed: {exc}"
         # A concurrent builder may have published while we failed.
         return path if os.path.exists(path) else None
 
 
 def _load_library() -> Optional[ctypes.CDLL]:
-    global _lib, _attempted
+    global _lib, _attempted, _failure
     if _lib is not None:
         return _lib
     if _attempted:
@@ -849,21 +729,18 @@ def _load_library() -> Optional[ctypes.CDLL]:
         return None
     try:
         _lib = ctypes.CDLL(path)
-    except OSError:
-        _lib = None
+    except OSError as exc:
+        _failure = f"loading {path} failed: {exc}"
     return _lib
 
 
-def load(name: str = "blbp_replay"):
+def load(name: str):
     """The compiled replay entry point ``name``, or None if unavailable.
 
-    Compilation happens at most once per process; failures (no
-    compiler, sandboxed filesystem) are remembered and the caller falls
-    back to the numpy replay.  Set ``REPRO_COLUMNAR_COMPILED=0`` to
-    force the fallback (the equivalence tests exercise both paths).
+    Compilation happens at most once per process; a failure (no
+    compiler, a failed compile, a library that will not load) is
+    remembered, and :func:`unavailable_reason` reports it.
     """
-    if os.environ.get("REPRO_COLUMNAR_COMPILED", "").strip() == "0":
-        return None
     fn = _fns.get(name)
     if fn is not None:
         return fn
@@ -873,10 +750,7 @@ def load(name: str = "blbp_replay"):
     lib = _load_library()
     if lib is None:
         return None
-    try:
-        fn = getattr(lib, name)
-    except AttributeError:
-        return None
+    fn = getattr(lib, name)
     fn.restype, fn.argtypes = signature
     _fns[name] = fn
     return fn
@@ -884,7 +758,12 @@ def load(name: str = "blbp_replay"):
 
 def available() -> bool:
     """Whether the compiled replay cores can be used in this process."""
-    return load() is not None
+    return _load_library() is not None
+
+
+def unavailable_reason() -> Optional[str]:
+    """Why the compiled replay cores are unavailable, or None if they are."""
+    return None if available() else _failure
 
 
 def loaded_functions() -> List[str]:

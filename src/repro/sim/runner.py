@@ -6,16 +6,13 @@ deterministic; :mod:`repro.exec` schedules the same (trace, predictor)
 cells across worker processes and merges them into an identical
 :class:`~repro.sim.metrics.CampaignResult`.
 
-Both paths share one progress protocol: a ``progress`` callback may
-accept either the legacy three arguments ``(trace, predictor, mpki)`` or
-five ``(trace, predictor, mpki, index, total)``, where ``index`` is the
-zero-based cell number and ``total`` the campaign cell count.  The arity
-is detected once per campaign via :func:`progress_arity`.
+Both paths share one progress protocol: a ``progress`` callback is
+called as ``(trace, predictor, mpki, index, total)``, where ``index`` is
+the zero-based cell number and ``total`` the campaign cell count.
 """
 
 from __future__ import annotations
 
-import inspect
 from typing import Callable, Dict, Iterable, Optional
 
 from repro.predictors.base import IndirectBranchPredictor
@@ -28,52 +25,8 @@ from repro.trace.stream import Trace
 #: A callable producing a fresh predictor instance.
 PredictorFactory = Callable[[], IndirectBranchPredictor]
 
-#: A progress callback; legacy 3-argument or extended 5-argument form.
-ProgressCallback = Callable[..., None]
-
-
-def progress_arity(progress: ProgressCallback) -> int:
-    """How many positional arguments ``progress`` should be called with.
-
-    Returns 5 for callbacks that can accept ``(trace, predictor, mpki,
-    index, total)`` and 3 for the legacy ``(trace, predictor, mpki)``
-    form.  Callables whose signature cannot be introspected (some
-    builtins) are treated as legacy.
-    """
-    try:
-        signature = inspect.signature(progress)
-    except (TypeError, ValueError):
-        return 3
-    positional = 0
-    for parameter in signature.parameters.values():
-        if parameter.kind == inspect.Parameter.VAR_POSITIONAL:
-            return 5
-        if parameter.kind in (
-            inspect.Parameter.POSITIONAL_ONLY,
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-        ):
-            positional += 1
-    return 5 if positional >= 5 else 3
-
-
-def invoke_progress(
-    progress: Optional[ProgressCallback],
-    trace_name: str,
-    predictor_name: str,
-    mpki: float,
-    index: int,
-    total: int,
-    arity: Optional[int] = None,
-) -> None:
-    """Invoke ``progress`` honouring its detected arity (no-op on None)."""
-    if progress is None:
-        return
-    if arity is None:
-        arity = progress_arity(progress)
-    if arity >= 5:
-        progress(trace_name, predictor_name, mpki, index, total)
-    else:
-        progress(trace_name, predictor_name, mpki)
+#: A progress callback: ``(trace, predictor, mpki, index, total)``.
+ProgressCallback = Callable[[str, str, float, int, int], None]
 
 
 def run_campaign(
@@ -99,8 +52,7 @@ def run_campaign(
         ras_depth, warmup_records: forwarded to :func:`simulate`.
         backend: simulation backend per cell ("scalar" or "columnar");
             forwarded to :func:`simulate`, results identical either way.
-        progress: optional callback invoked after each cell; either
-            ``(trace, predictor, mpki)`` or
+        progress: optional callback invoked after each cell as
             ``(trace, predictor, mpki, index, total)``.
         counters: when given, every cell runs profiled — per-cell
             numbers land on each result's ``profile`` field and the
@@ -111,7 +63,6 @@ def run_campaign(
     """
     sources = [as_source(trace) for trace in traces]
     total = len(sources) * len(factories)
-    arity = progress_arity(progress) if progress is not None else 3
     campaign = CampaignResult()
     index = 0
     for source in sources:
@@ -128,10 +79,8 @@ def run_campaign(
             )
             result.predictor_name = name
             campaign.add(result)
-            invoke_progress(
-                progress, trace.name, name, result.mpki(), index, total,
-                arity=arity,
-            )
+            if progress is not None:
+                progress(trace.name, name, result.mpki(), index, total)
             index += 1
         source.release()
     return campaign

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import subprocess
+
 import numpy as np
 import pytest
 
+from repro.sim import native
 from repro.trace.record import BranchRecord, BranchType
 from repro.trace.stream import Trace
 from repro.workloads import (
@@ -65,3 +68,50 @@ def callret_trace() -> Trace:
     return CallReturnSpec(
         name="cr-test", seed=10, num_records=4000, filler_conditionals=6,
     ).generate()
+
+
+@pytest.fixture(scope="session")
+def compiled_cores() -> None:
+    """Skip tests that need the compiled replay cores when they cannot
+    be built here; every columnar replay runs through them."""
+    reason = native.unavailable_reason()
+    if reason is not None:
+        pytest.skip(f"compiled replay cores unavailable: {reason}")
+
+
+@pytest.fixture
+def fresh_loader(monkeypatch) -> None:
+    """A pristine compiled-core loader state; monkeypatch restores the
+    real one afterwards."""
+    monkeypatch.setattr(native, "_lib", None)
+    monkeypatch.setattr(native, "_attempted", False)
+    monkeypatch.setattr(native, "_fns", {})
+    monkeypatch.setattr(native, "_failure", None)
+
+
+@pytest.fixture
+def failed_build(fresh_loader, monkeypatch, tmp_path) -> str:
+    """A loader whose next build finds ``cc`` but fails to compile.
+
+    ``cc`` is a stub on a private ``PATH`` and ``subprocess.run`` is
+    replaced, so nothing is compiled.  Returns the reason the loader
+    must report.
+    """
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    compiler = bin_dir / "cc"
+    compiler.write_text("#!/bin/sh\nexit 1\n")
+    compiler.chmod(0o755)
+    monkeypatch.setenv("PATH", str(bin_dir))
+    monkeypatch.delenv("CC", raising=False)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    stderr = b"replay.c:3:1: error: unknown type name 'int64_t'\nmore\n"
+
+    def failing_run(cmd, capture_output=True, timeout=None):
+        return subprocess.CompletedProcess(cmd, 1, b"", stderr)
+
+    monkeypatch.setattr(native.subprocess, "run", failing_run)
+    return (
+        "cc exited with status 1: "
+        "replay.c:3:1: error: unknown type name 'int64_t'"
+    )

@@ -96,15 +96,15 @@ class TestSelectiveTraining:
         predictor = BLBP()
         for _ in range(30):
             _drive(predictor, 0x1000, 0x40_0000)
-        assert all(int(np.abs(bank.weights).max()) == 0
-                   for bank in predictor.banks)
+        assert all(int(np.abs(bank).max()) == 0
+                   for bank in predictor.weights.weights)
 
     def test_without_selective_update_weights_train(self):
         predictor = BLBP(BLBPConfig(use_selective_update=False))
         for _ in range(30):
             _drive(predictor, 0x1000, 0x40_0014)
-        assert any(int(np.abs(bank.weights).max()) > 0
-                   for bank in predictor.banks)
+        assert any(int(np.abs(bank).max()) > 0
+                   for bank in predictor.weights.weights)
 
     def test_shared_bits_not_trained(self):
         predictor = BLBP()
@@ -114,8 +114,8 @@ class TestSelectiveTraining:
             _drive(predictor, 0x1000, targets[i % 2])
         # Weight position 0 predicts bit 2 (low_bit = 2); it is shared,
         # so no bank may have trained it.
-        for bank in predictor.banks:
-            assert int(np.abs(bank.weights[:, 0]).max()) == 0
+        for bank in predictor.weights.weights:
+            assert int(np.abs(bank[:, 0]).max()) == 0
 
 
 class TestIBTBIntegration:

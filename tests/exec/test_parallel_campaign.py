@@ -76,13 +76,15 @@ class TestParallelSerialEquivalence:
 
 
 class TestProgressBridging:
-    def test_legacy_progress_callback(self, tiny_trace):
+    def test_serial_progress_callback(self, tiny_trace):
         seen = []
         run_campaign_parallel(
             [tiny_trace], {"BTB": BranchTargetBuffer}, jobs=1,
-            progress=lambda trace, name, mpki: seen.append((trace, name)),
+            progress=lambda trace, name, mpki, index, total: seen.append(
+                (trace, name, index, total)
+            ),
         )
-        assert seen == [("tiny", "BTB")]
+        assert seen == [("tiny", "BTB", 0, 1)]
 
     def test_extended_progress_callback(self, tiny_trace, vdispatch_trace):
         seen = []

@@ -235,12 +235,12 @@ class TestFusedUnfusedEquivalence:
                 assert fused_r.mpki() == pytest.approx(solo_r.mpki())
 
 
+@pytest.mark.usefixtures("compiled_cores")
 class TestColumnarEquivalence:
     """Acceptance gate for the columnar batch kernel: ``simulate(...,
     backend="columnar")`` is bit-identical to the scalar engine — same
     misprediction totals, same MPKI, same final predictor state hash —
-    over the full 88-workload suite, on both replay paths (the compiled
-    core and the numpy chunked fallback)."""
+    over the full 88-workload suite."""
 
     def _assert_backends_agree(self, trace, config=None):
         scalar_predictor = BLBP(config() if config else None)
@@ -258,24 +258,12 @@ class TestColumnarEquivalence:
         ), f"{trace.name}: final predictor state diverges"
 
     def test_full_suite_identical(self):
-        """All 88 workloads, headline configuration, whatever replay
-        path the environment resolves (compiled when a C compiler is
-        available, numpy otherwise)."""
+        """All 88 workloads, headline configuration."""
         checked = 0
         for name, trace in _traces():
             self._assert_backends_agree(trace)
             checked += 1
         assert checked == len(suite88_specs(_SCALE))
-
-    def test_full_suite_identical_numpy_replay(self, monkeypatch):
-        """The numpy chunked replay path must be just as exact: force
-        it by disabling the compiled core for the whole sweep."""
-        monkeypatch.setenv("REPRO_COLUMNAR_COMPILED", "0")
-        from repro.sim import native
-
-        assert native.load() is None  # env really does force numpy
-        for name, trace in _traces():
-            self._assert_backends_agree(trace)
 
     def test_config_variants_subset(self):
         """Feature toggles change the replay's inner loops; each
@@ -341,10 +329,11 @@ class TestColumnarEquivalence:
             assert session.state_hash() == predictor.state_hash()
 
 
+@pytest.mark.usefixtures("compiled_cores")
 class TestColumnarEquivalenceAllKernels:
     """The ITTAGE and VPC columnar kernels over the full 88-workload
     suite: the columnar backend must land on the identical result and
-    final predictor state as scalar, on both replay paths."""
+    final predictor state as scalar."""
 
     _KEYS = ["ITTAGE", "VPC"]
 
@@ -369,15 +358,6 @@ class TestColumnarEquivalenceAllKernels:
                 self._assert_agree(key, trace)
                 checked += 1
         assert checked == 2 * len(suite88_specs(_SCALE))
-
-    def test_full_suite_identical_numpy_replay(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COLUMNAR_COMPILED", "0")
-        from repro.sim import native
-
-        assert native.load() is None
-        for key in self._KEYS:
-            for name, trace in _traces():
-                self._assert_agree(key, trace)
 
     def test_fused_columnar_campaign_matches_scalar(self, tmp_path):
         """A mixed-roster campaign under ``backend="columnar"`` (BLBP,

@@ -66,9 +66,9 @@ class TestBLBPProperties:
     def test_weights_stay_saturated(self, stream):
         predictor = BLBP(BLBPConfig(table_rows=64))
         _replay(predictor, stream)
-        for bank in predictor.banks:
-            assert int(bank.weights.max()) <= 7
-            assert int(bank.weights.min()) >= -7
+        for bank in predictor.weights.weights:
+            assert int(bank.max()) <= 7
+            assert int(bank.min()) >= -7
 
 
 class TestBaselineProperties:

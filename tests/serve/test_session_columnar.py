@@ -24,6 +24,9 @@ from repro.serve.session import (
 )
 from repro.trace.record import BranchType
 
+#: The fast path exists only where the compiled replay cores do.
+pytestmark = pytest.mark.usefixtures("compiled_cores")
+
 _COLUMNAR_KEYS = ["BLBP", "ITTAGE", "VPC"]
 
 Event = Tuple[int, int, bool, int, int]

@@ -62,6 +62,7 @@ class TestStrictBackend:
         with pytest.raises(ColumnarUnsupportedError, match="subclasses BLBP"):
             simulate(TracingBLBP(), _TRACE, backend="columnar-strict")
 
+    @pytest.mark.usefixtures("compiled_cores")
     def test_checkpointing_blocker_raises(self):
         with pytest.raises(ColumnarUnsupportedError, match="checkpointing"):
             simulate(
@@ -69,6 +70,7 @@ class TestStrictBackend:
                 checkpoint_every=50, on_checkpoint=lambda snapshot: None,
             )
 
+    @pytest.mark.usefixtures("compiled_cores")
     def test_counters_blocker_raises(self):
         with pytest.raises(ColumnarUnsupportedError, match="counters"):
             simulate(
@@ -76,6 +78,7 @@ class TestStrictBackend:
                 counters=SimCounters(),
             )
 
+    @pytest.mark.usefixtures("compiled_cores")
     def test_supported_predictor_matches_scalar(self):
         strict_predictor = BLBP()
         scalar_predictor = BLBP()
@@ -85,6 +88,7 @@ class TestStrictBackend:
         assert strict == scalar
         assert strict_predictor.state_hash() == scalar_predictor.state_hash()
 
+    @pytest.mark.usefixtures("compiled_cores")
     def test_simulate_many_unsupported_raises(self):
         with pytest.raises(ColumnarUnsupportedError, match="subclasses"):
             simulate_many(
@@ -114,6 +118,7 @@ class TestColumnarFallback:
             columnar_predictor.state_hash() == scalar_predictor.state_hash()
         )
 
+    @pytest.mark.usefixtures("compiled_cores")
     def test_feature_fallback_is_silent(self):
         """Checkpointing under ``backend="columnar"`` runs scalar (the
         kernels cannot snapshot mid-trace) without any warning — the

@@ -9,12 +9,13 @@ the fused entry point:
   emit per-branch predictions and a final ``state_hash`` identical to
   the scalar engine's call sequence — on traces mixing conditionals,
   indirect jumps/calls, returns, and direct branches, from both cold
-  and warm predictor state, on both replay paths (compiled and numpy);
+  and warm predictor state, solo and as one lane of a fused group;
 * :func:`repro.sim.kernel.simulate_columnar_many` must give every lane
   of a heterogeneous fused group (identical BLBP twins, differing BLBP
   geometries and feature toggles, hierarchical IBTB, ITTAGE, VPC) the
-  exact results and final state a solo run produces, and must form a
-  single lane-parallel group from identical-config lanes;
+  exact results and final state a solo run produces — called directly
+  and through ``simulate_many(backend="columnar-strict")`` — and must
+  form a single lane-parallel group from identical-config lanes;
 * :func:`repro.sim.kernel.columnar_support` reasons must name the
   offending type and the remedy, and the kernels must refuse
   unsupported predictors rather than silently misreplay them.
@@ -22,10 +23,9 @@ the fused entry point:
 
 from __future__ import annotations
 
-import contextlib
-import os
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +35,7 @@ from repro.core.config import BLBPConfig
 from repro.predictors.ittage import ITTAGE, ITTAGEConfig
 from repro.predictors.vpc import VPCConfig, VPCPredictor
 from repro.sim import kernel
-from repro.sim.engine import simulate
+from repro.sim.engine import simulate, simulate_many
 from repro.sim.kernel import (
     columnar_support,
     columnar_supported,
@@ -53,23 +53,8 @@ _PCS = [0x4000, 0x4008, 0x4040, 0x5000]
 _TARGETS = [0x10_0000, 0x10_0040, 0x10_0080, 0x11_0000, 0x12_0000]
 
 
-@contextlib.contextmanager
-def _replay_path(force_numpy: bool):
-    """Pin the replay path for the duration: the numpy fallback when
-    forced, else whatever the environment resolves (compiled when a C
-    compiler is available)."""
-    saved = os.environ.get("REPRO_COLUMNAR_COMPILED")
-    try:
-        if force_numpy:
-            os.environ["REPRO_COLUMNAR_COMPILED"] = "0"
-        else:
-            os.environ.pop("REPRO_COLUMNAR_COMPILED", None)
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_COLUMNAR_COMPILED", None)
-        else:
-            os.environ["REPRO_COLUMNAR_COMPILED"] = saved
+#: Every columnar replay runs through the compiled cores.
+pytestmark = pytest.mark.usefixtures("compiled_cores")
 
 
 def _append_event(records, depth, kind, pc_index, target_index, taken):
@@ -174,7 +159,10 @@ def _scalar_per_branch(predictor, trace):
     return predictions
 
 
-def _assert_lockstep(make_predictor, trace, force_numpy, warm_trace=None):
+def _assert_lockstep(make_predictor, trace, warm_trace=None, fused=False):
+    """Per-branch and final-state lockstep against the scalar calls;
+    ``fused`` replays the predictor as the second lane of a fused group
+    behind a BLBP lane that has already filled the shared precompute."""
     scalar_predictor = make_predictor()
     columnar_predictor = make_predictor()
     if warm_trace is not None:
@@ -182,7 +170,12 @@ def _assert_lockstep(make_predictor, trace, force_numpy, warm_trace=None):
         columnar_predictor.load_state(scalar_predictor.state_dict())
     scalar_predictions = _scalar_per_branch(scalar_predictor, trace)
     sink = {}
-    with _replay_path(force_numpy):
+    if fused:
+        simulate_columnar_many(
+            [BLBP(), columnar_predictor], trace,
+            prediction_sinks=[None, sink],
+        )
+    else:
         simulate_columnar(columnar_predictor, trace, prediction_sink=sink)
     assert len(scalar_predictions) == len(sink["predictions"])
     for position, (scalar, valid, predicted) in enumerate(
@@ -214,42 +207,31 @@ class TestITTAGELockstep:
     @settings(max_examples=40, deadline=None)
     @given(trace=mixed_traces())
     def test_lockstep_on_mixed_traces(self, trace):
-        _assert_lockstep(_small_ittage, trace, force_numpy=False)
+        _assert_lockstep(_small_ittage, trace)
 
-    @settings(max_examples=40, deadline=None)
-    @given(trace=mixed_traces())
-    def test_lockstep_on_mixed_traces_numpy_replay(self, trace):
-        _assert_lockstep(_small_ittage, trace, force_numpy=True)
-
-    @pytest.mark.parametrize("force_numpy", [False, True])
-    def test_warm_start(self, force_numpy):
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_warm_start(self, fused):
         """Resuming from mid-stream state (tables, use-alt meta-counter,
-        the allocation RNG) must stay bit-identical."""
+        the allocation RNG) must stay bit-identical, solo or fused."""
         warm = _random_trace(7, "ittage-warm", 160)
         main = _random_trace(8, "ittage-main", 200)
-        _assert_lockstep(
-            _small_ittage, main, force_numpy, warm_trace=warm
-        )
+        _assert_lockstep(_small_ittage, main, warm_trace=warm, fused=fused)
 
 
 class TestVPCLockstep:
     @settings(max_examples=40, deadline=None)
     @given(trace=mixed_traces())
     def test_lockstep_on_mixed_traces(self, trace):
-        _assert_lockstep(_small_vpc, trace, force_numpy=False)
+        _assert_lockstep(_small_vpc, trace)
 
-    @settings(max_examples=40, deadline=None)
-    @given(trace=mixed_traces())
-    def test_lockstep_on_mixed_traces_numpy_replay(self, trace):
-        _assert_lockstep(_small_vpc, trace, force_numpy=True)
-
-    @pytest.mark.parametrize("force_numpy", [False, True])
-    def test_warm_start(self, force_numpy):
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_warm_start(self, fused):
         """Resuming with a warm BTB and conditional predictor — the
-        virtual-PC iteration depends on both — must stay bit-identical."""
+        virtual-PC iteration depends on both — must stay bit-identical,
+        solo or fused."""
         warm = _random_trace(11, "vpc-warm", 160)
         main = _random_trace(12, "vpc-main", 200)
-        _assert_lockstep(_small_vpc, main, force_numpy, warm_trace=warm)
+        _assert_lockstep(_small_vpc, main, warm_trace=warm, fused=fused)
 
 
 def _lanes():
@@ -270,7 +252,7 @@ def _lanes():
     ]
 
 
-def _assert_fused_matches_solo(seed, count, force_numpy, warm):
+def _assert_fused_matches_solo(seed, count, engine, warm):
     trace = _random_trace(seed, f"fused-{seed}", count)
     fused = _lanes()
     solo = _lanes()
@@ -284,7 +266,11 @@ def _assert_fused_matches_solo(seed, count, force_numpy, warm):
         simulate(predictor, trace, collect_per_pc=True)
         for predictor in solo
     ]
-    with _replay_path(force_numpy):
+    if engine:
+        fused_results = simulate_many(
+            fused, trace, collect_per_pc=True, backend="columnar-strict"
+        )
+    else:
         fused_results = simulate_columnar_many(
             fused, trace, collect_per_pc=True
         )
@@ -299,24 +285,26 @@ def _assert_fused_matches_solo(seed, count, force_numpy, warm):
 
 
 class TestFusedColumnarMany:
-    @pytest.mark.parametrize("force_numpy", [False, True])
+    @pytest.mark.parametrize("engine", [False, True])
     @pytest.mark.parametrize("warm", [False, True])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_heterogeneous_lanes_match_solo(self, seed, warm, force_numpy):
-        _assert_fused_matches_solo(seed, 200, force_numpy, warm)
+    def test_heterogeneous_lanes_match_solo(self, seed, warm, engine):
+        _assert_fused_matches_solo(seed, 200, engine, warm)
 
-    @pytest.mark.parametrize("force_numpy", [False, True])
-    def test_single_lane(self, force_numpy):
-        """One lane is the degenerate fused group: no lane-parallel
-        core, but the same prepare/replay/finish path."""
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_single_lane(self, warm):
+        """One lane is the degenerate fused group: a one-lane call into
+        the same multi-lane core, from cold or warm state."""
         trace = _random_trace(99, "single-lane", 150)
         fused = BLBP(BLBPConfig(table_rows=128, ibtb_sets=32))
         solo = BLBP(BLBPConfig(table_rows=128, ibtb_sets=32))
+        if warm:
+            simulate(solo, _random_trace(98, "single-lane-warm", 120))
+            fused.load_state(solo.state_dict())
         expected = simulate(solo, trace, collect_per_pc=True)
-        with _replay_path(force_numpy):
-            (result,) = simulate_columnar_many(
-                [fused], trace, collect_per_pc=True
-            )
+        (result,) = simulate_columnar_many(
+            [fused], trace, collect_per_pc=True
+        )
         assert result == expected
         assert fused.state_hash() == solo.state_hash()
 
@@ -344,6 +332,39 @@ class TestFusedColumnarMany:
         assert 3 in group_sizes, (
             f"identical lanes were not grouped: group sizes {group_sizes}"
         )
+
+    def test_solo_blbp_is_a_one_lane_call(self, monkeypatch):
+        group_sizes = []
+        original = kernel._replay_blbp_group
+
+        def spy(preps):
+            group_sizes.append(len(preps))
+            return original(preps)
+
+        monkeypatch.setattr(kernel, "_replay_blbp_group", spy)
+        trace = _random_trace(4, "solo", 150)
+        predictor, reference = BLBP(), BLBP()
+        assert simulate_columnar(predictor, trace) == simulate(
+            reference, trace
+        )
+        assert group_sizes == [1]
+        assert predictor.state_hash() == reference.state_hash()
+
+    def test_non_contiguous_weights_made_contiguous(self):
+        """The compiled core needs a C-order weight tensor; a lane whose
+        predictor holds any other layout gets a contiguous copy at
+        prepare time and still matches scalar."""
+        trace = _random_trace(5, "fortran-weights", 150)
+        predictor, reference = BLBP(), BLBP()
+        predictor.weights.weights = np.asfortranarray(
+            predictor.weights.weights
+        )
+        assert not predictor.weights.weights.flags.c_contiguous
+        assert simulate_columnar(predictor, trace) == simulate(
+            reference, trace
+        )
+        assert predictor.weights.weights.flags.c_contiguous
+        assert predictor.state_hash() == reference.state_hash()
 
     def test_empty_predictor_list(self):
         assert simulate_columnar_many([], _random_trace(0, "t", 20)) == []

@@ -1,37 +1,36 @@
-"""Property tests for the columnar kernel's ordering barriers.
+"""Property tests for the BLBP kernel's compiled replay on row collisions.
 
-The chunked replay may only batch branches whose bank rows do not
-collide; the traces hypothesis generates here are engineered to make
-that hard — tiny PC pools produce same-PC back-to-back indirect
-branches whose weight reads depend on the immediately preceding
-branch's training, so any barrier placed too late (or a compiled-core
-divergence from the scalar observe/train semantics) shows up as a
-per-branch prediction mismatch within a few records.
+The traces hypothesis generates here are engineered so that every
+weight read depends on the previous branch's training — tiny PC pools
+produce same-PC back-to-back indirect branches that hit the same bank
+rows — so any divergence of the compiled core from the scalar
+observe/train semantics shows up as a per-branch prediction mismatch
+within a few records.
 
-Both replay paths run: the compiled core when a C compiler is
-available, and the numpy chunked fallback (forced via
-``REPRO_COLUMNAR_COMPILED=0``, which :func:`repro.sim.native.load`
-checks per call).
+The degenerate-shape cases also run as two identical lanes of a fused
+group, so both the one-lane and the multi-lane call into
+``blbp_replay_many`` are pinned.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import BLBP
-from repro.sim.kernel import simulate_columnar
+from repro.sim.kernel import simulate_columnar, simulate_columnar_many
 from repro.trace.record import BranchRecord, BranchType
 from repro.trace.stream import Trace
+
+#: Every columnar replay runs through the compiled cores.
+pytestmark = pytest.mark.usefixtures("compiled_cores")
 
 _COND = int(BranchType.CONDITIONAL)
 _INDIRECT = (int(BranchType.INDIRECT_JUMP), int(BranchType.INDIRECT_CALL))
 
 #: Deliberately tiny pools: repeated PCs mean consecutive branches hit
-#: the same weight rows, exercising the update barriers.
+#: the same weight rows, so each read depends on the previous update.
 _PCS = [0x4000, 0x4000, 0x4040, 0x5000]
 _TARGETS = [0x10_0000, 0x10_0040, 0x10_0080, 0x11_0000]
 
@@ -89,23 +88,19 @@ def _scalar_per_branch(trace):
     return predictions, predictor
 
 
-def _assert_lockstep(trace, force_numpy: bool) -> None:
+def _assert_lockstep(trace, fused: bool = False) -> None:
+    """Lockstep against scalar; ``fused`` replays two identical lanes
+    through one multi-lane call and checks the second."""
     scalar_predictions, scalar_predictor = _scalar_per_branch(trace)
     columnar_predictor = BLBP()
     sink = {}
-    saved = os.environ.get("REPRO_COLUMNAR_COMPILED")
-    try:
-        if force_numpy:
-            os.environ["REPRO_COLUMNAR_COMPILED"] = "0"
-        simulate_columnar(
-            columnar_predictor, trace, prediction_sink=sink
+    if fused:
+        simulate_columnar_many(
+            [BLBP(), columnar_predictor], trace,
+            prediction_sinks=[None, sink],
         )
-    finally:
-        if force_numpy:
-            if saved is None:
-                os.environ.pop("REPRO_COLUMNAR_COMPILED", None)
-            else:
-                os.environ["REPRO_COLUMNAR_COMPILED"] = saved
+    else:
+        simulate_columnar(columnar_predictor, trace, prediction_sink=sink)
     assert len(scalar_predictions) == len(sink["predictions"])
     for position, (scalar, valid, predicted) in enumerate(
         zip(
@@ -123,22 +118,20 @@ def _assert_lockstep(trace, force_numpy: bool) -> None:
 
 
 class TestOrderingBarriers:
-    @settings(max_examples=60, deadline=None)
-    @given(trace=dependent_traces())
-    def test_lockstep_on_dependent_traces(self, trace):
-        _assert_lockstep(trace, force_numpy=False)
+    """Each branch's weight read must see the previous branch's update:
+    the retirement order the compiled replay has to respect."""
 
     @settings(max_examples=60, deadline=None)
     @given(trace=dependent_traces())
-    def test_lockstep_on_dependent_traces_numpy_replay(self, trace):
-        _assert_lockstep(trace, force_numpy=True)
+    def test_lockstep_on_dependent_traces(self, trace):
+        _assert_lockstep(trace)
 
 
 class TestDerivedEdgeCases:
     """The degenerate shapes ``derived.py`` must hand the kernel."""
 
-    @pytest.mark.parametrize("force_numpy", [False, True])
-    def test_empty_conditional_stream(self, force_numpy):
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_empty_conditional_stream(self, fused):
         """Only indirect branches: the conditional bitstream is empty,
         so fold tables and ghist write-back run on zero outcomes."""
         records = [
@@ -149,20 +142,20 @@ class TestDerivedEdgeCases:
             for i in range(40)
         ]
         _assert_lockstep(
-            Trace.from_records("no-conds", records), force_numpy
+            Trace.from_records("no-conds", records), fused
         )
 
-    @pytest.mark.parametrize("force_numpy", [False, True])
-    def test_single_indirect_branch(self, force_numpy):
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_single_indirect_branch(self, fused):
         trace = Trace.from_records(
             "one-indirect",
             [BranchRecord(0x4000, BranchType.INDIRECT_CALL, True,
                           0x10_0000, inst_gap=1)],
         )
-        _assert_lockstep(trace, force_numpy)
+        _assert_lockstep(trace, fused)
 
-    @pytest.mark.parametrize("force_numpy", [False, True])
-    def test_no_indirect_branches(self, force_numpy):
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_no_indirect_branches(self, fused):
         """Only conditionals: branch_count == 0, the replay is skipped
         entirely but history state must still advance identically."""
         records = [
@@ -171,5 +164,5 @@ class TestDerivedEdgeCases:
             for i in range(50)
         ]
         _assert_lockstep(
-            Trace.from_records("no-indirects", records), force_numpy
+            Trace.from_records("no-indirects", records), fused
         )

@@ -38,13 +38,16 @@ class TestRunCampaign:
         run_campaign(
             [tiny_trace],
             {"BTB": BranchTargetBuffer},
-            progress=lambda trace, name, mpki: seen.append((trace, name, mpki)),
+            progress=lambda trace, name, mpki, index, total: seen.append(
+                (trace, name, mpki)
+            ),
         )
         assert seen and seen[0][0] == "tiny" and seen[0][1] == "BTB"
 
 
 class TestProgressProtocol:
-    """The extended 5-argument progress form and its legacy fallback."""
+    """Progress callbacks receive ``(trace, predictor, mpki, index,
+    total)``."""
 
     def test_extended_callback_gets_index_and_total(self, tiny_trace,
                                                     vdispatch_trace):
@@ -72,11 +75,3 @@ class TestProgressProtocol:
         )
         assert len(seen) == 1 and len(seen[0]) == 5
         assert seen[0][3:] == (0, 1)
-
-    def test_arity_detection(self):
-        from repro.sim.runner import progress_arity
-
-        assert progress_arity(lambda t, n, m: None) == 3
-        assert progress_arity(lambda t, n, m, i, total: None) == 5
-        assert progress_arity(lambda *args: None) == 5
-        assert progress_arity(print) == 5  # *args builtin
