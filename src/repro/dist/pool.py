@@ -1,12 +1,12 @@
 """Campaign pools: local processes, socket worker nodes, SSH nodes.
 
-A :class:`Pool` is *where cells run*.  The execution engine
-(:func:`repro.exec.pool.execute_plan`) plans, journals, retries, and
-merges exactly as before; a pool only takes the planned execution units
-and brings the results back:
+A :class:`Pool` is *where cells run*: it supplies the runners that the
+one campaign scheduler (:class:`repro.exec.pool._Scheduler`) pulls
+execution units for.  The scheduler owns retries, unfusing, requeues,
+events, and recording; a pool only says where units go:
 
-* :class:`LocalPool` — today's in-process / ``ProcessPoolExecutor``
-  path behind the interface, behavior-preserving to the byte;
+* :class:`LocalPool` — one in-process runner for ``jobs == 1``, else
+  ``jobs`` slots over one ``ProcessPoolExecutor``;
 * :class:`NodePool` — N spawned worker processes
   (``python -m repro.dist.worker --port 0``), each speaking the
   newline-delimited-JSON job protocol over its own TCP socket;
@@ -15,16 +15,15 @@ and brings the results back:
   …`` in production; CI exercises the identical code with a localhost
   shim template).
 
-The distributed scheduler shards units across nodes work-stealing
-style (one coordinator thread per node pulls from a shared queue), so
-a fast node takes more of the campaign.  Traces ship by content hash
-into each node's :class:`~repro.dist.store.TraceStore` — at most one
-transfer per (trace, node) per campaign, and zero when the node already
-holds the hash from an earlier run.  A node that dies mid-unit is
-announced (``node_down``), its in-flight unit reschedules on surviving
-nodes without charging the cells' retry budget, and a pool whose nodes
-are *all* gone degrades to in-process serial execution — the same
-never-fail ladder the process pool has always had.
+Each node is a runner with its own scheduler thread pulling from the
+shared queue, so a fast node takes more of the campaign.  Traces ship
+by content hash into each node's :class:`~repro.dist.store.TraceStore`
+— at most one transfer per (trace, node) per campaign, and zero when
+the node already holds the hash from an earlier run.  A node that dies
+mid-unit is announced (``node_down``), its in-flight unit reschedules
+on surviving nodes without charging the cells' retry budget, and a
+pool whose nodes are *all* gone degrades to in-process execution — the
+same ladder every pool shares.
 """
 
 from __future__ import annotations
@@ -35,26 +34,30 @@ import shlex
 import socket
 import subprocess
 import sys
-import threading
 import time
 from abc import ABC, abstractmethod
-from collections import deque
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, BinaryIO, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.dist import protocol
 from repro.dist.store import trace_file_hash
-from repro.exec.events import (
-    CELL_FAILED,
-    CELL_RETRY,
-    CELL_START,
-    FALLBACK,
-    NODE_DOWN,
-    NODE_UP,
-)
+from repro.exec.events import NODE_UP
 from repro.exec.journal import result_from_json
-from repro.exec.plan import CellSpec, ExecutionUnit, FusedCellSpec
-from repro.exec.pool import CellFailedError, _PoolDegraded
+from repro.exec.plan import ExecutionUnit, FusedCellSpec
+from repro.exec.pool import (
+    Outcomes,
+    _InProcessRunner,
+    _member_cells,
+    _PoolDegraded,
+    _require_picklable,
+    _Runner,
+    _RunnerDown,
+    _Scheduler,
+    _SlotRunner,
+    _UnitFailed,
+)
 
 #: Maximum bytes of one protocol line read from a node.
 MAX_LINE_BYTES = 8 * 1024 * 1024
@@ -67,16 +70,8 @@ class PoolError(RuntimeError):
     """A pool could not be constructed or probed."""
 
 
-class NodeError(RuntimeError):
+class NodeError(_RunnerDown):
     """A worker node died or broke protocol; its work reschedules."""
-
-
-class _UnitFailed(Exception):
-    """A node reported the unit raised; the coordinator owns retries."""
-
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.message = message
 
 
 class Pool(ABC):
@@ -88,7 +83,9 @@ class Pool(ABC):
     local = False
     name = "pool"
 
-    @abstractmethod
+    #: Whether units run in this process (factories need not pickle).
+    in_process = False
+
     def execute(
         self,
         state,
@@ -99,12 +96,23 @@ class Pool(ABC):
         backoff: float = 0.1,
         checkpoint_every: int = 0,
     ) -> None:
-        """Run ``units``, recording outcomes into ``state``.
+        """Run ``units`` on this pool's runners, recording into ``state``.
 
         Raises :class:`repro.exec.pool._PoolDegraded` when the pool
         itself (not a cell) is unusable — the executor then finishes the
-        remaining cells serially in-process.
+        remaining cells in-process.
         """
+        units = list(units)
+        if not self.in_process:
+            _require_picklable(units)
+        scheduler = _Scheduler(state, units, timeout, retries, backoff)
+        with self._runners(state, checkpoint_every) as runners:
+            scheduler.run(runners)
+
+    @abstractmethod
+    def _runners(self, state, checkpoint_every: int):
+        """Context manager yielding this pool's runners for one
+        :meth:`execute`."""
 
     @abstractmethod
     def describe(self) -> List[Dict[str, Any]]:
@@ -123,9 +131,9 @@ class Pool(ABC):
 class LocalPool(Pool):
     """The single-machine path behind the :class:`Pool` interface.
 
-    ``LocalPool(jobs=n)`` is exactly ``execute_plan(jobs=n)``: serial
-    in-process execution for ``jobs == 1``, the
-    ``ProcessPoolExecutor`` scheduler otherwise — same events, same
+    ``LocalPool(jobs=n)`` is exactly ``execute_plan(jobs=n)``: one
+    in-process runner for ``jobs == 1``, otherwise ``jobs`` slots over
+    one ``ProcessPoolExecutor`` — same scheduler, same events, same
     journal bytes, same fallback ladder.
     """
 
@@ -136,30 +144,33 @@ class LocalPool(Pool):
         from repro.exec import resolve_jobs
 
         self.jobs = resolve_jobs(jobs)
+        self.in_process = self.jobs == 1
 
-    def execute(
-        self,
-        state,
-        units: Sequence[ExecutionUnit],
-        *,
-        timeout: Optional[float] = None,
-        retries: int = 2,
-        backoff: float = 0.1,
-        checkpoint_every: int = 0,
-    ) -> None:
-        from repro.exec.pool import _run_parallel, _run_serial
-
-        units = list(units)
-        if self.jobs == 1:
-            _run_serial(state, units, timeout, retries, backoff)
-        else:
-            _run_parallel(state, units, self.jobs, timeout, retries, backoff)
+    @contextmanager
+    def _runners(self, state, checkpoint_every: int):
+        if self.in_process:
+            yield [_InProcessRunner()]
+            return
+        try:
+            executor = ProcessPoolExecutor(max_workers=self.jobs)
+        except (OSError, ValueError) as exc:
+            raise _PoolDegraded(f"process pool failed to start: {exc!r}")
+        with executor:
+            # Start the workers now, while this is the only thread:
+            # forking under the slot threads could copy a held lock.
+            try:
+                executor.submit(int).result()
+            except Exception as exc:  # noqa: BLE001 - any failure degrades
+                raise _PoolDegraded(f"process pool failed to start: {exc!r}")
+            yield [_SlotRunner(executor) for _ in range(self.jobs)]
 
     def describe(self) -> List[Dict[str, Any]]:
         return [
             {
                 "node": "local",
-                "transport": "process-pool",
+                "transport": (
+                    "in-process" if self.in_process else "process-pool"
+                ),
                 "pid": os.getpid(),
                 "cpus": os.cpu_count() or 1,
                 "jobs": self.jobs,
@@ -170,8 +181,8 @@ class LocalPool(Pool):
 # -- coordinator-side node handle -------------------------------------
 
 
-class _NodeClient:
-    """The coordinator's handle for one worker node."""
+class _NodeClient(_Runner):
+    """The coordinator's handle for one worker node, and its runner."""
 
     def __init__(
         self,
@@ -191,6 +202,11 @@ class _NodeClient:
         self.shipped: set = set()
         #: hash → put_trace transfers this campaign (dedup accounting).
         self.transfers: Dict[str, int] = {}
+        #: Per-campaign settings, set by the pool before each execute:
+        #: the interval stamped on cells that carry none, and the
+        #: trace path → content hash memo shared by the pool's nodes.
+        self.checkpoint_every = 0
+        self.hashes: Dict[str, str] = {}
         self.node = ""
         self.pid = 0
         self.cpus = 0
@@ -308,10 +324,40 @@ class _NodeClient:
                     f"node {self.node} sent {tag!r} during run_unit"
                 )
 
-    def ping(self) -> bool:
-        self._send({"t": "ping"})
-        self._expect("pong")
-        return True
+    def _trace_hash(self, path: str) -> str:
+        if path not in self.hashes:
+            self.hashes[path] = trace_file_hash(path)
+        return self.hashes[path]
+
+    def prepare(self, unit: ExecutionUnit) -> None:
+        for spec in _member_cells(unit):
+            path = spec.trace_path
+            self.ensure_trace(self._trace_hash(path), path)
+
+    def run(self, unit: ExecutionUnit, timeout: Optional[float]) -> Outcomes:
+        cells = _member_cells(unit)
+        wire_cells = []
+        for spec in cells:
+            wire = protocol.cell_to_wire(
+                spec, self._trace_hash(spec.trace_path)
+            )
+            if self.checkpoint_every and not wire["checkpoint_every"]:
+                wire["checkpoint_every"] = self.checkpoint_every
+            wire_cells.append(wire)
+        outcomes = self.run_unit(
+            wire_cells, fused=isinstance(unit, FusedCellSpec), timeout=timeout
+        )
+        if {index for index, _, _ in outcomes} != {s.index for s in cells}:
+            # The node acknowledged the unit without all its members:
+            # a unit failure, so the cells re-run.
+            raise _UnitFailed(
+                f"node {self.node} returned {len(outcomes)} of "
+                f"{len(cells)} unit cells"
+            )
+        return [
+            (index, dataclasses.replace(result, node=self.node), seconds)
+            for index, result, seconds in outcomes
+        ]
 
     def stats(self) -> Dict[str, Any]:
         self._send({"t": "stats"})
@@ -349,200 +395,6 @@ class _NodeClient:
                     pass
 
 
-# -- distributed scheduler ---------------------------------------------
-
-
-class _Scheduler:
-    """Shards execution units across node clients, work-stealing style.
-
-    One coordinator thread per node pulls units off a shared queue;
-    all mutations of the shared :class:`~repro.exec.pool._Execution`
-    state (results, journal shards, events) happen under one lock, so
-    the engine's bookkeeping stays single-threaded in effect.
-    """
-
-    def __init__(
-        self,
-        state,
-        units: Sequence[ExecutionUnit],
-        timeout: Optional[float],
-        retries: int,
-        backoff: float,
-        checkpoint_every: int,
-    ) -> None:
-        self.state = state
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.checkpoint_every = checkpoint_every
-        self.lock = threading.Lock()
-        self.queue: deque = deque((unit, 1) for unit in units)
-        self.fatal: Optional[BaseException] = None
-        self._hashes: Dict[str, str] = {}
-
-    # -- helpers -------------------------------------------------------
-
-    def _members(self, unit: ExecutionUnit) -> Tuple[CellSpec, ...]:
-        return unit.cells if isinstance(unit, FusedCellSpec) else (unit,)
-
-    def _trace_hash(self, path: str) -> str:
-        if path not in self._hashes:
-            self._hashes[path] = trace_file_hash(path)
-        return self._hashes[path]
-
-    def _wire_cells(self, unit: ExecutionUnit) -> List[Dict[str, Any]]:
-        cells = []
-        for spec in self._members(unit):
-            wire = protocol.cell_to_wire(
-                spec, self._trace_hash(spec.trace_path)
-            )
-            if self.checkpoint_every and not wire["checkpoint_every"]:
-                wire["checkpoint_every"] = self.checkpoint_every
-            cells.append(wire)
-        return cells
-
-    def _emit_start(
-        self, unit: ExecutionUnit, attempt: int, node: str
-    ) -> None:
-        fused = isinstance(unit, FusedCellSpec)
-        for spec in self._members(unit):
-            self.state.emit(
-                CELL_START,
-                trace=spec.trace_name,
-                predictor=spec.predictor_name,
-                index=spec.index,
-                completed=self.state.completed,
-                attempt=attempt,
-                group=unit.size if fused else 0,
-                node=node,
-            )
-
-    def _label(self, unit: ExecutionUnit) -> str:
-        if isinstance(unit, FusedCellSpec):
-            return "+".join(s.predictor_name for s in unit.cells)
-        return unit.predictor_name
-
-    # -- outcome handling ----------------------------------------------
-
-    def _record(self, unit, outcomes, node: str) -> None:
-        by_index = {
-            index: (result, duration) for index, result, duration in outcomes
-        }
-        with self.lock:
-            for spec in self._members(unit):
-                if spec.index not in by_index:
-                    # A node acknowledged the unit without all members —
-                    # treat as a unit failure so the cells re-run.
-                    raise _UnitFailed(
-                        f"node {node} returned {len(by_index)} of "
-                        f"{len(self._members(unit))} unit cells"
-                    )
-            for spec in self._members(unit):
-                result, duration = by_index[spec.index]
-                result = dataclasses.replace(result, node=node)
-                self.state.record(spec, result, duration, node=node)
-
-    def _handle_failure(
-        self, unit: ExecutionUnit, attempt: int, failure: _UnitFailed
-    ) -> None:
-        fused = isinstance(unit, FusedCellSpec)
-        first = self._members(unit)[0]
-        if attempt <= self.retries:
-            with self.lock:
-                self.state.retries += 1
-                self.state.emit(
-                    CELL_RETRY,
-                    trace=unit.trace_name,
-                    predictor=self._label(unit),
-                    index=first.index,
-                    attempt=attempt,
-                    group=unit.size if fused else 0,
-                    message=failure.message,
-                )
-            time.sleep(self.backoff * attempt)
-            with self.lock:
-                self.queue.append((unit, attempt + 1))
-            return
-        if fused:
-            with self.lock:
-                self.state.emit(
-                    FALLBACK,
-                    message=(
-                        f"fused group of {unit.size} on {unit.trace_name!r} "
-                        f"failed after {attempt} attempt(s): "
-                        f"{failure.message}; re-running its cells unfused"
-                    ),
-                )
-                self.queue.extend((spec, 1) for spec in unit.cells)
-            return
-        with self.lock:
-            self.state.emit(
-                CELL_FAILED,
-                trace=unit.trace_name,
-                predictor=unit.predictor_name,
-                index=unit.index,
-                attempt=attempt,
-                message=failure.message,
-            )
-            self.fatal = CellFailedError(
-                unit.key, attempt, RuntimeError(failure.message)
-            )
-
-    # -- node loop -----------------------------------------------------
-
-    def drive(self, client: _NodeClient) -> None:
-        """Pull and execute units on ``client`` until work or node ends."""
-        while True:
-            with self.lock:
-                if self.fatal is not None or not self.queue:
-                    return
-                unit, attempt = self.queue.popleft()
-            try:
-                for spec in self._members(unit):
-                    client.ensure_trace(
-                        self._trace_hash(spec.trace_path), spec.trace_path
-                    )
-                with self.lock:
-                    self._emit_start(unit, attempt, client.node)
-                outcomes = client.run_unit(
-                    self._wire_cells(unit),
-                    fused=isinstance(unit, FusedCellSpec),
-                    timeout=self.timeout,
-                )
-                self._record(unit, outcomes, client.node)
-            except _UnitFailed as failure:
-                self._handle_failure(unit, attempt, failure)
-            except NodeError as exc:
-                client.dead = True
-                with self.lock:
-                    # The node, not the cells, failed: reschedule the
-                    # unit elsewhere without charging its retry budget.
-                    self.queue.appendleft((unit, attempt))
-                    self.state.emit(
-                        NODE_DOWN, node=client.node, message=str(exc)
-                    )
-                return
-
-    def run(self, clients: Sequence[_NodeClient]) -> None:
-        threads = [
-            threading.Thread(
-                target=self.drive, args=(client,), daemon=True,
-                name=f"repro-dist-{client.node}",
-            )
-            for client in clients
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if self.fatal is not None:
-            raise self.fatal
-        if self.queue:
-            raise _PoolDegraded(
-                "all worker nodes died with campaign cells pending"
-            )
-
-
 class _RemotePool(Pool):
     """Shared machinery of the socket and SSH backends."""
 
@@ -553,33 +405,22 @@ class _RemotePool(Pool):
     def nodes(self) -> List[_NodeClient]:
         return self._clients
 
-    def _live(self) -> List[_NodeClient]:
-        return [client for client in self._clients if not client.dead]
-
-    def execute(
-        self,
-        state,
-        units: Sequence[ExecutionUnit],
-        *,
-        timeout: Optional[float] = None,
-        retries: int = 2,
-        backoff: float = 0.1,
-        checkpoint_every: int = 0,
-    ) -> None:
-        clients = self._live()
+    @contextmanager
+    def _runners(self, state, checkpoint_every: int):
+        clients = [client for client in self._clients if not client.dead]
         if not clients:
             raise _PoolDegraded(f"{self.name} pool has no live worker nodes")
+        hashes: Dict[str, str] = {}
         for client in clients:
+            client.checkpoint_every = checkpoint_every
+            client.hashes = hashes
             state.emit(
                 NODE_UP,
                 node=client.node,
                 message=f"{client.transport} pid={client.pid} "
                         f"cpus={client.cpus}",
             )
-        scheduler = _Scheduler(
-            state, units, timeout, retries, backoff, checkpoint_every
-        )
-        scheduler.run(clients)
+        yield clients
 
     def describe(self) -> List[Dict[str, Any]]:
         rows = []
@@ -797,11 +638,11 @@ NODES_ENV = "REPRO_NODES"
 def resolve_pool(pool: Optional[Pool] = None) -> Optional[Pool]:
     """Resolve the campaign pool: explicit object, else ``REPRO_NODES``.
 
-    Returns ``None`` (classic ``jobs`` scheduling) when neither is
-    given.  ``REPRO_NODES=n`` with ``n >= 1`` spawns a fresh
-    :class:`NodePool` of n local workers — the caller that triggered the
-    resolution owns (and must close) it.  A non-integer value raises
-    rather than silently running locally.
+    Returns ``None`` (``execute_plan`` then runs ``LocalPool(jobs)``)
+    when neither is given.  ``REPRO_NODES=n`` with ``n >= 1`` spawns a
+    fresh :class:`NodePool` of n local workers — the caller that
+    triggered the resolution owns (and must close) it.  A non-integer
+    value raises rather than silently running locally.
     """
     if pool is not None:
         return pool

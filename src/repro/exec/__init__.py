@@ -162,9 +162,9 @@ def run_campaign_parallel(
         pool: a :class:`repro.dist.Pool` to schedule cells on —
             :class:`~repro.dist.NodePool` / :class:`~repro.dist.SSHPool`
             distribute the campaign across worker nodes with
-            byte-identical journals; ``None`` keeps classic ``jobs``
-            scheduling (or reads ``REPRO_NODES``, see
-            :func:`repro.dist.resolve_pool`).
+            byte-identical journals; ``None`` reads ``REPRO_NODES``
+            (see :func:`repro.dist.resolve_pool`), else runs ``jobs``
+            local workers.
         backend: simulation backend for every cell ("scalar",
             "columnar", or "columnar-strict", see
             :data:`repro.sim.engine.BACKENDS`); results and journal

@@ -1,27 +1,37 @@
-"""Cell execution: worker processes, retries, timeouts, and fallback.
+"""Cell execution: one scheduler, three runner kinds, one fallback ladder.
 
 :func:`execute_plan` takes a :class:`~repro.exec.plan.CampaignPlan` and
 produces the same :class:`~repro.sim.metrics.CampaignResult` the serial
-runner would, scheduling cells across a
-:class:`~concurrent.futures.ProcessPoolExecutor` when ``jobs > 1``.
+runner would.  Every campaign goes through one :class:`_Scheduler`,
+which pulls execution units off one queue for a list of *runners*:
+
+* the in-process runner (``jobs == 1``), driven on the calling thread;
+* ``jobs`` process-pool slots sharing one
+  :class:`~concurrent.futures.ProcessPoolExecutor` (``jobs > 1``);
+* worker nodes of a :class:`repro.dist.NodePool` / ``SSHPool``.
+
 Results are merged **in plan order**, so the outcome is byte-identical
-regardless of which worker finished first.
+regardless of which runner finished first.
 
 Robustness ladder, roughly in the order things go wrong in practice:
 
-* a cell raises → bounded retry with linear backoff, then
-  :class:`CellFailedError` (the journal keeps everything already done);
-* a cell hangs → a per-cell wall-clock deadline enforced *inside* the
-  worker via ``SIGALRM`` (no cross-process kill needed), surfacing as
-  :class:`CellTimeout` and entering the same retry path;
-* the pool cannot start, a factory cannot be pickled, or a worker dies
-  hard (``BrokenProcessPool``) → graceful degradation to in-process
-  serial execution of the remaining cells, announced by a ``fallback``
-  event — a campaign never fails merely because parallelism did.
+* a cell raises → bounded retry with linear backoff (slept on the
+  failing runner's thread; the retry goes to the front of the queue),
+  then :class:`CellFailedError` (the journal keeps everything done);
+* a cell hangs → a per-cell wall-clock deadline enforced via
+  ``SIGALRM`` on the thread running the cell (a worker's main thread,
+  or the caller's), surfacing as :class:`CellTimeout` and entering the
+  same retry path;
+* a runner goes away (a worker process dies, a node drops) → its unit
+  requeues at the same attempt on the runners left;
+* no runner is left, the pool cannot start, or a factory cannot be
+  pickled for an out-of-process runner → the remaining cells finish on
+  one in-process runner, announced by a ``fallback`` event — a campaign
+  never fails merely because parallelism did.
 
 With ``fuse=True`` (the default) contiguous cells sharing a trace are
-grouped into :class:`~repro.exec.plan.FusedCellSpec` units that a worker
-runs as *one* pass over the trace (:func:`run_fused_cell` →
+grouped into :class:`~repro.exec.plan.FusedCellSpec` units that a runner
+executes as *one* pass over the trace (:func:`run_fused_cell` →
 :func:`repro.sim.engine.simulate_many`), sharing the trace mapping, the
 derived plane, and the per-branch dispatch across all member predictors.
 Journal entries, events, results, and checkpoints stay per-cell, and a
@@ -36,7 +46,8 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from pathlib import Path
@@ -52,6 +63,7 @@ from repro.exec.events import (
     CELL_START,
     CELL_RETRY,
     FALLBACK,
+    NODE_DOWN,
     EventSink,
     ExecEvent,
     safe_emit,
@@ -142,9 +154,9 @@ def run_cell(
 ) -> Tuple[int, SimulationResult, float]:
     """Execute one cell: load its trace, simulate, stamp the name.
 
-    This is the worker entry point; it must stay module-level so the
-    process pool can pickle a reference to it.  Returns
-    ``(plan index, result, wall-clock seconds)``.
+    This is the entry point of every runner kind (in-process, process
+    pool worker, dist node).  Returns ``(plan index, result, wall-clock
+    seconds)``.
 
     When the spec carries a ``checkpoint_path``, the worker resumes from
     any checkpoint left by a killed or timed-out predecessor (validating
@@ -260,26 +272,8 @@ def _plan_units(specs: List[CellSpec], fuse: bool) -> List[ExecutionUnit]:
     return fuse_cells(specs, fusable=_fusable)
 
 
-def _announce_resume(state: "_Execution", spec: CellSpec, attempt: int) -> None:
-    """Emit CELL_RESUME when a mid-trace checkpoint awaits this cell.
-
-    Checked in the parent (not the worker) so the event reaches the sink
-    even when the previous attempt died without a word — which is
-    exactly the case checkpoints exist for.
-    """
-    if spec.checkpoint_path and os.path.exists(spec.checkpoint_path):
-        state.emit(
-            CELL_RESUME,
-            trace=spec.trace_name,
-            predictor=spec.predictor_name,
-            index=spec.index,
-            completed=state.completed,
-            attempt=attempt,
-        )
-
-
 class _Execution:
-    """Mutable bookkeeping shared by the parallel and serial paths."""
+    """Mutable campaign bookkeeping: results, counters, journal, events."""
 
     def __init__(
         self,
@@ -296,7 +290,16 @@ class _Execution:
         self.retries = 0
         self.started = time.monotonic()
 
-    def emit(self, kind: str, **fields) -> None:
+    def emit(
+        self, kind: str, spec: Optional[CellSpec] = None, **fields
+    ) -> None:
+        """Emit one event; ``spec`` fills in the cell's identity."""
+        if spec is not None:
+            fields.update(
+                trace=spec.trace_name,
+                predictor=spec.predictor_name,
+                index=spec.index,
+            )
         safe_emit(
             self.events,
             ExecEvent(kind=kind, total=self.plan.total, **fields),
@@ -313,10 +316,7 @@ class _Execution:
         self.results[spec.key] = result
         self.completed += 1
         self.emit(
-            CELL_SKIPPED,
-            trace=spec.trace_name,
-            predictor=spec.predictor_name,
-            index=spec.index,
+            CELL_SKIPPED, spec,
             completed=self.completed,
             records=spec.records,
             mpki=result.mpki(),
@@ -336,10 +336,7 @@ class _Execution:
         if self.journal is not None:
             self.journal.append(result, node=node)
         self.emit(
-            CELL_FINISH,
-            trace=spec.trace_name,
-            predictor=spec.predictor_name,
-            index=spec.index,
+            CELL_FINISH, spec,
             completed=self.completed,
             duration=duration,
             records=spec.records,
@@ -356,289 +353,269 @@ class _Execution:
         ]
 
 
-def _run_cell_serial(
-    state: _Execution,
-    spec: CellSpec,
-    timeout: Optional[float],
-    retries: int,
-    backoff: float,
-) -> None:
-    """Run one cell in-process, with the retry/timeout discipline."""
-    attempts = 0
-    while True:
-        attempts += 1
-        state.emit(
-            CELL_START,
-            trace=spec.trace_name,
-            predictor=spec.predictor_name,
-            index=spec.index,
-            completed=state.completed,
-            attempt=attempts,
-        )
-        _announce_resume(state, spec, attempts)
-        try:
-            _, result, duration = run_cell(spec, timeout)
-        except Exception as exc:  # noqa: BLE001 - retried, then raised
-            if attempts <= retries:
-                state.retries += 1
-                state.emit(
-                    CELL_RETRY,
-                    trace=spec.trace_name,
-                    predictor=spec.predictor_name,
-                    index=spec.index,
-                    attempt=attempts,
-                    message=repr(exc),
-                )
-                time.sleep(backoff * attempts)
-                continue
-            state.emit(
-                CELL_FAILED,
-                trace=spec.trace_name,
-                predictor=spec.predictor_name,
-                index=spec.index,
-                attempt=attempts,
-                message=repr(exc),
-            )
-            raise CellFailedError(spec.key, attempts, exc) from exc
-        state.record(spec, result, duration)
-        break
-
-
-def _record_fused(
-    state: _Execution,
-    group: FusedCellSpec,
-    outcomes: List[Tuple[int, SimulationResult, float]],
-) -> None:
-    """Record a fused group's outcomes *in member (plan) order*.
-
-    The journal appends on record, so member order is what keeps a
-    serial fused journal byte-identical to an unfused one.
-    """
-    by_index = {index: (result, duration) for index, result, duration in outcomes}
-    for spec in group.cells:
-        result, duration = by_index[spec.index]
-        state.record(spec, result, duration)
-
-
-def _run_fused_serial(
-    state: _Execution,
-    group: FusedCellSpec,
-    timeout: Optional[float],
-    retries: int,
-    backoff: float,
-) -> None:
-    """Run one fused group in-process; degrade to solo cells on failure.
-
-    The whole group shares a retry budget (one pass = one attempt); if
-    that budget runs out, the group unfuses and each member re-runs solo
-    with a fresh budget — precise failure attribution, and a poisoned
-    predictor cannot take its groupmates down with it.
-    """
-    attempts = 0
-    while True:
-        attempts += 1
-        for spec in group.cells:
-            state.emit(
-                CELL_START,
-                trace=spec.trace_name,
-                predictor=spec.predictor_name,
-                index=spec.index,
-                completed=state.completed,
-                attempt=attempts,
-                group=group.size,
-            )
-        try:
-            outcomes = run_fused_cell(group, timeout)
-        except Exception as exc:  # noqa: BLE001 - retried, then unfused
-            if attempts <= retries:
-                state.retries += 1
-                state.emit(
-                    CELL_RETRY,
-                    trace=group.trace_name,
-                    predictor=_group_label(group),
-                    index=group.cells[0].index,
-                    attempt=attempts,
-                    group=group.size,
-                    message=repr(exc),
-                )
-                time.sleep(backoff * attempts)
-                continue
-            state.emit(
-                FALLBACK,
-                message=(
-                    f"fused group of {group.size} on {group.trace_name!r} "
-                    f"failed after {attempts} attempt(s): {exc!r}; "
-                    "re-running its cells unfused"
-                ),
-            )
-            for spec in group.cells:
-                _run_cell_serial(state, spec, timeout, retries, backoff)
-            return
-        _record_fused(state, group, outcomes)
-        return
-
-
-def _group_label(group: FusedCellSpec) -> str:
-    return "+".join(spec.predictor_name for spec in group.cells)
-
-
-def _run_serial(
-    state: _Execution,
-    units: List[ExecutionUnit],
-    timeout: Optional[float],
-    retries: int,
-    backoff: float,
-) -> None:
-    """Run ``units`` in-process, with the same retry/timeout discipline."""
-    for unit in units:
-        if isinstance(unit, FusedCellSpec):
-            _run_fused_serial(state, unit, timeout, retries, backoff)
-        else:
-            _run_cell_serial(state, unit, timeout, retries, backoff)
-
-
 class _PoolDegraded(Exception):
-    """Internal: the process pool is unusable; finish serially."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+    """Internal: no runner can finish the campaign; finish in-process."""
 
 
-def _run_parallel(
-    state: _Execution,
-    units: List[ExecutionUnit],
-    jobs: int,
-    timeout: Optional[float],
-    retries: int,
-    backoff: float,
-) -> None:
-    """Run ``units`` on a worker pool; raise :class:`_PoolDegraded` if
-    the pool itself (not a cell) is the problem."""
-    unpicklable = [
-        s
+class _UnitFailed(Exception):
+    """A unit's cells raised; the scheduler retries, unfuses or fails it."""
+
+
+class _RunnerDown(RuntimeError):
+    """A runner is gone; the scheduler requeues its unit elsewhere."""
+
+
+Outcomes = List[Tuple[int, SimulationResult, float]]
+
+
+class _Runner:
+    """Somewhere the scheduler can run a unit.
+
+    :meth:`run` returns one ``(plan index, result, seconds)`` row per
+    member cell.  It raises :class:`_UnitFailed` when the cells raised
+    (retry or unfuse) and :class:`_RunnerDown` when the runner itself is
+    gone (requeue elsewhere); any other exception is fatal to the
+    campaign.  :meth:`prepare` runs before the unit's ``cell_start``
+    events — a node ships traces there, so shipping is not unit time.
+    ``node`` labels events and journal lines (``""`` = this machine).
+    """
+
+    node = ""
+    dead = False
+
+    def prepare(self, unit: ExecutionUnit) -> None:
+        """Get ready to run ``unit``; may raise :class:`_RunnerDown`."""
+
+    def run(self, unit: ExecutionUnit, timeout: Optional[float]) -> Outcomes:
+        raise NotImplementedError
+
+
+def _run_unit(unit: ExecutionUnit, timeout: Optional[float]) -> Outcomes:
+    if isinstance(unit, FusedCellSpec):
+        return run_fused_cell(unit, timeout)
+    return [run_cell(unit, timeout)]
+
+
+class _InProcessRunner(_Runner):
+    """Runs units on the scheduler's own thread."""
+
+    def run(self, unit: ExecutionUnit, timeout: Optional[float]) -> Outcomes:
+        try:
+            return _run_unit(unit, timeout)
+        except Exception as exc:  # noqa: BLE001 - the scheduler retries
+            raise _UnitFailed(repr(exc)) from exc
+
+
+class _SlotRunner(_Runner):
+    """One of ``jobs`` slots sharing one :class:`ProcessPoolExecutor`."""
+
+    def __init__(self, executor: ProcessPoolExecutor) -> None:
+        self.executor = executor
+
+    def run(self, unit: ExecutionUnit, timeout: Optional[float]) -> Outcomes:
+        try:
+            future = self.executor.submit(_run_unit, unit, timeout)
+        except (OSError, RuntimeError) as exc:
+            raise _RunnerDown(f"submission failed: {exc!r}") from exc
+        try:
+            return future.result()
+        except BrokenProcessPool as exc:
+            raise _RunnerDown(f"worker pool broke: {exc!r}") from exc
+        except Exception as exc:  # noqa: BLE001 - the scheduler retries
+            raise _UnitFailed(repr(exc)) from exc
+
+
+def _require_picklable(units: List[ExecutionUnit]) -> None:
+    """Pre-flight for out-of-process runners: every factory must pickle."""
+    names = {
+        spec.predictor_name
         for unit in units
-        for s in _member_cells(unit)
-        if not s.factory.picklable()
-    ]
-    if unpicklable:
-        names = sorted({s.predictor_name for s in unpicklable})
+        for spec in _member_cells(unit)
+        if not spec.factory.picklable()
+    }
+    if names:
         raise _PoolDegraded(
-            f"factories not picklable for worker processes: {names}"
+            f"factories not picklable for worker processes: {sorted(names)}"
         )
-    attempts: Dict[int, int] = {}
-    try:
-        pool = ProcessPoolExecutor(max_workers=jobs)
-    except (OSError, ValueError) as exc:
-        raise _PoolDegraded(f"process pool failed to start: {exc!r}")
 
-    def _submit(futures: Dict, unit: ExecutionUnit) -> None:
-        if isinstance(unit, FusedCellSpec):
-            futures[pool.submit(run_fused_cell, unit, timeout)] = unit
+
+class _Scheduler:
+    """The campaign scheduler: every pool runs its units through it.
+
+    Runners pull ``(unit, attempt)`` pairs off one queue — one thread
+    per runner, or the calling thread when there is only one runner.
+    The scheduler alone emits ``cell_start``/``cell_resume``, retries a
+    failed unit with linear backoff (slept on the failing runner's own
+    thread), unfuses a fused group whose budget ran out (its members get
+    fresh budgets), raises :class:`CellFailedError`, and records
+    outcomes in member order.  Retries and unfused members go to the
+    *front* of the queue, so a single runner visits cells in plan order
+    and its journal is byte-identical to a serial unfused one.
+
+    A runner that goes down requeues its unit at the same attempt (a
+    node announces ``node_down``); if every runner is down with work
+    pending, :meth:`run` raises :class:`_PoolDegraded`.
+    """
+
+    def __init__(
+        self,
+        state: _Execution,
+        units: List[ExecutionUnit],
+        timeout: Optional[float],
+        retries: int,
+        backoff: float,
+    ) -> None:
+        self.state = state
+        self.timeout = timeout
+        self.retries = retries
+        self.backoff = backoff
+        self.queue: deque = deque((unit, 1) for unit in units)
+        self.busy = 0
+        self.fatal: Optional[BaseException] = None
+        self.down_reason = ""
+        self.lock = threading.Condition()
+
+    def run(self, runners: List[_Runner]) -> None:
+        if len(runners) == 1:
+            self._drive(runners[0])
         else:
-            futures[pool.submit(run_cell, unit, timeout)] = unit
-
-    def _emit_start(unit: ExecutionUnit, attempt: int) -> None:
-        group = unit.size if isinstance(unit, FusedCellSpec) else 0
-        for spec in _member_cells(unit):
-            state.emit(
-                CELL_START,
-                trace=spec.trace_name,
-                predictor=spec.predictor_name,
-                index=spec.index,
-                completed=state.completed,
-                attempt=attempt,
-                group=group,
+            threads = [
+                threading.Thread(
+                    target=self._drive, args=(runner,), daemon=True,
+                    name=f"repro-runner-{runner.node or index}",
+                )
+                for index, runner in enumerate(runners)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        if self.fatal is not None:
+            raise self.fatal
+        if self.queue:
+            raise _PoolDegraded(
+                f"every runner is down with cells pending "
+                f"(last: {self.down_reason})"
             )
 
-    try:
-        futures: Dict = {}
-        for unit in units:
-            for spec in _member_cells(unit):
-                _announce_resume(state, spec, 1)
-            _submit(futures, unit)
-            attempts[_member_cells(unit)[0].index] = 1
-            _emit_start(unit, 1)
-        while futures:
-            finished, _ = wait(futures, return_when=FIRST_COMPLETED)
-            for future in finished:
-                unit = futures.pop(future)
-                fused = isinstance(unit, FusedCellSpec)
-                first = _member_cells(unit)[0]
-                try:
-                    payload = future.result()
-                except BrokenProcessPool as exc:
-                    raise _PoolDegraded(f"worker pool broke: {exc!r}")
-                except Exception as exc:  # noqa: BLE001 - retry then raise
-                    tried = attempts[first.index]
-                    if tried <= retries:
-                        state.retries += 1
-                        state.emit(
-                            CELL_RETRY,
-                            trace=unit.trace_name,
-                            predictor=(
-                                _group_label(unit)
-                                if fused
-                                else unit.predictor_name
-                            ),
-                            index=first.index,
-                            attempt=tried,
-                            group=unit.size if fused else 0,
-                            message=repr(exc),
+    def _drive(self, runner: _Runner) -> None:
+        """Run units on ``runner`` until the work, the runner, or the
+        campaign ends."""
+        while True:
+            with self.lock:
+                while self.fatal is None and not self.queue and self.busy:
+                    self.lock.wait()
+                if self.fatal is not None or not self.queue:
+                    return
+                unit, attempt = self.queue.popleft()
+                self.busy += 1
+            again: List[Tuple[ExecutionUnit, int]] = []
+            try:
+                again = self._attempt(runner, unit, attempt)
+            except _RunnerDown as exc:
+                runner.dead = True
+                again = [(unit, attempt)]
+                with self.lock:
+                    self.down_reason = str(exc)
+                    if runner.node:
+                        self.state.emit(
+                            NODE_DOWN, node=runner.node, message=str(exc)
                         )
-                        time.sleep(backoff * tried)
-                        attempts[first.index] = tried + 1
-                        for spec in _member_cells(unit):
-                            _announce_resume(state, spec, tried + 1)
-                        try:
-                            _submit(futures, unit)
-                        except (OSError, RuntimeError) as submit_exc:
-                            raise _PoolDegraded(
-                                f"resubmission failed: {submit_exc!r}"
-                            )
-                        continue
-                    if fused:
-                        # The group exhausted its shared budget: unfuse
-                        # and give each member its own solo attempts for
-                        # precise failure attribution.
-                        state.emit(
-                            FALLBACK,
-                            message=(
-                                f"fused group of {unit.size} on "
-                                f"{unit.trace_name!r} failed after {tried} "
-                                f"attempt(s): {exc!r}; re-running its cells "
-                                "unfused"
-                            ),
-                        )
-                        for spec in unit.cells:
-                            attempts[spec.index] = 1
-                            _announce_resume(state, spec, 1)
-                            _emit_start(spec, 1)
-                            try:
-                                _submit(futures, spec)
-                            except (OSError, RuntimeError) as submit_exc:
-                                raise _PoolDegraded(
-                                    f"resubmission failed: {submit_exc!r}"
-                                )
-                        continue
-                    state.emit(
-                        CELL_FAILED,
-                        trace=unit.trace_name,
-                        predictor=unit.predictor_name,
-                        index=unit.index,
-                        attempt=tried,
-                        message=repr(exc),
+                return
+            except BaseException as exc:  # noqa: BLE001 - raised by run()
+                with self.lock:
+                    if self.fatal is None:
+                        self.fatal = exc
+                return
+            finally:
+                with self.lock:
+                    self.queue.extendleft(reversed(again))
+                    self.busy -= 1
+                    self.lock.notify_all()
+
+    def _attempt(
+        self, runner: _Runner, unit: ExecutionUnit, attempt: int
+    ) -> List[Tuple[ExecutionUnit, int]]:
+        """Run ``unit`` once on ``runner``; return what to requeue."""
+        cells = _member_cells(unit)
+        group = unit.size if isinstance(unit, FusedCellSpec) else 0
+        runner.prepare(unit)
+        with self.lock:
+            for spec in cells:
+                self.state.emit(
+                    CELL_START, spec,
+                    completed=self.state.completed,
+                    attempt=attempt,
+                    group=group,
+                    node=runner.node,
+                )
+                # Announced here, not by the runner, so the event reaches
+                # the sink even when the previous attempt died without a
+                # word — exactly the case checkpoints exist for.
+                checkpoint = spec.checkpoint_path
+                if checkpoint and os.path.exists(checkpoint):
+                    self.state.emit(
+                        CELL_RESUME, spec,
+                        completed=self.state.completed,
+                        attempt=attempt,
                     )
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    raise CellFailedError(unit.key, tried, exc) from exc
-                else:
-                    if fused:
-                        _record_fused(state, unit, payload)
-                    else:
-                        _, result, duration = payload
-                        state.record(unit, result, duration)
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        try:
+            outcomes = runner.run(unit, self.timeout)
+        except _UnitFailed as failure:
+            return self._failed(unit, attempt, group, failure)
+        by_index = {index: (result, secs) for index, result, secs in outcomes}
+        with self.lock:
+            # Member (plan) order keeps a fused journal byte-identical to
+            # an unfused one.
+            for spec in cells:
+                result, seconds = by_index[spec.index]
+                self.state.record(spec, result, seconds, node=runner.node)
+        return []
+
+    def _failed(
+        self,
+        unit: ExecutionUnit,
+        attempt: int,
+        group: int,
+        failure: _UnitFailed,
+    ) -> List[Tuple[ExecutionUnit, int]]:
+        cells = _member_cells(unit)
+        message = str(failure)
+        with self.lock:
+            if attempt <= self.retries:
+                self.state.retries += 1
+                self.state.emit(
+                    CELL_RETRY,
+                    trace=unit.trace_name,
+                    predictor="+".join(spec.predictor_name for spec in cells),
+                    index=cells[0].index,
+                    attempt=attempt,
+                    group=group,
+                    message=message,
+                )
+            elif group:
+                # The group exhausted its shared budget: each member
+                # re-runs solo with its own budget, for precise failure
+                # attribution.
+                self.state.emit(
+                    FALLBACK,
+                    message=(
+                        f"fused group of {group} on {unit.trace_name!r} "
+                        f"failed after {attempt} attempt(s): {message}; "
+                        "re-running its cells unfused"
+                    ),
+                )
+                return [(spec, 1) for spec in cells]
+            else:
+                self.state.emit(
+                    CELL_FAILED, unit,
+                    attempt=attempt,
+                    message=message,
+                )
+                cause = failure.__cause__ or RuntimeError(message)
+                raise CellFailedError(unit.key, attempt, cause) from cause
+        time.sleep(self.backoff * attempt)
+        return [(unit, attempt + 1)]
 
 
 def _attach_checkpoints(
@@ -714,9 +691,8 @@ def execute_plan(
             execution, just cheaper.  Profiled cells and cells resuming
             from a mid-trace checkpoint always run solo.
         pool: a :class:`repro.dist.Pool` backend to schedule units on.
-            ``None`` keeps the classic ``jobs``-driven behavior; a
-            :class:`~repro.dist.LocalPool` is equivalent to passing its
-            job count; :class:`~repro.dist.NodePool` /
+            ``None`` means a ``REPRO_NODES`` node pool when that is set,
+            else ``LocalPool(jobs)``; :class:`~repro.dist.NodePool` /
             :class:`~repro.dist.SSHPool` shard units across worker
             nodes, journal into per-node shards, and leave the journal
             canonicalized (byte-identical to a single-node run) on
@@ -728,13 +704,12 @@ def execute_plan(
         campaign, regardless of ``jobs``, ``pool``, or completion order.
     """
     jobs = max(1, int(jobs))
-    owns_pool = False
+    owns_pool = pool is None
     if pool is None:
-        from repro.dist.pool import resolve_pool
+        from repro.dist.pool import LocalPool, resolve_pool
 
-        pool = resolve_pool(None)  # REPRO_NODES env default
-        owns_pool = pool is not None
-    distributed = pool is not None and not getattr(pool, "local", False)
+        pool = resolve_pool(None) or LocalPool(jobs)  # REPRO_NODES default
+    distributed = not pool.local
     if not distributed:
         # Mid-trace checkpoint files are coordinator-local; distributed
         # workers derive their own node-local checkpoint paths instead.
@@ -770,42 +745,24 @@ def execute_plan(
                 state.skip(cell, journaled[cell.key])
         pending = state.pending()
         if pending:
-            units = _plan_units(pending, fuse)
-            if pool is not None:
-                try:
-                    pool.execute(
-                        state,
-                        units,
-                        timeout=timeout,
-                        retries=retries,
-                        backoff=backoff,
-                        checkpoint_every=checkpoint_every,
-                    )
-                except _PoolDegraded as degraded:
-                    state.emit(FALLBACK, message=degraded.reason)
-                    _run_serial(
-                        state,
-                        _plan_units(state.pending(), fuse),
-                        timeout,
-                        retries,
-                        backoff,
-                    )
-            elif jobs == 1:
-                _run_serial(state, units, timeout, retries, backoff)
-            else:
-                try:
-                    _run_parallel(
-                        state, units, jobs, timeout, retries, backoff
-                    )
-                except _PoolDegraded as degraded:
-                    state.emit(FALLBACK, message=degraded.reason)
-                    _run_serial(
-                        state,
-                        _plan_units(state.pending(), fuse),
-                        timeout,
-                        retries,
-                        backoff,
-                    )
+            try:
+                pool.execute(
+                    state,
+                    _plan_units(pending, fuse),
+                    timeout=timeout,
+                    retries=retries,
+                    backoff=backoff,
+                    checkpoint_every=checkpoint_every,
+                )
+            except _PoolDegraded as degraded:
+                state.emit(FALLBACK, message=str(degraded))
+                _Scheduler(
+                    state,
+                    _plan_units(state.pending(), fuse),
+                    timeout,
+                    retries,
+                    backoff,
+                ).run([_InProcessRunner()])
     finally:
         if journal is not None:
             journal.close()

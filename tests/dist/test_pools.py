@@ -12,6 +12,7 @@ The invariants under test are the subsystem's reason to exist:
 
 import os
 import signal
+import threading
 
 import pytest
 
@@ -24,11 +25,13 @@ from repro.dist import (
     shards_dir,
 )
 from repro.dist.merge import ShardedJournal
+from repro.dist.pool import _NodeClient
 from repro.exec import CollectingSink
 from repro.exec.journal import result_to_json
 from repro.exec.plan import plan_campaign
 from repro.exec.pool import execute_plan
 from repro.predictors import BranchTargetBuffer, TwoBitBTB
+from repro.sim.runner import run_campaign
 from repro.workloads import SwitchCaseSpec, VirtualDispatchSpec
 
 FACTORIES = {"BTB": BranchTargetBuffer, "2bit": TwoBitBTB}
@@ -45,6 +48,13 @@ def _traces():
             determinism=0.9,
         ).generate(),
     ]
+
+
+def _third_trace():
+    return SwitchCaseSpec(
+        name="sw-dist-b", seed=13, num_records=600, num_cases=6,
+        determinism=0.9,
+    ).generate()
 
 
 @pytest.fixture
@@ -85,6 +95,12 @@ class TestLocalPool:
         assert row["node"] == "local"
         assert row["jobs"] == 3
         assert row["pid"] == os.getpid()
+        assert row["transport"] == "process-pool"
+
+    def test_describe_serial_is_in_process(self):
+        (row,) = LocalPool(jobs=1).describe()
+        assert row["jobs"] == 1
+        assert row["transport"] == "in-process"
 
 
 class TestNodePool:
@@ -153,6 +169,42 @@ class TestNodePool:
     def test_rejects_zero_nodes(self):
         with pytest.raises(PoolError):
             NodePool(nodes=0)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_unpicklable_factory_degrades_before_dispatch(
+        self, tmp_path, monkeypatch, count
+    ):
+        """A closure cannot reach a node: the shared pre-flight degrades
+        the whole campaign to in-process before any unit is dispatched,
+        whether there are fewer units than nodes or more."""
+        entries = 64
+
+        def closure_factory():
+            return BranchTargetBuffer(num_entries=entries)
+
+        traces = (_traces() + [_third_trace()])[:count]
+        factories = {"closure": closure_factory}
+        thread_errors = []
+        monkeypatch.setattr(threading, "excepthook", thread_errors.append)
+        sink = CollectingSink()
+        plan = plan_campaign(traces, factories, cache_dir=tmp_path / "c")
+        with NodePool(nodes=2) as pool:
+            campaign = execute_plan(plan, pool=pool, events=sink)
+        assert campaign.results == run_campaign(traces, factories).results
+        (fallback,) = sink.of_kind("fallback")
+        assert "picklable" in fallback.message
+        assert sink.of_kind("node_down") == []
+        assert thread_errors == []
+
+    def test_unexpected_runner_error_is_raised(self, tmp_path, monkeypatch):
+        def broken(self, wire_cells, fused, timeout):
+            raise ValueError("runner bug")
+
+        monkeypatch.setattr(_NodeClient, "run_unit", broken)
+        plan = plan_campaign(_traces(), FACTORIES, cache_dir=tmp_path / "c")
+        with NodePool(nodes=2) as pool:
+            with pytest.raises(ValueError, match="runner bug"):
+                execute_plan(plan, pool=pool)
 
 
 class TestSSHPoolShim:

@@ -198,7 +198,7 @@ class TestFusedExecution:
         assert all(event.group == 0 for event in solo_starts)
 
     def test_fused_group_falls_back_to_solo_members(self, tiny_trace,
-                                                    tmp_path):
+                                                    tmp_path, runner_kind):
         # The flaky member fails both fused attempts; the group then
         # degrades to solo cells, where the third construction succeeds.
         marker = tmp_path / "attempts"
@@ -208,13 +208,45 @@ class TestFusedExecution:
         }
         plan = plan_campaign([tiny_trace], factories, cache_dir=tmp_path)
         sink = CollectingSink()
-        campaign = execute_plan(plan, jobs=1, events=sink, retries=1,
-                                backoff=0.01, fuse=True)
-        assert set(campaign.results["tiny"]) == {"ok", "flaky"}
-        fallbacks = [e for e in sink.events if e.kind == FALLBACK]
-        assert len(fallbacks) == 1
-        finishes = [e for e in sink.events if e.kind == CELL_FINISH]
-        assert len(finishes) == 2
+        campaign = execute_plan(plan, events=sink, retries=1, backoff=0.01,
+                                fuse=True, **runner_kind)
+        reference = run_campaign(
+            [tiny_trace], {"ok": BranchTargetBuffer,
+                           "flaky": BranchTargetBuffer},
+        )
+        assert campaign.results == reference.results
+        assert len(sink.of_kind("cell_retry")) == 1
+        assert len(sink.of_kind(FALLBACK)) == 1
+        assert sink.of_kind("cell_failed") == []
+        assert len(sink.of_kind(CELL_FINISH)) == 2
+
+    def test_unfused_members_keep_serial_journal_order(
+        self, tiny_trace, vdispatch_trace, tmp_path
+    ):
+        """Unfused members run before the next group, so the serial
+        journal is byte-identical to a run that never failed."""
+        traces = [tiny_trace, vdispatch_trace]
+        clean = tmp_path / "clean.jsonl"
+        execute_plan(
+            plan_campaign(traces, {"ok": BranchTargetBuffer,
+                                   "flaky": BranchTargetBuffer},
+                          cache_dir=tmp_path / "a"),
+            journal_path=clean,
+        )
+        factories = {
+            "ok": BranchTargetBuffer,
+            "flaky": functools.partial(
+                _flaky_factory, str(tmp_path / "attempts"), 2
+            ),
+        }
+        unfused = tmp_path / "unfused.jsonl"
+        sink = CollectingSink()
+        execute_plan(
+            plan_campaign(traces, factories, cache_dir=tmp_path / "b"),
+            journal_path=unfused, events=sink, retries=1, backoff=0.01,
+        )
+        assert len(sink.of_kind(FALLBACK)) == 1
+        assert unfused.read_bytes() == clean.read_bytes()
 
     def test_fused_checkpointing_writes_per_cell_journal(
         self, vdispatch_trace, tmp_path

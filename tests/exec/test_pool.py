@@ -1,6 +1,9 @@
 """Tests for cell execution: retries, timeouts, fallback, journaling."""
 
 import functools
+import os
+import sys
+import threading
 import time
 
 import pytest
@@ -8,7 +11,17 @@ import pytest
 from repro.exec.events import CollectingSink
 from repro.exec.journal import Journal, load_journal
 from repro.exec.plan import plan_campaign
-from repro.exec.pool import CellFailedError, CellTimeout, execute_plan, run_cell
+from repro.exec.pool import (
+    CellFailedError,
+    CellTimeout,
+    _Execution,
+    _Runner,
+    _RunnerDown,
+    _Scheduler,
+    _UnitFailed,
+    execute_plan,
+    run_cell,
+)
 from repro.predictors import BranchTargetBuffer, TwoBitBTB
 from repro.sim.metrics import SimulationResult
 from repro.sim.runner import run_campaign
@@ -34,6 +47,13 @@ def _flaky_factory(marker_path, failures):
 
 def _slow_factory(delay):
     time.sleep(delay)
+    return BranchTargetBuffer()
+
+
+def _exit_in_child(parent_pid):
+    """Kill any worker process that builds this predictor."""
+    if os.getpid() != parent_pid:
+        os._exit(1)
     return BranchTargetBuffer()
 
 
@@ -122,30 +142,6 @@ class TestExecutePlanSerial:
         serial = run_campaign(traces, factories)
         assert campaign.results == serial.results
 
-    def test_retries_then_succeeds(self, tiny_trace, tmp_path):
-        marker = tmp_path / "attempts"
-        factories = {
-            "flaky": functools.partial(_flaky_factory, str(marker), 2)
-        }
-        plan = plan_campaign([tiny_trace], factories, cache_dir=tmp_path)
-        sink = CollectingSink()
-        campaign = execute_plan(plan, jobs=1, events=sink, retries=2,
-                                backoff=0.01)
-        assert campaign.results["tiny"]["flaky"].indirect_branches >= 0
-        assert len(sink.of_kind("cell_retry")) == 2
-        assert sink.of_kind("campaign_end")[0].retries == 2
-
-    def test_retry_budget_exhaustion_raises(self, tiny_trace, tmp_path):
-        marker = tmp_path / "attempts"
-        factories = {
-            "doomed": functools.partial(_flaky_factory, str(marker), 99)
-        }
-        plan = plan_campaign([tiny_trace], factories, cache_dir=tmp_path)
-        sink = CollectingSink()
-        with pytest.raises(CellFailedError, match="doomed"):
-            execute_plan(plan, jobs=1, events=sink, retries=1, backoff=0.01)
-        assert len(sink.of_kind("cell_failed")) == 1
-
     def test_journal_written_per_cell(self, tiny_trace, vdispatch_trace,
                                       tmp_path):
         plan = plan_campaign(
@@ -199,6 +195,190 @@ class TestExecutePlanParallel:
                                 backoff=0.01)
         assert "tiny" in campaign.results
         assert len(sink.of_kind("cell_retry")) == 1
+
+
+class TestFailureLadder:
+    """Every runner kind goes through the one retry / unfuse ladder."""
+
+    def test_retries_then_succeeds(self, tiny_trace, tmp_path, runner_kind):
+        marker = tmp_path / "attempts"
+        factories = {
+            "flaky": functools.partial(_flaky_factory, str(marker), 2)
+        }
+        plan = plan_campaign([tiny_trace], factories, cache_dir=tmp_path)
+        sink = CollectingSink()
+        campaign = execute_plan(plan, events=sink, retries=2, backoff=0.01,
+                                **runner_kind)
+        reference = run_campaign([tiny_trace], {"flaky": BranchTargetBuffer})
+        assert campaign.results == reference.results
+        assert len(sink.of_kind("cell_retry")) == 2
+        assert sink.of_kind("fallback") == []
+        assert sink.of_kind("campaign_end")[0].retries == 2
+
+    def test_retry_budget_exhaustion_raises(self, tiny_trace, tmp_path,
+                                            runner_kind):
+        marker = tmp_path / "attempts"
+        factories = {
+            "doomed": functools.partial(_flaky_factory, str(marker), 99)
+        }
+        plan = plan_campaign([tiny_trace], factories, cache_dir=tmp_path)
+        sink = CollectingSink()
+        with pytest.raises(CellFailedError, match="doomed"):
+            execute_plan(plan, events=sink, retries=1, backoff=0.01,
+                         **runner_kind)
+        assert len(sink.of_kind("cell_retry")) == 1
+        assert len(sink.of_kind("cell_failed")) == 1
+        assert sink.of_kind("fallback") == []
+
+    def test_retry_keeps_serial_journal_order(self, tiny_trace,
+                                              vdispatch_trace, tmp_path):
+        """A retried cell re-runs before the cells after it, so the
+        serial journal is byte-identical to a run that never failed."""
+        traces = [tiny_trace, vdispatch_trace]
+        clean = tmp_path / "clean.jsonl"
+        execute_plan(
+            plan_campaign(traces, {"BTB": BranchTargetBuffer,
+                                   "flaky": BranchTargetBuffer},
+                          cache_dir=tmp_path / "a"),
+            journal_path=clean, fuse=False,
+        )
+        factories = {
+            "BTB": BranchTargetBuffer,
+            "flaky": functools.partial(
+                _flaky_factory, str(tmp_path / "attempts"), 1
+            ),
+        }
+        retried = tmp_path / "retried.jsonl"
+        sink = CollectingSink()
+        execute_plan(
+            plan_campaign(traces, factories, cache_dir=tmp_path / "b"),
+            journal_path=retried, fuse=False, events=sink, backoff=0.01,
+        )
+        assert len(sink.of_kind("cell_retry")) == 1
+        assert retried.read_bytes() == clean.read_bytes()
+
+    def test_timeout_retries_then_fails_in_process(self, tiny_trace,
+                                                   tmp_path):
+        """The in-process runner keeps the SIGALRM deadline: a hung cell
+        times out on every attempt and ends in CellFailedError."""
+        plan = plan_campaign(
+            [tiny_trace],
+            {"slow": functools.partial(_slow_factory, 5.0)},
+            cache_dir=tmp_path,
+        )
+        sink = CollectingSink()
+        started = time.monotonic()
+        with pytest.raises(CellFailedError, match="CellTimeout") as failed:
+            execute_plan(plan, jobs=1, timeout=0.2, retries=1,
+                         backoff=0.01, events=sink)
+        assert time.monotonic() - started < 4.0
+        assert isinstance(failed.value.__cause__, CellTimeout)
+        assert len(sink.of_kind("cell_retry")) == 1
+        assert len(sink.of_kind("cell_failed")) == 1
+
+    def test_worker_death_degrades_to_in_process(self, tiny_trace,
+                                                 vdispatch_trace, tmp_path):
+        traces = [tiny_trace, vdispatch_trace]
+        factories = {
+            "BTB": functools.partial(_exit_in_child, os.getpid())
+        }
+        plan = plan_campaign(traces, factories, cache_dir=tmp_path)
+        sink = CollectingSink()
+        campaign = execute_plan(plan, jobs=2, events=sink)
+        assert len(sink.of_kind("fallback")) == 1
+        assert "worker pool broke" in sink.of_kind("fallback")[0].message
+        assert sink.of_kind("node_down") == []
+        assert campaign.results == run_campaign(traces, factories).results
+
+
+class _FakeRunner(_Runner):
+    """Fails each cell's first attempt; may go down after some units."""
+
+    def __init__(self, node, seen, lock, lifetime=None):
+        self.node = node
+        self.seen = seen
+        self.lock = lock
+        self.lifetime = lifetime
+
+    def run(self, unit, timeout):
+        if self.lifetime is not None:
+            if self.lifetime == 0:
+                raise _RunnerDown(f"{self.node} gone")
+            self.lifetime -= 1
+        with self.lock:
+            first = unit.index not in self.seen
+            self.seen.add(unit.index)
+        if first:
+            raise _UnitFailed("first attempt fails")
+        result = SimulationResult(unit.trace_name, unit.predictor_name,
+                                  1000, 10, unit.index)
+        return [(unit.index, result, 0.0)]
+
+
+class TestSchedulerStress:
+    def test_threads_lose_and_duplicate_nothing(self, tiny_trace, tmp_path):
+        """Eight runner threads, two of which go down, retry every cell
+        once under a tiny switch interval: every cell is recorded once
+        and every retry is counted."""
+        cells = 60
+        factories = {f"p{i}": BranchTargetBuffer for i in range(cells)}
+        plan = plan_campaign([tiny_trace], factories, cache_dir=tmp_path)
+        sink = CollectingSink()
+        state = _Execution(plan, sink, None)
+        seen, lock = set(), threading.Lock()
+        runners = [
+            _FakeRunner(f"n{i}", seen, lock, lifetime=3 if i < 2 else None)
+            for i in range(8)
+        ]
+        scheduler = _Scheduler(state, list(plan.cells), None, 1, 0.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            driver = threading.Thread(target=scheduler.run, args=(runners,))
+            driver.start()
+            driver.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not driver.is_alive()
+        assert state.completed == cells
+        assert sorted(r.indirect_mispredictions
+                      for r in state.results.values()) == list(range(cells))
+        assert len(sink.of_kind("cell_finish")) == cells
+        assert state.retries == cells
+        assert len(sink.of_kind("cell_retry")) == cells
+        assert len(sink.of_kind("node_down")) == 2
+        assert not scheduler.queue
+
+
+    def test_idle_runner_takes_over_a_downed_runners_unit(self, tiny_trace,
+                                                          tmp_path):
+        """A runner out of work waits while others still have a unit in
+        flight, so a unit requeued by a runner going down runs on it
+        instead of degrading the campaign."""
+
+        class Quick(_Runner):
+            def run(self, unit, timeout):
+                time.sleep(0.05)
+                result = SimulationResult(unit.trace_name,
+                                          unit.predictor_name, 1000, 10, 1)
+                return [(unit.index, result, 0.0)]
+
+        class Doomed(_Runner):
+            node = "doomed"
+
+            def run(self, unit, timeout):
+                time.sleep(0.3)
+                raise _RunnerDown("gone")
+
+        factories = {"a": BranchTargetBuffer, "b": BranchTargetBuffer}
+        plan = plan_campaign([tiny_trace], factories, cache_dir=tmp_path)
+        sink = CollectingSink()
+        state = _Execution(plan, sink, None)
+        _Scheduler(state, list(plan.cells), None, 1, 0.0).run(
+            [Quick(), Doomed()]
+        )
+        assert state.completed == 2
+        assert len(sink.of_kind("node_down")) == 1
 
 
 class TestResume:
