@@ -1,11 +1,17 @@
-"""Columnar-kernel throughput gates: ITTAGE replay and fused campaigns.
+"""Columnar-kernel throughput gates: ITTAGE and VPC replay, fused campaigns.
 
-Two measurements, two CI gates, one results file:
+Three measurements, three CI gates, one results file:
 
 * **ITTAGE columnar** — ``simulate(ITTAGE(), trace, backend="columnar")``
   vs the scalar engine over a suite sample.  The columnar kernel
   vectorises the base/tagged-table walk that dominates scalar ITTAGE,
   so the gate demands a wide margin (default ≥ 3x).
+
+* **VPC columnar** — the same comparison for ``VPCPredictor()``.  Its
+  compiled core runs the virtual-PC iteration and the shared
+  multiperspective perceptron without returning to Python, so the
+  gate is ≥ 5x by default.  Both kernel measurements assert the final
+  predictor state hashes as well as the results on every pass.
 
 * **Fused campaign** — a Figure-1-style ablation campaign (BLBP feature
   toggles plus an ITTAGE useful-bit reset-period sweep) executed two
@@ -43,8 +49,13 @@ from pathlib import Path
 from repro.common.envinfo import environment_metadata
 from repro.core import BLBP, BLBPConfig
 from repro.predictors.ittage import ITTAGE, ITTAGEConfig
+from repro.predictors.vpc import VPCPredictor
 from repro.sim import kernel
 from repro.sim.engine import simulate, simulate_many
+
+#: The VPC gate: its compiled core never returns to Python, so columnar
+#: VPC must clear scalar VPC by a wide margin.
+MIN_VPC_SPEEDUP = 5.0
 
 
 def ablation_factories():
@@ -92,32 +103,34 @@ def _suite_traces(scale: float, stride: int, min_traces: int = 4):
     return [entry.generate() for entry in entries]
 
 
-def measure_ittage(traces, repeats: int) -> dict:
-    """Best-of-``repeats`` for scalar vs columnar ITTAGE replay."""
+def measure_columnar(name, factory, traces, repeats: int) -> dict:
+    """Best-of-``repeats`` for scalar vs columnar replay of ``factory()``.
 
-    def scalar_pass():
-        started = time.perf_counter()
-        results = [simulate(ITTAGE(), trace) for trace in traces]
-        return time.perf_counter() - started, results
+    Every pass must reproduce the scalar results and final predictor
+    state hashes.
+    """
 
-    def columnar_pass():
+    def one_pass(backend):
         kernel._SHARED_CACHE.clear()
+        predictors = [factory() for _ in traces]
         started = time.perf_counter()
         results = [
-            simulate(ITTAGE(), trace, backend="columnar")
-            for trace in traces
+            simulate(predictor, trace, backend=backend)
+            for predictor, trace in zip(predictors, traces)
         ]
-        return time.perf_counter() - started, results
+        elapsed = time.perf_counter() - started
+        return elapsed, results, [p.state_hash() for p in predictors]
 
-    _, expected = scalar_pass()  # warmup: numpy/ctypes import, caches
+    # Warmup (numpy/ctypes import, caches) and the reference outputs.
+    _, expected, expected_hashes = one_pass("scalar")
     best = {"scalar": None, "columnar": None}
     for _ in range(repeats):
-        for arm, one_pass in (
-            ("scalar", scalar_pass), ("columnar", columnar_pass)
-        ):
-            elapsed, results = one_pass()
+        for arm in ("scalar", "columnar"):
+            elapsed, results, hashes = one_pass(arm)
             if results != expected:
-                raise AssertionError(f"ITTAGE {arm} results drifted")
+                raise AssertionError(f"{name} {arm} results drifted")
+            if hashes != expected_hashes:
+                raise AssertionError(f"{name} {arm} final state drifted")
             best[arm] = (
                 elapsed if best[arm] is None else min(best[arm], elapsed)
             )
@@ -204,7 +217,7 @@ def measure_fused(traces, repeats: int) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="columnar ITTAGE + fused-campaign throughput gates"
+        description="columnar ITTAGE/VPC + fused-campaign throughput gates"
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -215,7 +228,7 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=None)
     parser.add_argument(
         "--gate", action="store_true",
-        help="exit non-zero unless both speedup gates clear",
+        help="exit non-zero unless every speedup gate clears",
     )
     parser.add_argument(
         "--min-ittage-speedup", type=float, default=3.0,
@@ -238,18 +251,6 @@ def main(argv=None) -> int:
     traces = _suite_traces(scale, stride)
     records = sum(len(trace) for trace in traces)
 
-    ittage = measure_ittage(traces, repeats)
-    print(
-        f"ITTAGE scalar    {ittage['scalar_records_per_sec']:>9,} rec/s  "
-        f"({ittage['scalar_seconds']:.2f}s, {records:,} records)"
-    )
-    print(
-        f"ITTAGE columnar  {ittage['columnar_records_per_sec']:>9,} rec/s  "
-        f"({ittage['columnar_seconds']:.2f}s)  "
-        f"{ittage['speedup']:.2f}x"
-        + (f"  (gate: ≥{args.min_ittage_speedup}x)" if args.gate else "")
-    )
-
     fused = measure_fused(traces, repeats)
     print(
         f"per-cell cold    {fused['percell_cold_cells_per_sec']:>9.2f} "
@@ -265,6 +266,26 @@ def main(argv=None) -> int:
            if args.gate else "")
     )
 
+    kernels = {
+        "ittage": ("ITTAGE", ITTAGE, args.min_ittage_speedup),
+        "vpc": ("VPC", VPCPredictor, MIN_VPC_SPEEDUP),
+    }
+    measured = {}
+    for key, (name, factory, floor) in kernels.items():
+        measured[key] = measure_columnar(name, factory, traces, repeats)
+        print(
+            f"{name + ' scalar':<16} "
+            f"{measured[key]['scalar_records_per_sec']:>9,} rec/s  "
+            f"({measured[key]['scalar_seconds']:.2f}s, {records:,} records)"
+        )
+        print(
+            f"{name + ' columnar':<16} "
+            f"{measured[key]['columnar_records_per_sec']:>9,} rec/s  "
+            f"({measured[key]['columnar_seconds']:.2f}s)  "
+            f"{measured[key]['speedup']:.2f}x"
+            + (f"  (gate: ≥{floor}x)" if args.gate else "")
+        )
+
     summary = {
         "environment": environment_metadata(),
         "traces": [trace.name for trace in traces],
@@ -272,7 +293,7 @@ def main(argv=None) -> int:
         "scale": scale,
         "stride": stride,
         "repeats": repeats,
-        "ittage": ittage,
+        **measured,
         "fused_campaign": fused,
     }
     if args.out:
@@ -282,13 +303,14 @@ def main(argv=None) -> int:
         print(f"wrote {out_path}")
 
     failed = False
-    if args.gate and ittage["speedup"] < args.min_ittage_speedup:
-        print(
-            f"FAIL: columnar ITTAGE speedup {ittage['speedup']:.2f}x "
-            f"below {args.min_ittage_speedup}x gate",
-            file=sys.stderr,
-        )
-        failed = True
+    for key, (name, _, floor) in kernels.items():
+        if args.gate and measured[key]["speedup"] < floor:
+            print(
+                f"FAIL: columnar {name} speedup "
+                f"{measured[key]['speedup']:.2f}x below {floor}x gate",
+                file=sys.stderr,
+            )
+            failed = True
     if args.gate and (
         fused["speedup_vs_percell_cold"] < args.min_fused_speedup
     ):

@@ -60,9 +60,25 @@ class MultiperspectivePerceptron(ConditionalPredictor):
     ) -> None:
         if not features:
             raise ValueError("need at least one feature")
-        for kind, _ in features:
+        for kind, parameter in features:
             if kind not in ("bias", "ghist", "path", "local"):
                 raise ValueError(f"unknown feature kind {kind!r}")
+            if kind == "ghist" and parameter < 0:
+                raise ValueError(
+                    f"ghist feature length must be >= 0, got {parameter}"
+                )
+            if kind == "path" and parameter < 1:
+                raise ValueError(
+                    f"path feature depth must be >= 1, got {parameter}"
+                )
+        if index_bits < 1:
+            raise ValueError(f"index_bits must be >= 1, got {index_bits}")
+        # The weight tables are int8: wider weights would overflow them.
+        if not 2 <= weight_bits <= 8:
+            raise ValueError(
+                f"weight_bits must be in [2, 8] (int8 weight tables), "
+                f"got {weight_bits}"
+            )
         self.features = tuple(features)
         self.index_bits = index_bits
         self.weight_bits = weight_bits

@@ -9,7 +9,9 @@ composition serves two roles in the reproduction:
   prediction problems at once;
 * a second conditional substrate for VPC-style experiments (TAGE is a
   :class:`~repro.cond.base.ConditionalPredictor`, so
-  ``VPCPredictor(conditional=TAGE())`` also works).
+  ``VPCPredictor(conditional=TAGE())`` runs on the scalar backend; the
+  columnar VPC kernel compiles only the multiperspective perceptron, so
+  a columnar run of it warns and falls back to scalar).
 
 The indirect half retires every branch into ITTAGE's history, and the
 conditional half tracks its own accuracy like VPC does, so both sides

@@ -57,6 +57,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.common.hashing import mix_pc, stable_hash64
+from repro.cond.mpp import MultiperspectivePerceptron
 from repro.core.blbp import BLBP
 from repro.core.ibtb import IndirectBTB
 from repro.predictors.ittage import ITTAGE
@@ -90,6 +91,10 @@ def columnar_support(predictor: object) -> Tuple[bool, str]:
     scalar oracle instead.
     """
     kind = type(predictor)
+    if kind is VPCPredictor:
+        blocker = _vpc_conditional_blocker(predictor.conditional)
+        if blocker is not None:
+            return False, blocker
     if kind in _KERNELS:
         missing = native.unavailable_reason()
         if missing is not None:
@@ -115,6 +120,29 @@ def columnar_support(predictor: object) -> Tuple[bool, str]:
         f"types: {supported_names}).  Use the scalar backend for this "
         f"predictor."
     )
+
+
+def _vpc_conditional_blocker(conditional: object) -> Optional[str]:
+    """Why the VPC kernel cannot replay ``conditional``, or None.
+
+    The ``vpc_replay`` core runs VPC's conditional predictor itself, and
+    it implements exactly :class:`MultiperspectivePerceptron`.
+    """
+    if type(conditional) is not MultiperspectivePerceptron:
+        return (
+            f"the VPC columnar kernel compiles only an exact "
+            f"MultiperspectivePerceptron conditional predictor, and this "
+            f"VPCPredictor's conditional is {type(conditional).__name__}.  "
+            f"Use the scalar backend for it."
+        )
+    if conditional._local.history_bits > 64:
+        return (
+            f"the VPC columnar kernel holds each local history in 64 "
+            f"bits, and this MultiperspectivePerceptron has local_bits="
+            f"{conditional._local.history_bits}.  Use the scalar backend "
+            f"for it."
+        )
+    return None
 
 
 def columnar_supported(predictor: object) -> bool:

@@ -13,10 +13,13 @@ BTB (tags/targets/recency ticks) and the shared conditional predictor,
 which VPC consults per virtual branch *and* trains on every real
 conditional.  The replay therefore walks a merged event stream —
 conditionals and indirect branches in record order — through the
-compiled ``vpc_replay`` core in :mod:`repro.sim.native`; the
-conditional predictor is an arbitrary Python object (the C core reaches
-it through ctypes callbacks in exactly the scalar call sequence), so
-any conditional component works unchanged.
+compiled ``vpc_replay`` core in :mod:`repro.sim.native`, which also
+runs the conditional predictor: an exact
+:class:`~repro.cond.mpp.MultiperspectivePerceptron`, whose weight
+tables, histories and threshold are copied into arrays before the call
+and written back after it, like the BTB.  VPC over any other
+conditional predictor has no kernel (see
+:func:`repro.sim.kernel.columnar_support`) and runs the scalar oracle.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.common.hashing import mix_pc, stable_hash64
+from repro.cond.mpp import MultiperspectivePerceptron
 from repro.predictors.vpc import VPCPredictor
 from repro.sim import native
 from repro.sim.metrics import SimulationResult
@@ -139,10 +143,71 @@ def _prepare(
 # ----------------------------------------------------------------------
 
 
+#: MultiperspectivePerceptron feature kinds, as ``vpc_replay`` numbers them.
+_FEATURE_KINDS = {"bias": 0, "ghist": 1, "path": 2, "local": 3}
+
+
+def _pack_mpp(mpp: MultiperspectivePerceptron) -> dict:
+    """Copies of ``mpp``'s state as the arrays ``vpc_replay`` mutates."""
+    ghist = mpp._ghist
+    words = (ghist.capacity + 63) // 64
+    path = mpp._path
+    entries = np.zeros(path.depth, dtype=np.int64)
+    entries[: len(path._entries)] = path._entries
+    threshold = mpp._threshold
+    return {
+        "geometry": np.asarray(
+            [
+                len(mpp.features),
+                mpp.index_bits,
+                mpp._weight_max,
+                mpp._weight_min,
+                ghist.capacity,
+                path.depth,
+                path.bits_per_pc,
+                mpp._local.num_entries,
+                mpp._local.history_bits,
+                threshold._max,
+                threshold._min,
+            ],
+            dtype=np.int64,
+        ),
+        "kinds": np.asarray(
+            [_FEATURE_KINDS[kind] for kind, _ in mpp.features],
+            dtype=np.int64,
+        ),
+        "params": np.asarray(
+            [parameter for _, parameter in mpp.features], dtype=np.int64
+        ),
+        "tables": np.stack(mpp._tables),
+        "ghist": np.frombuffer(
+            ghist._bits.to_bytes(8 * words, "little"), dtype="<u8"
+        ).astype(np.uint64),
+        "path": entries,
+        "local": np.asarray(mpp._local._table, dtype=np.uint64),
+        "state": np.asarray(
+            [threshold.theta, threshold._counter, len(path._entries)],
+            dtype=np.int64,
+        ),
+    }
+
+
+def _unpack_mpp(mpp: MultiperspectivePerceptron, packed: dict) -> None:
+    """Write the replayed arrays back into ``mpp``."""
+    theta, counter, path_count = packed["state"].tolist()
+    mpp._tables = list(packed["tables"])
+    mpp._ghist._bits = int.from_bytes(
+        packed["ghist"].astype("<u8").tobytes(), "little"
+    )
+    mpp._path._entries = packed["path"][:path_count].tolist()
+    mpp._local._table = packed["local"].tolist()
+    mpp._threshold.theta = theta
+    mpp._threshold._counter = counter
+
+
 def _replay(predictor: VPCPredictor, prep: dict) -> None:
     cfg = predictor.config
     btb = predictor._btb
-    conditional = predictor.conditional
     btb_tags = btb._tags.copy()
     btb_targets = btb._targets.copy()
     btb_ticks = btb._ticks.copy()
@@ -155,17 +220,7 @@ def _replay(predictor: VPCPredictor, prep: dict) -> None:
         counters = np.asarray(
             [clock, cond_count, cond_misp], dtype=np.int64
         )
-        predict_cb = native.COND_PREDICT(
-            lambda pc: 1 if conditional.predict(int(pc)) else 0
-        )
-        train_cb = native.COND_TRAIN(
-            lambda vpca, taken: conditional.train_weights(
-                int(vpca), taken=bool(taken)
-            )
-        )
-        update_cb = native.COND_TRAIN(
-            lambda pc, taken: conditional.update(int(pc), bool(taken))
-        )
+        mpp = _pack_mpp(predictor.conditional)
         fn(
             len(prep["kinds"]),
             prep["kinds"].ctypes.data,
@@ -181,12 +236,18 @@ def _replay(predictor: VPCPredictor, prep: dict) -> None:
             btb_targets.ctypes.data,
             btb_ticks.ctypes.data,
             counters.ctypes.data,
-            predict_cb,
-            train_cb,
-            update_cb,
+            mpp["geometry"].ctypes.data,
+            mpp["kinds"].ctypes.data,
+            mpp["params"].ctypes.data,
+            mpp["tables"].ctypes.data,
+            mpp["ghist"].ctypes.data,
+            mpp["path"].ctypes.data,
+            mpp["local"].ctypes.data,
+            mpp["state"].ctypes.data,
             prep["predictions"].ctypes.data,
             prep["valid"].ctypes.data,
         )
+        _unpack_mpp(predictor.conditional, mpp)
         clock = int(counters[0])
         cond_count = int(counters[1])
         cond_misp = int(counters[2])

@@ -26,8 +26,11 @@ Three entry points live in one shared library:
     bit-identical with the scalar path.
 ``vpc_replay``
     VPC's virtual-PC iteration over a precomputed vpca/slot/tag table,
-    with callbacks into the (arbitrary, Python-side) shared conditional
-    predictor.
+    together with its shared multiperspective perceptron
+    (:class:`repro.cond.mpp.MultiperspectivePerceptron`): weight
+    tables, global/path/local histories and adaptive threshold arrive
+    as arrays and are advanced in C, so a VPC replay never re-enters
+    Python.
 
 The source is compiled on first use with the system C compiler at
 ``-O3`` (the dot-product and update inner loops are written so the
@@ -60,23 +63,16 @@ __all__ = [
     "unavailable_reason",
     "cache_dir",
     "RNG_CALLBACK",
-    "COND_PREDICT",
-    "COND_TRAIN",
 ]
 
-#: Callback signatures crossing the C boundary.  ITTAGE's allocation
-#: tie-breaker draws from the predictor's numpy Generator; VPC consults
-#: and trains its Python-side conditional predictor per event.
+#: The one callback crossing the C boundary: ITTAGE's allocation
+#: tie-breaker draws from the predictor's numpy Generator.
 RNG_CALLBACK = ctypes.CFUNCTYPE(ctypes.c_double)
-COND_PREDICT = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_uint64)
-COND_TRAIN = ctypes.CFUNCTYPE(None, ctypes.c_uint64, ctypes.c_int)
 
 _SOURCE = r"""
 #include <stdint.h>
 
 typedef double (*rng_fn)(void);
-typedef int (*cond_predict_fn)(uint64_t);
-typedef void (*cond_train_fn)(uint64_t, int);
 
 /* Retirement-order replay of the BLBP weight/θ recurrence, for one or
  * more lanes sharing one precompute.
@@ -437,15 +433,219 @@ void ittage_replay(
     state[1] = updates;
 }
 
+/* VPC's shared conditional predictor: repro.cond.mpp's
+ * MultiperspectivePerceptron, integer for integer.
+ *
+ * The global history is a little-endian array of 64-bit words (bit 0
+ * of word 0 is the most recent outcome), the path history its entries
+ * most recent first (`path_count` of them may be fewer than the depth
+ * early in a trace), and the local histories one word per register.
+ * Feature kinds: 0 bias, 1 global-history segment, 2 path fold,
+ * 3 local history.
+ */
+typedef struct {
+    int64_t features;
+    const int64_t *kinds;      /* (features,) */
+    const int64_t *params;     /* (features,) */
+    int64_t index_bits;
+    uint64_t index_mask;
+    int64_t rows;
+    int8_t *tables;            /* (features, rows) */
+    int64_t weight_max;
+    int64_t weight_min;
+    uint64_t *ghist;           /* (ghist_words,) */
+    int64_t ghist_words;
+    int64_t ghist_capacity;
+    int64_t *path;             /* (path_depth,) */
+    int64_t path_depth;
+    int64_t path_count;
+    int64_t path_bits;
+    uint64_t *local;           /* (local_entries,) */
+    int64_t local_entries;
+    int64_t local_bits;
+    int64_t theta;
+    int64_t counter;
+    int64_t counter_max;
+    int64_t counter_min;
+} mpp_t;
+
+/* repro.common.hashing.stable_hash64 (the splitmix64 finalizer). */
+static uint64_t stable_hash64(uint64_t value)
+{
+    value += 0x9E3779B97F4A7C15ULL;
+    value ^= value >> 30;
+    value *= 0xBF58476D1CE4E5B9ULL;
+    value ^= value >> 27;
+    value *= 0x94D049BB133111EBULL;
+    value ^= value >> 31;
+    return value;
+}
+
+/* repro.common.hashing.mix_pc with salt 0. */
+static uint64_t mix_pc(uint64_t pc)
+{
+    return stable_hash64(pc >> 2);
+}
+
+/* repro.common.hashing.fold_int over a multiword value: the XOR of the
+ * `width`-bit chunks of its low `total_bits` bits. */
+static uint64_t fold_int(
+    const uint64_t *words, int64_t nwords, int64_t total_bits, int64_t width)
+{
+    const uint64_t mask = width >= 64 ? ~0ULL : (1ULL << width) - 1;
+    uint64_t folded = 0;
+    for (int64_t start = 0; start < total_bits; start += width) {
+        const int64_t word = start >> 6;
+        const int64_t shift = start & 63;
+        if (word >= nwords)
+            break;
+        uint64_t chunk = words[word] >> shift;
+        if (shift && word + 1 < nwords)
+            chunk |= words[word + 1] << (64 - shift);
+        if (total_bits - start < 64)
+            chunk &= (1ULL << (total_bits - start)) - 1;
+        folded ^= chunk & mask;
+    }
+    return folded;
+}
+
+/* PathHistory.folded: the newest `depth` entries packed oldest-lowest,
+ * folded to the index width. */
+static uint64_t mpp_path_fold(const mpp_t *m, int64_t depth)
+{
+    const int64_t nwords = (m->path_depth * m->path_bits + 63) / 64;
+    uint64_t packed[nwords];
+    const int64_t n = depth < m->path_count ? depth : m->path_count;
+    for (int64_t w = 0; w < nwords; ++w)
+        packed[w] = 0;
+    for (int64_t i = 0; i < n; ++i) {
+        const int64_t position = (n - 1 - i) * m->path_bits;
+        const int64_t shift = position & 63;
+        const uint64_t entry = (uint64_t)m->path[i];
+        packed[position >> 6] |= entry << shift;
+        if (shift + m->path_bits > 64)
+            packed[(position >> 6) + 1] |= entry >> (64 - shift);
+    }
+    return fold_int(packed, nwords, depth * m->path_bits, m->index_bits);
+}
+
+/* MultiperspectivePerceptron._indices. */
+static void mpp_indices(const mpp_t *m, uint64_t pc, int64_t *indices)
+{
+    const uint64_t pc_hash = mix_pc(pc);
+    for (int64_t f = 0; f < m->features; ++f) {
+        uint64_t folded = 0;
+        switch (m->kinds[f]) {
+        case 1:
+            folded = fold_int(
+                m->ghist, m->ghist_words, m->params[f], m->index_bits);
+            break;
+        case 2:
+            folded = mpp_path_fold(m, m->params[f]);
+            break;
+        case 3: {
+            const uint64_t local = m->local[pc_hash % m->local_entries];
+            folded = fold_int(&local, 1, m->local_bits, m->index_bits);
+            break;
+        }
+        default:
+            break;
+        }
+        const uint64_t mixed = f + 3 < 64 ? pc_hash >> (f + 3) : 0;
+        indices[f] = (int64_t)((pc_hash ^ mixed ^ folded) & m->index_mask);
+    }
+}
+
+/* MultiperspectivePerceptron._sum. */
+static int64_t mpp_sum(const mpp_t *m, const int64_t *indices)
+{
+    int64_t total = 0;
+    for (int64_t f = 0; f < m->features; ++f)
+        total += m->tables[f * m->rows + indices[f]];
+    return total;
+}
+
+/* MultiperspectivePerceptron._train at precomputed indices, with the
+ * AdaptiveThreshold controller. */
+static void mpp_train(mpp_t *m, const int64_t *indices, int taken)
+{
+    const int64_t total = mpp_sum(m, indices);
+    const int mispredicted = (total >= 0) != (taken != 0);
+    const int below = (total >= 0 ? total : -total) < m->theta;
+    if (mispredicted || below) {
+        for (int64_t f = 0; f < m->features; ++f) {
+            int8_t *weight = m->tables + f * m->rows + indices[f];
+            if (taken && *weight < m->weight_max)
+                *weight += 1;
+            else if (!taken && *weight > m->weight_min)
+                *weight -= 1;
+        }
+    }
+    if (mispredicted) {
+        m->counter += 1;
+        if (m->counter >= m->counter_max) {
+            m->counter = 0;
+            m->theta += 1;
+        }
+    } else if (below) {
+        m->counter -= 1;
+        if (m->counter <= m->counter_min) {
+            m->counter = 0;
+            if (m->theta > 1)
+                m->theta -= 1;
+        }
+    }
+}
+
+/* MultiperspectivePerceptron.predict. */
+static int mpp_predict(const mpp_t *m, uint64_t pc, int64_t *indices)
+{
+    mpp_indices(m, pc, indices);
+    return mpp_sum(m, indices) >= 0;
+}
+
+/* MultiperspectivePerceptron.train_weights (VPC's virtual branches). */
+static void mpp_train_weights(mpp_t *m, uint64_t pc, int taken,
+                              int64_t *indices)
+{
+    mpp_indices(m, pc, indices);
+    mpp_train(m, indices, taken);
+}
+
+/* The three history pushes of MultiperspectivePerceptron.update. */
+static void mpp_push(mpp_t *m, uint64_t pc, int taken)
+{
+    const int64_t top = m->ghist_words - 1;
+    for (int64_t w = top; w > 0; --w)
+        m->ghist[w] = (m->ghist[w] << 1) | (m->ghist[w - 1] >> 63);
+    m->ghist[0] = (m->ghist[0] << 1) | (uint64_t)(taken != 0);
+    const int64_t top_bits = m->ghist_capacity - 64 * top;
+    if (top_bits < 64)
+        m->ghist[top] &= (1ULL << top_bits) - 1;
+
+    const int64_t keep = m->path_count < m->path_depth
+        ? m->path_count : m->path_depth - 1;
+    for (int64_t i = keep; i > 0; --i)
+        m->path[i] = m->path[i - 1];
+    m->path[0] = (int64_t)((pc >> 2) & ((1ULL << m->path_bits) - 1));
+    m->path_count = keep + 1;
+
+    uint64_t *local = m->local + mix_pc(pc) % m->local_entries;
+    *local = (*local << 1) | (uint64_t)(taken != 0);
+    if (m->local_bits < 64)
+        *local &= (1ULL << m->local_bits) - 1;
+}
+
 /* Event-order VPC replay over a precomputed vpca/slot/tag table.
  *
  * Events interleave real conditionals (kind 0: consult + update the
  * shared conditional predictor, book-keeping its accuracy) with
  * indirect branches (kind 1: the virtual-PC iteration).  All hashing
- * is precomputed per (static pc, iteration); the BTB's direct-mapped
- * arrays are mutated in place.  The conditional predictor is an
- * arbitrary Python object reached through the three callbacks, called
- * in exactly the scalar sequence.
+ * of virtual PCs is precomputed per (static pc, iteration); the BTB's
+ * direct-mapped arrays and the multiperspective perceptron's state
+ * (weight tables, histories, threshold) are mutated in place, in
+ * exactly the scalar call sequence: predict, count, update for a real
+ * conditional; predict and train_weights for a virtual branch.
  */
 void vpc_replay(
     int64_t events,
@@ -462,12 +662,48 @@ void vpc_replay(
     uint64_t *btb_targets,
     int64_t *btb_ticks,
     int64_t *counters,         /* [clock, cond_count, cond_misp] in/out */
-    cond_predict_fn cond_predict,
-    cond_train_fn cond_train,
-    cond_train_fn cond_update,
+    const int64_t *mpp_geometry, /* [features, index_bits, weight max,
+                                  * weight min, ghist capacity, path
+                                  * depth, path bits per pc, local
+                                  * entries, local bits, threshold
+                                  * counter max, counter min] */
+    const int64_t *mpp_kinds,  /* (features,) */
+    const int64_t *mpp_params, /* (features,) */
+    int8_t *mpp_tables,        /* (features, 1 << index_bits) */
+    uint64_t *mpp_ghist,       /* (ceil(capacity / 64),) */
+    int64_t *mpp_path,         /* (path depth,) */
+    uint64_t *mpp_local,       /* (local entries,) */
+    int64_t *mpp_state,        /* [theta, counter, path_count] in/out */
     uint64_t *predictions,     /* (branches,) zero-initialised */
     uint8_t *valid_out)        /* (branches,) zero-initialised */
 {
+    mpp_t mpp;
+    mpp.features = mpp_geometry[0];
+    mpp.kinds = mpp_kinds;
+    mpp.params = mpp_params;
+    mpp.index_bits = mpp_geometry[1];
+    mpp.rows = (int64_t)1 << mpp.index_bits;
+    mpp.index_mask = (uint64_t)mpp.rows - 1;
+    mpp.tables = mpp_tables;
+    mpp.weight_max = mpp_geometry[2];
+    mpp.weight_min = mpp_geometry[3];
+    mpp.ghist = mpp_ghist;
+    mpp.ghist_capacity = mpp_geometry[4];
+    mpp.ghist_words = (mpp.ghist_capacity + 63) / 64;
+    mpp.path = mpp_path;
+    mpp.path_depth = mpp_geometry[5];
+    mpp.path_bits = mpp_geometry[6];
+    mpp.path_count = mpp_state[2];
+    mpp.local = mpp_local;
+    mpp.local_entries = mpp_geometry[7];
+    mpp.local_bits = mpp_geometry[8];
+    mpp.counter_max = mpp_geometry[9];
+    mpp.counter_min = mpp_geometry[10];
+    mpp.theta = mpp_state[0];
+    mpp.counter = mpp_state[1];
+    mpp_t *m = &mpp;
+    int64_t indices[mpp.features];
+
     int64_t clock = counters[0];
     int64_t cond_count = counters[1];
     int64_t cond_misp = counters[2];
@@ -476,11 +712,14 @@ void vpc_replay(
         if (kinds[e] == 0) {
             const uint64_t pc = ev_a[e];
             const int taken = ev_taken[e];
-            const int predicted = cond_predict(pc);
+            /* update() recomputes predict()'s indices from unchanged
+             * histories, so one index pass serves both. */
+            const int predicted = mpp_predict(m, pc, indices);
             cond_count += 1;
             if ((predicted != 0) != (taken != 0))
                 cond_misp += 1;
-            cond_update(pc, taken);
+            mpp_train(m, indices, taken);
+            mpp_push(m, pc, taken);
             continue;
         }
 
@@ -496,7 +735,7 @@ void vpc_replay(
             if (btb_tags[s] != vtags[base + it])
                 break;
             visited += 1;
-            if (cond_predict(vpcas[base + it])) {
+            if (mpp_predict(m, vpcas[base + it], indices)) {
                 pred = btb_targets[s];
                 has_pred = 1;
                 hit_it = it;
@@ -516,7 +755,8 @@ void vpc_replay(
 
         if (has_pred && pred == target) {
             for (int64_t it = 0; it < visited; ++it)
-                cond_train(vpcas[base + it], it == hit_it);
+                mpp_train_weights(m, vpcas[base + it], it == hit_it,
+                                  indices);
             const int64_t s = slots[base + hit_it];
             if (btb_tags[s] == vtags[base + hit_it]) {
                 clock += 1;
@@ -536,7 +776,8 @@ void vpc_replay(
             for (int64_t it = 0; it <= found; ++it) {
                 const int64_t s = slots[base + it];
                 if (btb_tags[s] == vtags[base + it] || it == found)
-                    cond_train(vpcas[base + it], it == found);
+                    mpp_train_weights(m, vpcas[base + it], it == found,
+                                      indices);
             }
             const int64_t s = slots[base + found];
             if (btb_tags[s] == vtags[base + found]) {
@@ -566,7 +807,7 @@ void vpc_replay(
         }
         for (int64_t it = 0; it < visited; ++it) {
             if (it != victim)
-                cond_train(vpcas[base + it], 0);
+                mpp_train_weights(m, vpcas[base + it], 0, indices);
         }
         {
             const int64_t s = slots[base + victim];
@@ -575,11 +816,14 @@ void vpc_replay(
             btb_targets[s] = target;
             btb_ticks[s] = clock;
         }
-        cond_train(vpcas[base + victim], 1);
+        mpp_train_weights(m, vpcas[base + victim], 1, indices);
     }
     counters[0] = clock;
     counters[1] = cond_count;
     counters[2] = cond_misp;
+    mpp_state[0] = mpp.theta;
+    mpp_state[1] = mpp.counter;
+    mpp_state[2] = mpp.path_count;
 }
 """
 
@@ -626,7 +870,8 @@ _SIGNATURES: Dict[str, tuple] = {
             _PTR, _PTR, _PTR,               # vpcas, slots, vtags
             _PTR, _PTR, _PTR,               # btb tags/targets/ticks
             _PTR,                           # counters [clock, count, misp]
-            COND_PREDICT, COND_TRAIN, COND_TRAIN,
+            _PTR, _PTR, _PTR, _PTR,         # MPP geometry, kinds, params, tables
+            _PTR, _PTR, _PTR, _PTR,         # MPP ghist, path, local, state
             _PTR, _PTR,                     # predictions, valid_out
         ],
     ),

@@ -56,6 +56,41 @@ class TestMPP:
         with pytest.raises(ValueError):
             MultiperspectivePerceptron(features=())
 
+    @pytest.mark.parametrize("weight_bits", [0, 1, 9, 10])
+    def test_weight_bits_outside_int8_rejected(self, weight_bits):
+        """The weight tables are int8: wider weights would overflow them
+        mid-training, and fewer than 2 bits leave no signed range."""
+        with pytest.raises(ValueError, match="weight_bits"):
+            MultiperspectivePerceptron(weight_bits=weight_bits)
+
+    def test_index_bits_below_one_rejected(self):
+        with pytest.raises(ValueError, match="index_bits"):
+            MultiperspectivePerceptron(index_bits=0)
+
+    @pytest.mark.parametrize(
+        "feature", [("ghist", -1), ("path", 0), ("path", -3)]
+    )
+    def test_bad_feature_parameters_rejected(self, feature):
+        with pytest.raises(ValueError, match=feature[0]):
+            MultiperspectivePerceptron(features=(("bias", 0), feature))
+
+    @pytest.mark.parametrize("weight_bits", [2, 8])
+    def test_weights_saturate_at_the_width_bounds(self, weight_bits):
+        """Training saturates at +-2^(weight_bits-1), which int8 holds
+        for every accepted width."""
+        predictor = MultiperspectivePerceptron(
+            features=(("bias", 0),), index_bits=4, weight_bits=weight_bits
+        )
+        predictor._threshold.theta = 1000  # keep training on correct
+        for taken, bound in ((True, predictor._weight_max),
+                             (False, predictor._weight_min)):
+            for _ in range(300):
+                predictor.update(0x1000, taken)
+            table = predictor._tables[0].tolist()
+            assert bound in table
+            assert predictor._weight_min <= min(table)
+            assert max(table) <= predictor._weight_max
+
     def test_storage_budget_counts_each_feature(self):
         predictor = MultiperspectivePerceptron()
         budget = predictor.storage_budget()

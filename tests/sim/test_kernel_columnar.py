@@ -10,6 +10,12 @@ the fused entry point:
   the scalar engine's call sequence — on traces mixing conditionals,
   indirect jumps/calls, returns, and direct branches, from both cold
   and warm predictor state, solo and as one lane of a fused group;
+* VPC's multiperspective perceptron, which ``vpc_replay`` runs in C,
+  must stay integer-for-integer with the Python MPP across geometries
+  (one- and five-word global histories, path folds deeper than the
+  trace, a non-power-of-two local table, 2- to 8-bit weights, feature
+  sets without path or local features), from scalar warm starts, and
+  without a single call into the Python MPP;
 * :func:`repro.sim.kernel.simulate_columnar_many` must give every lane
   of a heterogeneous fused group (identical BLBP twins, differing BLBP
   geometries and feature toggles, hierarchical IBTB, ITTAGE, VPC) the
@@ -30,6 +36,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cond.mpp import MultiperspectivePerceptron
 from repro.core import BLBP
 from repro.core.config import BLBPConfig
 from repro.predictors.ittage import ITTAGE, ITTAGEConfig
@@ -232,6 +239,163 @@ class TestVPCLockstep:
         warm = _random_trace(11, "vpc-warm", 160)
         main = _random_trace(12, "vpc-main", 200)
         _assert_lockstep(_small_vpc, main, warm_trace=warm, fused=fused)
+
+
+#: MultiperspectivePerceptron geometries the compiled core must mirror:
+#: a global history of exactly one word and of five words, path folds
+#: deeper than most generated traces, a local table whose size is not a
+#: power of two, narrow and wide weights, and feature sets without path
+#: or local features.
+_MPP_GEOMETRIES = [
+    dict(features=(("bias", 0), ("ghist", 64), ("local", 0)),
+         index_bits=10, weight_bits=4),
+    dict(features=(("ghist", 300), ("ghist", 7), ("path", 8),
+                   ("local", 0)),
+         index_bits=10, weight_bits=8),
+    dict(features=(("bias", 0), ("path", 30), ("path", 3), ("ghist", 0)),
+         index_bits=10, weight_bits=4),
+    dict(features=(("bias", 0), ("ghist", 12), ("local", 0)),
+         local_entries=500, local_bits=64, index_bits=10, weight_bits=8),
+    dict(features=(("bias", 0), ("ghist", 5), ("ghist", 129)),
+         index_bits=3, weight_bits=2),
+    dict(local_entries=500, index_bits=10),
+]
+
+#: Conditional PCs: a tiny colliding pool plus PCs with high bits set,
+#: so hashing and path entries see the full 64-bit range.
+_MPP_COND_PCS = [0x900, 0x908, 0x910, 0x7FFF_FFFF_FFFF_FFFC,
+                 0xFFFF_FFFF_FFFF_FFF0]
+
+
+@st.composite
+def mpp_traces(draw):
+    """VPC traces dense in conditionals over a varied PC pool."""
+    events = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["ind", "ind", "cond", "cond", "cond"]),
+                st.integers(0, len(_MPP_COND_PCS) - 1),
+                st.integers(0, len(_TARGETS) - 1),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=160,
+        )
+    )
+    records = []
+    for kind, pc_index, target_index, taken in events:
+        if kind == "cond":
+            records.append(
+                BranchRecord(_MPP_COND_PCS[pc_index], BranchType.CONDITIONAL,
+                             taken, 0x910, inst_gap=1)
+            )
+        else:
+            records.append(
+                BranchRecord(_PCS[pc_index % len(_PCS)],
+                             BranchType.INDIRECT_JUMP, True,
+                             _TARGETS[target_index], inst_gap=2)
+            )
+    return Trace.from_records("hyp-mpp", records)
+
+
+def _mpp_vpc(geometry):
+    return lambda: VPCPredictor(
+        VPCConfig(btb_entries=128),
+        conditional=MultiperspectivePerceptron(**geometry),
+    )
+
+
+class TestCompiledMPPLockstep:
+    """``vpc_replay`` runs VPC's multiperspective perceptron in C; every
+    geometry must stay integer-for-integer with the Python MPP."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        geometry=st.sampled_from(_MPP_GEOMETRIES),
+        trace=mpp_traces(),
+    )
+    def test_lockstep_over_geometries(self, geometry, trace):
+        _assert_lockstep(_mpp_vpc(geometry), trace)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        geometry=st.sampled_from(_MPP_GEOMETRIES),
+        trace=mpp_traces(),
+        split=st.floats(0.0, 1.0),
+    )
+    def test_warm_start_mid_trace(self, geometry, trace, split):
+        """Columnar resumes from a scalar ``load_state`` taken mid-trace:
+        partly filled path history, live local registers, moved θ."""
+        records = list(trace.records())
+        cut = max(1, int(len(records) * split))
+        if cut >= len(records):
+            return
+        warm = Trace.from_records("mpp-warm", records[:cut])
+        main = Trace.from_records("mpp-main", records[cut:])
+        _assert_lockstep(_mpp_vpc(geometry), main, warm_trace=warm)
+
+    @pytest.mark.parametrize("geometry", _MPP_GEOMETRIES)
+    def test_long_trace_saturates_weights(self, geometry):
+        """Long enough for weights to saturate and θ to move."""
+        records = []
+        rng = random.Random(3)
+        for position in range(3000):
+            if position % 4 == 3:
+                records.append(
+                    BranchRecord(_PCS[rng.randrange(len(_PCS))],
+                                 BranchType.INDIRECT_JUMP, True,
+                                 _TARGETS[rng.randrange(3)], inst_gap=2)
+                )
+            else:
+                records.append(
+                    BranchRecord(0x900 + 4 * (position % 7),
+                                 BranchType.CONDITIONAL,
+                                 position % 3 != 0, 0x910, inst_gap=1)
+                )
+        _assert_lockstep(
+            _mpp_vpc(geometry), Trace.from_records("mpp-long", records)
+        )
+
+    def test_threshold_floor(self):
+        """Every conditional is taken and lands on a fresh bias weight,
+        so each one is a correct prediction below θ: θ walks down to its
+        floor of 1 and must stay there."""
+        records = []
+        for position in range(4000):
+            if position % 50 == 49:
+                records.append(
+                    BranchRecord(_PCS[0], BranchType.INDIRECT_JUMP, True,
+                                 _TARGETS[0], inst_gap=2)
+                )
+            else:
+                records.append(
+                    BranchRecord(0x10_0000 + 4 * position,
+                                 BranchType.CONDITIONAL, True, 0x910,
+                                 inst_gap=1)
+                )
+        trace = Trace.from_records("mpp-theta", records)
+        geometry = dict(features=(("bias", 0),), index_bits=14,
+                        weight_bits=2)
+        _assert_lockstep(_mpp_vpc(geometry), trace)
+        scalar = _mpp_vpc(geometry)()
+        simulate(scalar, trace)
+        assert scalar.conditional._threshold.theta == 1
+
+    def test_no_python_conditional_calls(self, monkeypatch):
+        """The columnar replay never re-enters the Python MPP."""
+        trace = _random_trace(21, "mpp-no-python", 400)
+        scalar = _small_vpc()
+        simulate(scalar, trace)
+        expected = scalar.state_hash()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the Python MPP was called")
+
+        for name in ("predict", "update", "train_weights"):
+            monkeypatch.setattr(MultiperspectivePerceptron, name, forbidden)
+        columnar = _small_vpc()
+        simulate(columnar, trace, backend="columnar-strict")
+        assert columnar.state_hash() == expected
 
 
 def _lanes():
