@@ -3,7 +3,8 @@
 A :class:`PredictorSession` is the serve-side incarnation of one
 ``simulate(predictor, trace)`` call, unrolled into an event-at-a-time
 state machine.  :meth:`PredictorSession.step` issues the predictor the
-*exact* call sequence the engine's ``_replay_span`` hot loop would —
+*exact* call sequence the engine's per-record loop
+(``_replay_span_many``, which ``simulate`` runs with one lane) would —
 conditional hook, predict/train/retire for indirects, RAS traffic for
 calls and returns, warmup accounting — so a session fed a trace's
 events, in order, finishes with predictions, metrics, and a final
@@ -20,9 +21,9 @@ time.  :meth:`PredictorSession.from_checkpoint` rebuilds the session in
 any process and verifies the restored predictor hashes identically —
 a corrupted or mismatched checkpoint is refused, never silently loaded.
 
-:func:`step_sessions_fused` is the cross-session analogue of the
-engine's ``_replay_span_many``: when many sessions have the *same*
-pending event run (the common case under load — many clients streaming
+:func:`step_sessions_fused` is the cross-session analogue of a fused
+``_replay_span_many`` pass: when many sessions have the *same* pending
+event run (the common case under load — many clients streaming
 the same workload), one pass over the shared events amortizes the
 per-event decode and type dispatch across all of them while issuing
 each session its exact solo call sequence (own RAS, own accumulators),
@@ -123,9 +124,10 @@ class PredictorSession:
         """Consume one branch event; return its prediction output.
 
         The call sequence into the predictor and the RAS — and the
-        warmup/metric accounting — mirror the engine's ``_replay_span``
-        exactly, so session state evolution is bit-identical to a batch
-        simulation of the same records.
+        warmup/metric accounting — mirror one lane of the engine's
+        per-record loop (``_replay_span_many``) exactly, so session state
+        evolution is bit-identical to a batch simulation of the same
+        records.
         """
         self.cursor += 1
         self.instruction_gaps += gap

@@ -36,6 +36,17 @@ from repro.trace.plane import atomic_write_bytes
 #: Default records-between-checkpoints for ``--checkpoint-every``.
 DEFAULT_CHECKPOINT_INTERVAL = 100_000
 
+#: The cursor and accumulator fields, each a count that must be >= 0.
+_COUNT_KEYS = (
+    "cursor",
+    "skip",
+    "indirect",
+    "mispredictions",
+    "returns",
+    "return_mispredictions",
+    "conditionals",
+)
+
 
 @dataclass
 class SimulationCheckpoint:
@@ -77,21 +88,26 @@ class SimulationCheckpoint:
     @classmethod
     def from_state(cls, state: Dict[str, Any]) -> "SimulationCheckpoint":
         check_state(state, "SimulationCheckpoint")
-        cursor = int(state["cursor"])
-        require(cursor >= 0, "checkpoint cursor must be >= 0")
+        # A negative count would replay wrongly rather than fail: a
+        # negative ``skip`` never reaches zero, so nothing after the
+        # resume point would ever be counted.
+        counts = {key: int(state[key]) for key in _COUNT_KEYS}
+        for key, value in counts.items():
+            require(value >= 0, f"checkpoint {key} must be >= 0, got {value}")
+        by_pc = {int(pc): int(count) for pc, count in state["by_pc"].items()}
+        for pc, count in by_pc.items():
+            require(
+                count >= 0,
+                f"checkpoint by_pc count for {pc:#x} must be >= 0, "
+                f"got {count}",
+            )
         return cls(
             trace_name=state["trace_name"],
             predictor_name=state["predictor_name"],
-            cursor=cursor,
-            skip=int(state["skip"]),
-            indirect=int(state["indirect"]),
-            mispredictions=int(state["mispredictions"]),
-            returns=int(state["returns"]),
-            return_mispredictions=int(state["return_mispredictions"]),
-            conditionals=int(state["conditionals"]),
-            by_pc={int(pc): int(count) for pc, count in state["by_pc"].items()},
+            by_pc=by_pc,
             ras=state["ras"],
             predictor=state["predictor"],
+            **counts,
         )
 
     def checkpoint_hash(self) -> str:

@@ -1,6 +1,8 @@
-"""The simulation loop: one predictor over one trace.
+"""The simulation loop: predictors over one trace.
 
-Mirrors the CBP infrastructure's discipline (§4.2):
+:func:`simulate` (one predictor) and :func:`simulate_many` (a fused
+group) share one routine, which picks the backend, and one per-record
+loop, which mirrors the CBP infrastructure's discipline (§4.2):
 
 * **conditional branches** feed the predictor's conditional-history
   hook (and, for VPC, the shared conditional predictor);
@@ -21,6 +23,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,7 +42,7 @@ from repro.trace.derived import DerivedPlane
 from repro.trace.record import BranchType
 from repro.trace.stream import Trace
 
-#: Recognized simulation backends.  "scalar" is the per-branch Python
+#: Recognized simulation backends.  "scalar" is the per-record Python
 #: loop below; "columnar" dispatches eligible cells to the batch tensor
 #: kernels in :mod:`repro.sim.kernel` (bit-identical results) and falls
 #: back to the scalar loop otherwise — warning when the fallback is due
@@ -63,22 +66,6 @@ def _check_backend(backend: str) -> None:
             f"unknown backend {backend!r}; expected one of {BACKENDS}"
         )
 
-
-def _columnar_blockers(
-    checkpoint_every: int,
-    checkpoint_path: Optional[str],
-    resume_from: Optional[SimulationCheckpoint],
-    counters: Optional[SimCounters],
-) -> List[str]:
-    """Engine features the columnar kernels do not cover."""
-    blockers = []
-    if checkpoint_every or checkpoint_path is not None:
-        blockers.append("checkpointing (checkpoint_every/checkpoint_path)")
-    if resume_from is not None:
-        blockers.append("resume (resume_from)")
-    if counters is not None:
-        blockers.append("profiling (counters)")
-    return blockers
 
 _COND = int(BranchType.CONDITIONAL)
 _DIRECT_JUMP = int(BranchType.DIRECT_JUMP)
@@ -114,73 +101,6 @@ class _DerivedRAS:
         pass
 
 
-def _replay_span(
-    pcs,
-    types,
-    takens,
-    targets,
-    on_conditional,
-    predict_target,
-    train,
-    on_retired,
-    ras,
-    collect_per_pc,
-    by_pc,
-    skip,
-    indirect,
-    mispredictions,
-    returns,
-    return_mispredictions,
-    conditionals,
-) -> Tuple[int, int, int, int, int, int]:
-    """The simulation hot loop over one span of trace columns.
-
-    The checkpoint-off path calls this once over the whole trace, so
-    checkpointing must cost nothing here: counters stay plain locals,
-    history advances through the pre-bound callables, and the function
-    hands its accumulators back as a tuple.  ``by_pc`` is mutated in
-    place.
-    """
-    for pc, branch_type, taken, target in zip(pcs, types, takens, targets):
-        if branch_type == _COND:
-            on_conditional(pc, taken)
-            conditionals += 1
-            if skip:
-                skip -= 1
-            continue
-
-        counted = not skip
-        if skip:
-            skip -= 1
-
-        if branch_type == _INDIRECT_JUMP or branch_type == _INDIRECT_CALL:
-            prediction: Optional[int] = predict_target(pc)
-            if counted:
-                indirect += 1
-                if prediction != target:
-                    mispredictions += 1
-                    if collect_per_pc:
-                        by_pc[pc] = by_pc.get(pc, 0) + 1
-            train(pc, target)
-            on_retired(pc, branch_type, target)
-            if branch_type == _INDIRECT_CALL:
-                ras.push(pc + 4)
-        elif branch_type == _RETURN:
-            ras_prediction = ras.predict()
-            ras.pop()
-            if counted:
-                returns += 1
-                if ras_prediction != target:
-                    return_mispredictions += 1
-            on_retired(pc, branch_type, target)
-        elif branch_type == _DIRECT_CALL:
-            ras.push(pc + 4)
-            on_retired(pc, branch_type, target)
-        else:  # direct jump
-            on_retired(pc, branch_type, target)
-    return skip, indirect, mispredictions, returns, return_mispredictions, conditionals
-
-
 def simulate(
     predictor: IndirectBranchPredictor,
     trace: Trace,
@@ -196,6 +116,12 @@ def simulate(
     backend: str = "scalar",
 ) -> SimulationResult:
     """Run ``predictor`` over ``trace`` and return its result.
+
+    This is :func:`simulate_many` with one lane: both go through the
+    same routine, ``_simulate_lanes`` (argument checks, backend
+    dispatch, derived-plane check, span/checkpoint loop), and the same
+    per-record loop.  ``counters``, ``resume_from`` and
+    ``on_checkpoint`` are the inputs only a single lane takes.
 
     Args:
         predictor: the indirect predictor under test (mutated in place).
@@ -229,226 +155,38 @@ def simulate(
             push/pop replay (bit-identical results; the RAS is a pure
             function of the trace).  Ignored when checkpointing or
             resuming, because those paths must snapshot real RAS state.
-        backend: "scalar" (this per-branch loop), "columnar" (the
+        backend: "scalar" (the per-record loop), "columnar" (the
             batch tensor kernels in :mod:`repro.sim.kernel`), or
             "columnar-strict".  The columnar backend produces
             bit-identical results and final predictor state; it falls
             back to the scalar loop for predictors it does not support
             (with a ``RuntimeWarning`` naming the reason; on a host
             where the compiled replay cores cannot be built, that is
-            every predictor) and for features it does not cover
-            (checkpointing, resume, profiling counters).
+            every predictor) and, silently, for features it does not
+            cover (checkpointing, resume, profiling counters).
             "columnar-strict" never falls back —
             it raises :class:`ColumnarUnsupportedError` instead, for
             callers that need the kernel's throughput or an explicit
             failure.
     """
-    if checkpoint_every < 0:
-        raise ValueError(
-            f"checkpoint_every must be >= 0, got {checkpoint_every}"
-        )
-    if checkpoint_every and checkpoint_path is None and on_checkpoint is None:
-        raise ValueError(
-            "checkpoint_every needs a checkpoint_path or on_checkpoint sink"
-        )
-    _check_backend(backend)
-
-    if backend in ("columnar", "columnar-strict"):
-        supported, reason = kernel.columnar_support(predictor)
-        blockers = _columnar_blockers(
-            checkpoint_every, checkpoint_path, resume_from, counters
-        )
-        if supported and not blockers:
-            # The kernel validates (or computes) the derived plane
-            # itself and returns results and final predictor state
-            # bit-identical to the scalar loop below.
-            return kernel.simulate_columnar(
-                predictor,
-                trace,
-                ras_depth=ras_depth,
-                warmup_records=warmup_records,
-                collect_per_pc=collect_per_pc,
-                derived=derived,
-            )
-        if backend == "columnar-strict":
-            if not supported:
-                raise ColumnarUnsupportedError(reason)
-            raise ColumnarUnsupportedError(
-                "columnar-strict cannot cover " + ", ".join(blockers)
-                + "; use backend='columnar' (scalar fallback) or "
-                "backend='scalar' for these features"
-            )
-        if not supported:
-            warnings.warn(
-                f"columnar backend falling back to scalar: {reason}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-    pcs, types, takens, targets = trace.scalar_columns()
-    total = len(pcs)
-
-    ras: object
-    if (
-        derived is not None
-        and not checkpoint_every
-        and resume_from is None
-        and checkpoint_path is None
-    ):
-        if not derived.matches(trace, ras_depth):
-            raise ValueError(
-                f"derived plane is for {derived.trace_name!r} "
-                f"({derived.records} records, ras_depth={derived.ras_depth}), "
-                f"not {trace.name!r} ({total} records, ras_depth={ras_depth})"
-            )
-        ras = _DerivedRAS(derived.return_predictions())
-    else:
-        ras = ReturnAddressStack(ras_depth)
-    indirect = 0
-    mispredictions = 0
-    returns = 0
-    return_mispredictions = 0
-    conditionals = 0
-    by_pc: Dict[int, int] = {}
-    skip = warmup_records
-    cursor = 0
-
-    if resume_from is not None:
-        if resume_from.trace_name != trace.name:
-            raise ValueError(
-                f"checkpoint is for trace {resume_from.trace_name!r}, "
-                f"not {trace.name!r}"
-            )
-        if resume_from.predictor_name != predictor.name:
-            raise ValueError(
-                f"checkpoint is for predictor "
-                f"{resume_from.predictor_name!r}, not {predictor.name!r}"
-            )
-        if resume_from.cursor > total:
-            raise ValueError(
-                f"checkpoint cursor {resume_from.cursor} beyond trace "
-                f"length {total}"
-            )
-        predictor.load_state(resume_from.predictor)
-        ras.load_state(resume_from.ras)
-        cursor = resume_from.cursor
-        skip = resume_from.skip
-        indirect = resume_from.indirect
-        mispredictions = resume_from.mispredictions
-        returns = resume_from.returns
-        return_mispredictions = resume_from.return_mispredictions
-        conditionals = resume_from.conditionals
-        by_pc = dict(resume_from.by_pc)
-
-    started_at = cursor
-
-    on_conditional = predictor.on_conditional
-    on_retired = predictor.on_retired
-    predict_target = predictor.predict_target
-    train = predictor.train
-
-    cell: Optional[SimCounters] = None
-    if counters is not None:
-        # Profiling wraps the three hot callables with timers.  The
-        # wrappers only exist on this branch, so the common unprofiled
-        # path keeps its direct bound-method calls.
-        cell = SimCounters()
-        perf = time.perf_counter
-
-        def on_conditional(pc, taken, _inner=on_conditional):
-            began = perf()
-            _inner(pc, taken)
-            cell.conditional_seconds += perf() - began
-
-        def predict_target(pc, _inner=predict_target):
-            began = perf()
-            prediction = _inner(pc)
-            cell.predict_seconds += perf() - began
-            return prediction
-
-        def train(pc, target, _inner=train):
-            began = perf()
-            _inner(pc, target)
-            cell.train_seconds += perf() - began
-
-        loop_started = perf()
-
-    if not checkpoint_every and cursor == 0:
-        # Fast path: the whole trace in one span, zero checkpoint cost.
-        (
-            skip,
-            indirect,
-            mispredictions,
-            returns,
-            return_mispredictions,
-            conditionals,
-        ) = _replay_span(
-            pcs, types, takens, targets,
-            on_conditional, predict_target, train, on_retired,
-            ras, collect_per_pc, by_pc,
-            skip, indirect, mispredictions,
-            returns, return_mispredictions, conditionals,
-        )
-    else:
-        span = checkpoint_every if checkpoint_every else total
-        while cursor < total:
-            upper = min(cursor + span, total)
-            (
-                skip,
-                indirect,
-                mispredictions,
-                returns,
-                return_mispredictions,
-                conditionals,
-            ) = _replay_span(
-                pcs[cursor:upper], types[cursor:upper],
-                takens[cursor:upper], targets[cursor:upper],
-                on_conditional, predict_target, train, on_retired,
-                ras, collect_per_pc, by_pc,
-                skip, indirect, mispredictions,
-                returns, return_mispredictions, conditionals,
-            )
-            cursor = upper
-            if checkpoint_every and cursor < total:
-                checkpoint = SimulationCheckpoint(
-                    trace_name=trace.name,
-                    predictor_name=predictor.name,
-                    cursor=cursor,
-                    skip=skip,
-                    indirect=indirect,
-                    mispredictions=mispredictions,
-                    returns=returns,
-                    return_mispredictions=return_mispredictions,
-                    conditionals=conditionals,
-                    by_pc=dict(by_pc),
-                    ras=ras.state_dict(),
-                    predictor=predictor.state_dict(),
-                )
-                if checkpoint_path is not None:
-                    save_checkpoint(checkpoint, checkpoint_path)
-                if on_checkpoint is not None:
-                    on_checkpoint(checkpoint)
-
-    result = SimulationResult(
-        trace_name=trace.name,
-        predictor_name=predictor.name,
-        total_instructions=trace.total_instructions(),
-        indirect_branches=indirect,
-        indirect_mispredictions=mispredictions,
-        return_branches=returns,
-        return_mispredictions=return_mispredictions,
-        conditional_branches=conditionals,
-        mispredictions_by_pc=by_pc,
+    sinks: List[Callable[[SimulationCheckpoint], None]] = []
+    if checkpoint_path is not None:
+        sinks.append(partial(save_checkpoint, path=checkpoint_path))
+    if on_checkpoint is not None:
+        sinks.append(on_checkpoint)
+    [result] = _simulate_lanes(
+        [predictor],
+        trace,
+        ras_depth,
+        warmup_records,
+        collect_per_pc,
+        derived,
+        checkpoint_every,
+        [sinks],
+        backend,
+        resume_from=resume_from,
+        counters=counters,
     )
-    if cell is not None:
-        cell.elapsed_seconds = time.perf_counter() - loop_started
-        # Only the records this process actually replayed (a resumed
-        # cell's profile measures its own work, not the whole trace).
-        cell.records = total - started_at
-        cell.conditionals = conditionals
-        cell.harvest(predictor)
-        result.profile = cell.as_dict()
-        counters.merge(cell)
     return result
 
 
@@ -689,18 +427,21 @@ def _replay_span_many(
     return_mispredictions,
     conditionals,
 ) -> Tuple[int, int, int, int, int]:
-    """The fused hot loop: one pass over the columns, N predictors.
+    """The per-record retirement loop: one pass over the columns, N lanes.
 
-    Per-branch work that is predictor-independent — scalar extraction,
-    type dispatch, RAS traffic, warmup accounting — happens once; only
-    the predict/train/retire calls multiply by N.  ``engines`` carries
-    one ``(predict_target, train, on_retired-or-None)`` tuple per
-    predictor; ``cond_hooks``/``retire_hooks`` hold only the bound hooks
-    that actually override the base no-ops, so baseline predictors pay
+    Every scalar replay, solo or fused, runs through here.  Per-branch
+    work that is predictor-independent — scalar extraction, type
+    dispatch, RAS traffic, warmup accounting — happens once; only the
+    predict/train/retire calls multiply by N.  ``engines`` carries one
+    ``(predict_target, train, on_retired-or-None)`` tuple per predictor;
+    ``cond_hooks``/``retire_hooks`` hold only the bound hooks that
+    actually override the base no-ops, so baseline predictors pay
     nothing for histories they do not keep.  ``mispredictions`` and
     ``by_pc`` are per-predictor and mutated in place; each predictor's
-    own call sequence is exactly what :func:`_replay_span` would issue,
-    so per-predictor state evolution is bit-identical to unfused runs.
+    own call sequence does not depend on which other lanes share the
+    pass, so per-predictor state evolution is bit-identical to unfused
+    runs.  Counters stay plain locals and come back as a tuple, so a
+    span boundary costs nothing inside the loop.
     """
     for pc, branch_type, taken, target in zip(pcs, types, takens, targets):
         if branch_type == _COND:
@@ -765,15 +506,16 @@ def simulate_many(
     """Run every predictor over ``trace`` in one fused pass.
 
     Produces, for each predictor, a result and final predictor state
-    bit-identical to ``simulate(predictor, trace, ...)`` — the fused loop
-    issues each predictor the exact call sequence the solo loop would,
+    bit-identical to ``simulate(predictor, trace, ...)`` — :func:`simulate`
+    is this function with one lane, and the shared per-record loop issues
+    each predictor the same call sequence however many lanes it carries,
     only sharing the per-branch costs that are predictor-independent
     (column decode, type dispatch, RAS replay, warmup accounting).
 
-    When every fused predictor is *indirect-only* (overrides neither
-    ``on_conditional`` nor ``on_retired``) and a ``derived`` plane is
-    supplied, the loop skips non-indirect records entirely and walks the
-    plane's indirect index arrays instead of the full columns.
+    When every scalar lane is *indirect-only* (overrides neither
+    ``on_conditional`` nor ``on_retired``) and a ``derived`` plane is in
+    use, the loop skips non-indirect records entirely and walks only the
+    plane's indirect records.
 
     Args:
         predictors: freshly constructed predictors (mutated in place).
@@ -796,7 +538,7 @@ def simulate_many(
             "columnar", predictors the kernels support run as one fused
             columnar group (:func:`repro.sim.kernel.simulate_columnar_many`
             — one shared precompute pass, compatible BLBP lanes
-            lane-parallel) and the rest run through this fused scalar
+            lane-parallel) and the rest run through the fused scalar
             loop, with a ``RuntimeWarning`` naming why; the merged
             results and final states are bit-identical to an all-scalar
             pass.  Ignored while checkpointing.  "columnar-strict"
@@ -804,111 +546,189 @@ def simulate_many(
             back (unsupported predictor or checkpointing).
     """
     predictors = list(predictors)
-    count = len(predictors)
-    if count == 0:
-        return []
-    if checkpoint_every < 0:
-        raise ValueError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
     if checkpoint_paths is None:
-        checkpoint_paths = [None] * count
+        checkpoint_paths = [None] * len(predictors)
     checkpoint_paths = list(checkpoint_paths)
-    if len(checkpoint_paths) != count:
+    if len(checkpoint_paths) != len(predictors):
         raise ValueError(
-            f"{len(checkpoint_paths)} checkpoint paths for {count} predictors"
+            f"{len(checkpoint_paths)} checkpoint paths for "
+            f"{len(predictors)} predictors"
         )
-    if checkpoint_every and not any(checkpoint_paths):
-        raise ValueError("checkpoint_every needs at least one checkpoint path")
-    _check_backend(backend)
+    return _simulate_lanes(
+        predictors,
+        trace,
+        ras_depth,
+        warmup_records,
+        collect_per_pc,
+        derived,
+        checkpoint_every,
+        [
+            [] if path is None else [partial(save_checkpoint, path=path)]
+            for path in checkpoint_paths
+        ],
+        backend,
+    )
 
-    total = len(trace)
-    use_derived = derived is not None and not checkpoint_every
-    if use_derived and not derived.matches(trace, ras_depth):
+
+def _simulate_lanes(
+    predictors: List[IndirectBranchPredictor],
+    trace: Trace,
+    ras_depth: int,
+    warmup_records: int,
+    collect_per_pc: bool,
+    derived: Optional[DerivedPlane],
+    checkpoint_every: int,
+    sinks: List[List[Callable[[SimulationCheckpoint], None]]],
+    backend: str,
+    resume_from: Optional[SimulationCheckpoint] = None,
+    counters: Optional[SimCounters] = None,
+) -> List[SimulationResult]:
+    """The one routine behind :func:`simulate` and :func:`simulate_many`.
+
+    Checks the arguments, makes the one backend decision — which lanes
+    the columnar kernels replay and which the scalar loop does — and
+    merges both sides' results back into lane order.  ``sinks`` holds
+    each lane's checkpoint receivers.  ``resume_from`` and ``counters``
+    come only from :func:`simulate` and apply to its one lane.
+    """
+    if checkpoint_every < 0:
+        raise ValueError(
+            f"checkpoint_every must be >= 0, got {checkpoint_every}"
+        )
+    if checkpoint_every and not any(sinks):
+        raise ValueError(
+            "checkpoint_every needs a checkpoint_path or on_checkpoint sink"
+        )
+    _check_backend(backend)
+    if checkpoint_every or resume_from is not None:
+        # Snapshots and resumes carry the live RAS, which the plane's
+        # precomputed return outcomes cannot stand in for.
+        derived = None
+    if derived is not None and not derived.matches(trace, ras_depth):
         raise ValueError(
             f"derived plane is for {derived.trace_name!r} "
             f"({derived.records} records, ras_depth={derived.ras_depth}), "
-            f"not {trace.name!r} ({total} records, ras_depth={ras_depth})"
+            f"not {trace.name!r} ({len(trace)} records, "
+            f"ras_depth={ras_depth})"
         )
+    if not predictors:
+        return []
 
-    if backend in ("columnar", "columnar-strict"):
-        reasons = {
-            slot: kernel.columnar_support(predictor)
-            for slot, predictor in enumerate(predictors)
-        }
-        supported = [slot for slot, (ok, _) in reasons.items() if ok]
+    results: List[Optional[SimulationResult]] = [None] * len(predictors)
+    if backend != "scalar":
+        blockers = [
+            feature
+            for feature, active in (
+                ("checkpointing (checkpoint_every)", checkpoint_every),
+                ("resume (resume_from)", resume_from is not None),
+                ("profiling (counters)", counters is not None),
+            )
+            if active
+        ]
+        support = [kernel.columnar_support(p) for p in predictors]
+        unsupported = [reason for ok, reason in support if not ok]
         if backend == "columnar-strict":
-            if checkpoint_every:
+            if blockers:
                 raise ColumnarUnsupportedError(
-                    "columnar-strict cannot cover checkpointing "
-                    "(checkpoint_every); use backend='columnar' or "
-                    "'scalar'"
+                    "columnar-strict cannot cover " + ", ".join(blockers)
+                    + "; use backend='columnar' (scalar fallback) or "
+                    "backend='scalar' for these features"
                 )
-            unsupported = [
-                reason for ok, reason in reasons.values() if not ok
-            ]
             if unsupported:
                 raise ColumnarUnsupportedError(unsupported[0])
-        elif checkpoint_every:
-            supported = []
-        elif len(supported) < count:
-            fallback = sorted(
-                {
-                    reason
-                    for ok, reason in reasons.values()
-                    if not ok
-                }
-            )
+        elif unsupported:
             warnings.warn(
                 "columnar backend falling back to the fused scalar "
-                "loop for some predictors: " + "; ".join(fallback),
+                "loop for some predictors: "
+                + "; ".join(sorted(set(unsupported))),
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
-        if supported:
-            plane = derived
-            if plane is None:
+        columnar = [] if blockers else [
+            slot for slot, (ok, _) in enumerate(support) if ok
+        ]
+        if columnar:
+            if derived is None:
                 from repro.trace.derived import compute_derived
 
-                plane = compute_derived(trace, ras_depth)
-            merged: List[Optional[SimulationResult]] = [None] * count
+                derived = compute_derived(trace, ras_depth)
             # One shared precompute pass serves every supported lane;
             # compatible BLBP lanes advance lane-parallel inside.
             for slot, result in zip(
-                supported,
+                columnar,
                 kernel.simulate_columnar_many(
-                    [predictors[slot] for slot in supported],
+                    [predictors[slot] for slot in columnar],
                     trace,
                     ras_depth=ras_depth,
                     warmup_records=warmup_records,
                     collect_per_pc=collect_per_pc,
-                    derived=plane,
+                    derived=derived,
                 ),
             ):
-                merged[slot] = result
-            rest = [slot for slot in range(count) if merged[slot] is None]
-            if rest:
-                for slot, result in zip(
-                    rest,
-                    simulate_many(
-                        [predictors[slot] for slot in rest],
-                        trace,
-                        ras_depth=ras_depth,
-                        warmup_records=warmup_records,
-                        collect_per_pc=collect_per_pc,
-                        derived=plane,
-                    ),
-                ):
-                    merged[slot] = result
-            return [result for result in merged if result is not None]
+                results[slot] = result
 
+    scalar = [slot for slot, result in enumerate(results) if result is None]
+    if scalar:
+        for slot, result in zip(
+            scalar,
+            _replay_lanes(
+                [predictors[slot] for slot in scalar],
+                trace,
+                ras_depth,
+                warmup_records,
+                collect_per_pc,
+                derived,
+                checkpoint_every,
+                [sinks[slot] for slot in scalar],
+                resume_from,
+                counters,
+            ),
+        ):
+            results[slot] = result
+    return results
+
+
+def _timed(inner: Callable, cell: SimCounters, phase: str) -> Callable:
+    """``inner``, adding the wall time of each call to ``cell.<phase>``."""
+    perf = time.perf_counter
+
+    def timed(*args):
+        began = perf()
+        result = inner(*args)
+        setattr(cell, phase, getattr(cell, phase) + (perf() - began))
+        return result
+
+    return timed
+
+
+def _replay_lanes(
+    lanes: List[IndirectBranchPredictor],
+    trace: Trace,
+    ras_depth: int,
+    warmup_records: int,
+    collect_per_pc: bool,
+    derived: Optional[DerivedPlane],
+    checkpoint_every: int,
+    sinks: List[List[Callable[[SimulationCheckpoint], None]]],
+    resume_from: Optional[SimulationCheckpoint],
+    counters: Optional[SimCounters],
+) -> List[SimulationResult]:
+    """Scalar replay: the span/checkpoint loop over the per-record loop.
+
+    ``derived``, already checked against the trace, replaces the live
+    RAS.  ``resume_from`` restores the first lane's state, the RAS, the
+    cursor and every accumulator before replay; ``counters`` profiles
+    the pass.
+    """
     base_conditional = IndirectBranchPredictor.on_conditional
     base_retired = IndirectBranchPredictor.on_retired
     cond_hooks = [
         p.on_conditional
-        for p in predictors
+        for p in lanes
         if type(p).on_conditional is not base_conditional
     ]
     retire_hooks = [
-        p.on_retired for p in predictors if type(p).on_retired is not base_retired
+        p.on_retired for p in lanes if type(p).on_retired is not base_retired
     ]
     engines = [
         (
@@ -916,99 +736,136 @@ def simulate_many(
             p.train,
             p.on_retired if type(p).on_retired is not base_retired else None,
         )
-        for p in predictors
+        for p in lanes
     ]
+    cell: Optional[SimCounters] = None
+    if counters is not None:
+        # Timers wrap the hot callables only on this branch, so the
+        # unprofiled path keeps its direct bound-method calls.
+        cell = SimCounters()
+        cond_hooks = [
+            _timed(hook, cell, "conditional_seconds") for hook in cond_hooks
+        ]
+        engines = [
+            (
+                _timed(predict_target, cell, "predict_seconds"),
+                _timed(train, cell, "train_seconds"),
+                on_retired,
+            )
+            for predict_target, train, on_retired in engines
+        ]
 
+    count = len(lanes)
+    total = len(trace)
     mispredictions = [0] * count
     by_pc: List[Dict[int, int]] = [{} for _ in range(count)]
     skip = warmup_records
-    indirect = 0
-    returns = 0
-    return_mispredictions = 0
-    conditionals = 0
-
-    if use_derived and not cond_hooks and not retire_hooks:
-        # Indirect-only fast path: every record a fused predictor cares
-        # about is in the plane's indirect index arrays, and the shared
-        # RAS/conditional accounting is a pure function of the plane.
-        warm = warmup_records
-        for index, pc, target in zip(
-            derived.indirect_idx.tolist(),
+    cursor = indirect = returns = return_mispredictions = conditionals = 0
+    ras: object
+    indirect_only = derived is not None and not cond_hooks and not retire_hooks
+    if indirect_only:
+        # Every record these lanes act on is in the plane's indirect
+        # arrays, and the RAS and conditional tallies are pure functions
+        # of the plane, so the loop walks the indirect records alone,
+        # with ``skip`` set to the indirect records inside the warmup.
+        index = derived.indirect_idx
+        columns = (
             derived.indirect_pcs.tolist(),
+            trace.types[index].tolist(),
+            trace.takens[index].tolist(),
             derived.indirect_targets.tolist(),
-        ):
-            counted = index >= warm
-            if counted:
-                indirect += 1
-            slot = 0
-            for predict_target, train, _ in engines:
-                prediction = predict_target(pc)
-                if counted and prediction != target:
-                    mispredictions[slot] += 1
-                    if collect_per_pc:
-                        cell = by_pc[slot]
-                        cell[pc] = cell.get(pc, 0) + 1
-                train(pc, target)
-                slot += 1
-        conditionals = derived.conditionals
-        return_indices = derived.return_idx
-        if len(return_indices):
-            counted_mask = return_indices >= warm
-            returns = int(np.count_nonzero(counted_mask))
-            return_mispredictions = int(
-                np.count_nonzero(counted_mask & (derived.return_ok == 0))
-            )
+        )
+        skip = int(np.searchsorted(index, warmup_records))
+        ras = _DerivedRAS([])
     else:
-        pcs, types, takens, targets = trace.scalar_columns()
-        ras: object
-        if use_derived:
+        columns = trace.scalar_columns()
+        if derived is not None:
             ras = _DerivedRAS(derived.return_predictions())
         else:
             ras = ReturnAddressStack(ras_depth)
-        span = checkpoint_every if checkpoint_every else total
-        cursor = 0
-        while cursor < total:
-            upper = min(cursor + span, total)
-            (
-                skip,
-                indirect,
-                returns,
-                return_mispredictions,
-                conditionals,
-            ) = _replay_span_many(
-                pcs[cursor:upper], types[cursor:upper],
-                takens[cursor:upper], targets[cursor:upper],
-                engines, cond_hooks, retire_hooks,
-                ras, collect_per_pc, by_pc, mispredictions,
-                skip, indirect, returns, return_mispredictions, conditionals,
+
+    if resume_from is not None:
+        predictor = lanes[0]
+        if resume_from.trace_name != trace.name:
+            raise ValueError(
+                f"checkpoint is for trace {resume_from.trace_name!r}, "
+                f"not {trace.name!r}"
             )
-            cursor = upper
-            if checkpoint_every and cursor < total:
-                ras_state = ras.state_dict()
-                for slot, predictor in enumerate(predictors):
-                    path = checkpoint_paths[slot]
-                    if path is None:
-                        continue
-                    save_checkpoint(
-                        SimulationCheckpoint(
-                            trace_name=trace.name,
-                            predictor_name=predictor.name,
-                            cursor=cursor,
-                            skip=skip,
-                            indirect=indirect,
-                            mispredictions=mispredictions[slot],
-                            returns=returns,
-                            return_mispredictions=return_mispredictions,
-                            conditionals=conditionals,
-                            by_pc=dict(by_pc[slot]),
-                            ras=ras_state,
-                            predictor=predictor.state_dict(),
-                        ),
-                        path,
-                    )
+        if resume_from.predictor_name != predictor.name:
+            raise ValueError(
+                f"checkpoint is for predictor "
+                f"{resume_from.predictor_name!r}, not {predictor.name!r}"
+            )
+        if resume_from.cursor > total:
+            raise ValueError(
+                f"checkpoint cursor {resume_from.cursor} beyond trace "
+                f"length {total}"
+            )
+        predictor.load_state(resume_from.predictor)
+        ras.load_state(resume_from.ras)
+        cursor = resume_from.cursor
+        skip = resume_from.skip
+        indirect = resume_from.indirect
+        mispredictions[0] = resume_from.mispredictions
+        returns = resume_from.returns
+        return_mispredictions = resume_from.return_mispredictions
+        conditionals = resume_from.conditionals
+        by_pc[0] = dict(resume_from.by_pc)
+    started_at = cursor
+    loop_started = time.perf_counter()
+
+    end = len(columns[0])
+    span = checkpoint_every or end
+    while cursor < end:
+        upper = min(cursor + span, end)
+        if upper - cursor < end:
+            span_columns = [column[cursor:upper] for column in columns]
+        else:
+            span_columns = columns  # the whole trace: no column copies
+        (
+            skip,
+            indirect,
+            returns,
+            return_mispredictions,
+            conditionals,
+        ) = _replay_span_many(
+            *span_columns,
+            engines, cond_hooks, retire_hooks,
+            ras, collect_per_pc, by_pc, mispredictions,
+            skip, indirect, returns, return_mispredictions, conditionals,
+        )
+        cursor = upper
+        if checkpoint_every and cursor < end:
+            ras_state = ras.state_dict()
+            for slot, predictor in enumerate(lanes):
+                if not sinks[slot]:
+                    continue
+                snapshot = SimulationCheckpoint(
+                    trace_name=trace.name,
+                    predictor_name=predictor.name,
+                    cursor=cursor,
+                    skip=skip,
+                    indirect=indirect,
+                    mispredictions=mispredictions[slot],
+                    returns=returns,
+                    return_mispredictions=return_mispredictions,
+                    conditionals=conditionals,
+                    by_pc=dict(by_pc[slot]),
+                    ras=ras_state,
+                    predictor=predictor.state_dict(),
+                )
+                for sink in sinks[slot]:
+                    sink(snapshot)
+    if indirect_only:
+        conditionals = derived.conditionals
+        counted = derived.return_idx >= warmup_records
+        returns = int(np.count_nonzero(counted))
+        return_mispredictions = int(
+            np.count_nonzero(counted & (derived.return_ok == 0))
+        )
 
     total_instructions = trace.total_instructions()
-    return [
+    results = [
         SimulationResult(
             trace_name=trace.name,
             predictor_name=predictor.name,
@@ -1020,8 +877,20 @@ def simulate_many(
             conditional_branches=conditionals,
             mispredictions_by_pc=by_pc[slot],
         )
-        for slot, predictor in enumerate(predictors)
+        for slot, predictor in enumerate(lanes)
     ]
+    if cell is not None:
+        cell.elapsed_seconds = time.perf_counter() - loop_started
+        # Only the records this process actually replayed (a resumed
+        # cell's profile measures its own work, not the whole trace).
+        cell.records = total - started_at
+        cell.conditionals = conditionals
+        for predictor in lanes:
+            cell.harvest(predictor)
+        for result in results:
+            result.profile = cell.as_dict()
+        counters.merge(cell)
+    return results
 
 
 def simulate_conditional(

@@ -33,20 +33,22 @@ of earlier predictions.
   why and callers run the scalar oracle instead.
 
 This module is the front door for every columnar predictor, not just
-BLBP: :func:`simulate_columnar` dispatches to the ITTAGE and VPC
-kernels (:mod:`repro.sim.kernel_ittage`, :mod:`repro.sim.kernel_vpc`),
-:func:`columnar_support` reports whether — and *why not* — a predictor
-can be replayed columnar, and :func:`simulate_columnar_many` replays a
-fused multi-predictor group against one :class:`SharedPrecompute` pass
-(fold prefix tables, IBTB candidate tensors, hash-mix planes and
-derived-plane loads computed once per trace and shared across lanes,
-keyed by trace content hash), advancing groups of compatible BLBP
-lanes lane-parallel through the compiled ``blbp_replay_many`` core.
+BLBP: :func:`columnar_support` reports whether — and *why not* — a
+predictor can be replayed columnar, and :func:`simulate_columnar_many`,
+the one columnar entry point, replays a group of one or more
+predictors against one :class:`SharedPrecompute` pass (fold prefix
+tables, IBTB candidate tensors, hash-mix planes and derived-plane
+loads computed once per trace and shared across lanes, keyed by trace
+content hash).  It advances groups of compatible BLBP lanes
+lane-parallel through the compiled ``blbp_replay_many`` core and
+dispatches ITTAGE and VPC lanes to their kernels
+(:mod:`repro.sim.kernel_ittage`, :mod:`repro.sim.kernel_vpc`).
 
-The dispatch in :func:`repro.sim.engine.simulate` only needs this
-module's ``columnar_support`` / ``simulate_columnar`` /
-``simulate_columnar_many`` trio; new per-predictor kernels slot in by
-extending the registry in :func:`columnar_support`.
+The engine's backend dispatch (behind :func:`repro.sim.engine.simulate`
+and :func:`repro.sim.engine.simulate_many`) only needs this module's
+``columnar_support`` / ``simulate_columnar_many`` pair; new
+per-predictor kernels slot in by extending the registry in
+:func:`columnar_support`.
 """
 
 from __future__ import annotations
@@ -971,86 +973,6 @@ def _finish_blbp(
 # ----------------------------------------------------------------------
 
 
-def simulate_columnar(
-    predictor,
-    trace: Trace,
-    ras_depth: int = 32,
-    warmup_records: int = 0,
-    collect_per_pc: bool = False,
-    derived: Optional[DerivedPlane] = None,
-    prediction_sink: Optional[Dict[str, np.ndarray]] = None,
-    shared: Optional[SharedPrecompute] = None,
-) -> SimulationResult:
-    """Replay ``trace`` through ``predictor`` as columnar tensor passes.
-
-    Bit-identical to ``simulate(predictor, trace, ...)``: the same
-    predictions, the same counters, and the same final predictor state
-    (``state_dict`` / ``state_hash`` equal).  The predictor may be warm
-    — mid-campaign state, restored snapshots — the kernels seed their
-    precomputation from the live registers.
-
-    Dispatches on exact predictor type: BLBP replays in this module,
-    ITTAGE and VPC through :mod:`repro.sim.kernel_ittage` and
-    :mod:`repro.sim.kernel_vpc`.  Unsupported predictors raise
-    ``TypeError`` carrying the :func:`columnar_support` reason.
-
-    Trace-pure precomputation is served from a :class:`SharedPrecompute`
-    — pass ``shared`` to reuse one across calls explicitly, or let the
-    kernel fetch the process-level cache entry for the trace's content
-    hash (so repeated simulations of one trace skip the pure passes).
-
-    Callers normally go through :func:`repro.sim.engine.simulate` with
-    ``backend="columnar"``, which validates support and falls back to
-    the scalar loop for features the kernels do not cover
-    (checkpointing, resume, profiling).
-
-    ``prediction_sink``, when given a dict, receives the kernel's
-    per-branch arrays after replay — ``indirect_idx`` (record index of
-    every indirect branch), ``valid`` (whether a prediction was made),
-    and ``predictions`` (the predicted target per branch) — letting
-    equivalence tests assert per-branch lockstep against the scalar
-    loop rather than just aggregate counts.
-    """
-    supported, reason = columnar_support(predictor)
-    if not supported:
-        raise TypeError(reason)
-    derived = _validated_derived(trace, ras_depth, derived)
-    if shared is None:
-        shared = shared_precompute(trace, ras_depth, derived)
-
-    if type(predictor) is ITTAGE:
-        from repro.sim.kernel_ittage import simulate_columnar_ittage
-
-        return simulate_columnar_ittage(
-            predictor,
-            trace,
-            derived,
-            shared,
-            warmup_records=warmup_records,
-            collect_per_pc=collect_per_pc,
-            prediction_sink=prediction_sink,
-        )
-    if type(predictor) is VPCPredictor:
-        from repro.sim.kernel_vpc import simulate_columnar_vpc
-
-        return simulate_columnar_vpc(
-            predictor,
-            trace,
-            derived,
-            shared,
-            warmup_records=warmup_records,
-            collect_per_pc=collect_per_pc,
-            prediction_sink=prediction_sink,
-        )
-
-    prep = _prepare_blbp(predictor, trace, derived, shared)
-    _replay_blbp_group([prep])
-    return _finish_blbp(
-        prep, trace, derived, warmup_records, collect_per_pc,
-        prediction_sink,
-    )
-
-
 def simulate_columnar_many(
     predictors: List[object],
     trace: Trace,
@@ -1073,14 +995,30 @@ def simulate_columnar_many(
     the shared planes hot in cache — and every other supported
     predictor replays solo against the same shared artifacts.
 
-    Results are positionally aligned with ``predictors`` and each is
-    bit-identical to a solo :func:`simulate_columnar` (equivalently,
-    scalar) run of that lane; lanes are fully independent.  Raises
-    ``TypeError`` with the :func:`columnar_support` reason if any
-    predictor lacks a kernel — callers mixing supported and unsupported
-    predictors must split the group (``repro.sim.engine.simulate_many``
-    does exactly that).
+    This is the one columnar entry point; a solo run is a one-lane
+    call.  Results are positionally aligned with ``predictors`` and each
+    is bit-identical to ``simulate(predictor, trace, ...)``: the same
+    predictions, the same counters, and the same final predictor state
+    (``state_dict`` / ``state_hash`` equal).  Lanes are fully
+    independent, and a lane may be warm — mid-campaign state, restored
+    snapshots — since the kernels seed their precomputation from the
+    live registers.  Raises ``TypeError`` with the
+    :func:`columnar_support` reason if any predictor lacks a kernel —
+    callers mixing supported and unsupported predictors must split the
+    group (``repro.sim.engine.simulate_many`` does exactly that).
+
+    ``prediction_sinks``, when given, holds one dict (or ``None``) per
+    lane; each dict receives that lane's per-branch arrays after replay
+    — ``indirect_idx`` (record index of every indirect branch),
+    ``valid`` (whether a prediction was made), and ``predictions`` (the
+    predicted target per branch) — letting equivalence tests assert
+    per-branch lockstep against the scalar loop rather than just
+    aggregate counts.
     """
+    for predictor in predictors:
+        supported, reason = columnar_support(predictor)
+        if not supported:
+            raise TypeError(reason)
     derived = _validated_derived(trace, ras_depth, derived)
     shared = shared_precompute(trace, ras_depth, derived)
     count = len(predictors)
@@ -1093,11 +1031,6 @@ def simulate_columnar_many(
                 f"prediction_sinks has {len(sinks)} entries for "
                 f"{count} predictors"
             )
-
-    for predictor in predictors:
-        supported, reason = columnar_support(predictor)
-        if not supported:
-            raise TypeError(reason)
 
     results: List[Optional[SimulationResult]] = [None] * count
     preps: List[Optional[dict]] = [None] * count
@@ -1125,16 +1058,23 @@ def simulate_columnar_many(
             )
 
     # ITTAGE / VPC lanes replay solo against the same shared artifacts.
+    from repro.sim.kernel_ittage import simulate_columnar_ittage
+    from repro.sim.kernel_vpc import simulate_columnar_vpc
+
     for position, predictor in enumerate(predictors):
         if results[position] is None:
-            results[position] = simulate_columnar(
+            replay = (
+                simulate_columnar_ittage
+                if type(predictor) is ITTAGE
+                else simulate_columnar_vpc
+            )
+            results[position] = replay(
                 predictor,
                 trace,
-                ras_depth=ras_depth,
+                derived,
+                shared,
                 warmup_records=warmup_records,
                 collect_per_pc=collect_per_pc,
-                derived=derived,
                 prediction_sink=sinks[position],
-                shared=shared,
             )
     return results

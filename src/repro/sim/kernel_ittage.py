@@ -415,8 +415,8 @@ def simulate_columnar_ittage(
 ) -> SimulationResult:
     """Columnar ITTAGE replay, bit-identical to the scalar engine.
 
-    Called through :func:`repro.sim.kernel.simulate_columnar`, which
-    validates support and the derived plane and owns the shared
+    Called through :func:`repro.sim.kernel.simulate_columnar_many`,
+    which validates support and the derived plane and owns the shared
     precompute; see that function for the caller contract.
     """
     prep = _prepare(predictor, trace, derived, shared)

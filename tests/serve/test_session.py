@@ -137,6 +137,12 @@ class TestSuspendResume:
             PredictorSession.from_checkpoint(
                 {"kind": SESSION_CHECKPOINT_KIND, "session": "x"}
             )
+        session = PredictorSession("negative", "BLBP", warmup_records=5)
+        session.step_events(trace_events(_trace())[:20])
+        document = session.checkpoint()
+        document["checkpoint"]["skip"] = -1
+        with pytest.raises(SessionError, match="skip"):
+            PredictorSession.from_checkpoint(document)
 
     def test_rejects_tampered_state(self):
         session = PredictorSession("tamper", "BLBP")

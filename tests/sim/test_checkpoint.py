@@ -6,11 +6,13 @@ stopped — and a checkpoint file is an optimization, never a source of
 truth (missing/corrupt files restart the trace instead of failing).
 """
 
+import dataclasses
 import json
 import os
 
 import pytest
 
+from repro.common.state import StateError
 from repro.core import BLBP
 from repro.predictors import ITTAGE
 from repro.sim.checkpoint import (
@@ -20,7 +22,8 @@ from repro.sim.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.sim.engine import simulate
+from repro.sim.counters import SimCounters
+from repro.sim.engine import simulate, simulate_many
 from repro.workloads.suite import suite88_specs
 
 _SCALE = 0.02  # 2000-record traces: fast, but several checkpoint spans
@@ -116,10 +119,80 @@ class TestResumeValidation:
     def test_negative_interval_rejected(self, trace):
         with pytest.raises(ValueError, match=">= 0"):
             simulate(BLBP(), trace, checkpoint_every=-1)
+        with pytest.raises(ValueError, match=">= 0"):
+            simulate_many([], trace, checkpoint_every=-1)
 
     def test_interval_without_sink_rejected(self, trace):
         with pytest.raises(ValueError, match="checkpoint_path"):
             simulate(BLBP(), trace, checkpoint_every=100)
+
+
+class TestNegativeCountsRejected:
+    """A negative count replays wrongly instead of failing (a negative
+    ``skip`` never reaches zero, so nothing after the resume point would
+    be counted); loading must refuse it so the cell restarts."""
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "cursor",
+            "skip",
+            "indirect",
+            "mispredictions",
+            "returns",
+            "return_mispredictions",
+            "conditionals",
+        ],
+    )
+    def test_negative_count_restarts_the_cell(self, trace, tmp_path, key):
+        _, grabbed = _collect(BLBP(), trace)
+        state = grabbed[0].state_dict()
+        state[key] = -1
+        with pytest.raises(StateError, match=key):
+            SimulationCheckpoint.from_state(state)
+        path = tmp_path / "cell.ckpt.json"
+        path.write_text(json.dumps(state))
+        assert load_checkpoint(path) is None
+
+    def test_negative_by_pc_count_rejected(self, trace):
+        _, grabbed = _collect(BLBP(), trace)
+        state = grabbed[0].state_dict()
+        state["by_pc"] = {"4096": -1}
+        with pytest.raises(StateError, match="by_pc"):
+            SimulationCheckpoint.from_state(state)
+
+
+class TestProfiledCheckpointing:
+    """``counters=`` composes with resume and checkpointing."""
+
+    def test_profiled_resume_matches_uninterrupted_run(self, trace):
+        reference = BLBP()
+        plain = simulate(reference, trace)
+        _, grabbed = _collect(BLBP(), trace)
+        checkpoint = grabbed[len(grabbed) // 2]
+        counters = SimCounters()
+        predictor = BLBP()
+        resumed = simulate(
+            predictor, trace, resume_from=checkpoint, counters=counters
+        )
+        assert dataclasses.replace(resumed, profile=None) == plain
+        assert predictor.state_hash() == reference.state_hash()
+        # The profile covers only the records this process replayed.
+        assert resumed.profile["records"] == len(trace) - checkpoint.cursor
+        assert counters.records == len(trace) - checkpoint.cursor
+
+    def test_profiled_snapshots_match_unprofiled(self, trace):
+        plain, plain_snapshots = _collect(BLBP(), trace)
+        snapshots = []
+        profiled = simulate(
+            BLBP(), trace, checkpoint_every=500,
+            on_checkpoint=snapshots.append, counters=SimCounters(),
+        )
+        assert profiled.profile["records"] == len(trace)
+        assert dataclasses.replace(profiled, profile=None) == plain
+        assert [s.checkpoint_hash() for s in snapshots] == [
+            s.checkpoint_hash() for s in plain_snapshots
+        ]
 
 
 class TestCheckpointFiles:

@@ -108,7 +108,9 @@ class TestColumnarFallback:
     def test_unsupported_predictor_warns_and_matches_scalar(self):
         columnar_predictor = TracingBLBP()
         scalar_predictor = TracingBLBP()
-        with pytest.warns(RuntimeWarning, match="falling back to scalar"):
+        with pytest.warns(
+            RuntimeWarning, match="falling back to the fused scalar loop"
+        ):
             columnar = simulate(
                 columnar_predictor, _TRACE, backend="columnar"
             )
@@ -153,6 +155,8 @@ class TestColumnarFallback:
             simulate(BLBP(), _TRACE, backend="simd")
         with pytest.raises(ValueError, match="unknown backend"):
             simulate_many([BLBP()], _TRACE, backend="simd")
+        with pytest.raises(ValueError, match="unknown backend"):
+            simulate_many([], _TRACE, backend="simd")
 
     def test_backend_roster(self):
         assert BACKENDS == ("scalar", "columnar", "columnar-strict")

@@ -5,7 +5,7 @@ The BLBP kernel's ordering barriers are pinned by
 ``test_kernel_properties``; this module pins the other two kernels and
 the fused entry point:
 
-* :func:`repro.sim.kernel.simulate_columnar` on ITTAGE and VPC must
+* :func:`repro.sim.kernel.simulate_columnar_many` on ITTAGE and VPC must
   emit per-branch predictions and a final ``state_hash`` identical to
   the scalar engine's call sequence — on traces mixing conditionals,
   indirect jumps/calls, returns, and direct branches, from both cold
@@ -46,7 +46,6 @@ from repro.sim.engine import simulate, simulate_many
 from repro.sim.kernel import (
     columnar_support,
     columnar_supported,
-    simulate_columnar,
     simulate_columnar_many,
 )
 from repro.trace.record import BranchRecord, BranchType
@@ -183,7 +182,9 @@ def _assert_lockstep(make_predictor, trace, warm_trace=None, fused=False):
             prediction_sinks=[None, sink],
         )
     else:
-        simulate_columnar(columnar_predictor, trace, prediction_sink=sink)
+        simulate_columnar_many(
+            [columnar_predictor], trace, prediction_sinks=[sink]
+        )
     assert len(scalar_predictions) == len(sink["predictions"])
     for position, (scalar, valid, predicted) in enumerate(
         zip(
@@ -508,9 +509,8 @@ class TestFusedColumnarMany:
         monkeypatch.setattr(kernel, "_replay_blbp_group", spy)
         trace = _random_trace(4, "solo", 150)
         predictor, reference = BLBP(), BLBP()
-        assert simulate_columnar(predictor, trace) == simulate(
-            reference, trace
-        )
+        [result] = simulate_columnar_many([predictor], trace)
+        assert result == simulate(reference, trace)
         assert group_sizes == [1]
         assert predictor.state_hash() == reference.state_hash()
 
@@ -524,9 +524,8 @@ class TestFusedColumnarMany:
             predictor.weights.weights
         )
         assert not predictor.weights.weights.flags.c_contiguous
-        assert simulate_columnar(predictor, trace) == simulate(
-            reference, trace
-        )
+        [result] = simulate_columnar_many([predictor], trace)
+        assert result == simulate(reference, trace)
         assert predictor.weights.weights.flags.c_contiguous
         assert predictor.state_hash() == reference.state_hash()
 
@@ -566,6 +565,6 @@ class TestColumnarSupport:
 
         trace = _random_trace(0, "refuse", 30)
         with pytest.raises(TypeError, match="subclasses"):
-            simulate_columnar(Tweaked(), trace)
+            simulate_columnar_many([Tweaked()], trace)
         with pytest.raises(TypeError, match="subclasses"):
             simulate_columnar_many([BLBP(), Tweaked()], trace)

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import BLBP
-from repro.sim.kernel import simulate_columnar, simulate_columnar_many
+from repro.sim.kernel import simulate_columnar_many
 from repro.trace.record import BranchRecord, BranchType
 from repro.trace.stream import Trace
 
@@ -100,7 +100,9 @@ def _assert_lockstep(trace, fused: bool = False) -> None:
             prediction_sinks=[None, sink],
         )
     else:
-        simulate_columnar(columnar_predictor, trace, prediction_sink=sink)
+        simulate_columnar_many(
+            [columnar_predictor], trace, prediction_sinks=[sink]
+        )
     assert len(scalar_predictions) == len(sink["predictions"])
     for position, (scalar, valid, predicted) in enumerate(
         zip(

@@ -94,7 +94,7 @@ class TestFailedBuild:
 
     def test_kernel_refuses_directly(self):
         with pytest.raises(TypeError, match="cc exited"):
-            kernel.simulate_columnar(BLBP(), _trace(4))
+            kernel.simulate_columnar_many([BLBP()], _trace(4))
 
     def test_serve_session_steps_scalar(self, monkeypatch):
         from repro.serve import session as session_module
