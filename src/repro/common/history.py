@@ -16,7 +16,7 @@ matching the paper's interval notation where interval (1, 33) means
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
 from repro.common.hashing import fold_int, mix_pc
 from repro.common.state import Stateful, check_state, require
@@ -211,11 +211,3 @@ class LocalHistoryTable(Stateful):
         table = state["table"]
         require(len(table) == self.num_entries, "local-history table size mismatch")
         self._table = [int(value) & self._mask for value in table]
-
-
-def parse_intervals(intervals: Tuple[Tuple[int, int], ...]) -> Tuple[Tuple[int, int], ...]:
-    """Validate a tuple of (start, end) global-history intervals."""
-    for start, end in intervals:
-        if start < 0 or end < start:
-            raise ValueError(f"malformed history interval ({start}, {end})")
-    return tuple(intervals)

@@ -266,12 +266,6 @@ class BLBPHistories(Stateful):
 
     # ------------------------------------------------------------------
 
-    def fold_values(self) -> List[int]:
-        """The current incremental fold value per interval (diagnostics)."""
-        if self._pending:
-            self._flush_folds()
-        return [fold.fold for fold in self._folds]
-
     def global_history_value(self) -> int:
         """The raw global history bits (bit 0 most recent)."""
         return self._ghist & self._ghist_mask

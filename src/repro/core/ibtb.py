@@ -7,105 +7,29 @@ targets whose partial tag matches the branch — the candidate set that
 BLBP scores against its predicted bit vector (Fig. 2's "Possible
 Targets").
 
+Storage is flat: one ``array('q')`` per entry field (tag, region index,
+generation, offset, RRPV), set ``s`` owning the slice
+``[s*ways, (s+1)*ways)``, with SRRIP-HP inlined over that slice.  Each
+set's tag→ways index and lookup cache are rebuilt lazily after a load.
+Snapshots keep the per-set ``IBTBSet``/``RRIPPolicy`` layout.
+
 Stale entries (whose region was recycled out of the region array) are
 dropped lazily at lookup.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.hashing import mix_pc
-from repro.common.replacement import RRIPPolicy
-from repro.common.state import Stateful, check_state, require
+from repro.common.state import StateError, Stateful, check_state, require
 from repro.core.regions import RegionArray
 
-
-class _IBTBSet:
-    """One set: parallel way arrays plus a tag→ways index and RRIP state."""
-
-    __slots__ = (
-        "ways",
-        "tags",
-        "regions",
-        "generations",
-        "offsets",
-        "rrip",
-        "by_tag",
-        "version",
-        "cache",
-    )
-
-    def __init__(self, num_ways: int, rrpv_bits: int) -> None:
-        self.ways = num_ways
-        self.tags: List[Optional[int]] = [None] * num_ways
-        self.regions = [0] * num_ways
-        self.generations = [0] * num_ways
-        self.offsets = [0] * num_ways
-        self.rrip = RRIPPolicy(num_ways, rrpv_bits)
-        self.by_tag: dict = {}
-        #: Bumped on any membership change; invalidates cached lookups.
-        self.version = 0
-        #: tag -> (set version, region version, candidate list).
-        self.cache: dict = {}
-
-    def invalidate(self, way: int) -> None:
-        tag = self.tags[way]
-        if tag is not None:
-            ways = self.by_tag.get(tag)
-            if ways is not None:
-                ways.discard(way)
-                if not ways:
-                    del self.by_tag[tag]
-        self.tags[way] = None
-        self.version += 1
-
-    def fill(self, way: int, tag: int, region: int, generation: int, offset: int) -> None:
-        self.invalidate(way)
-        self.tags[way] = tag
-        self.regions[way] = region
-        self.generations[way] = generation
-        self.offsets[way] = offset
-        self.by_tag.setdefault(tag, set()).add(way)
-        self.version += 1
-
-    def state_dict(self) -> Dict[str, Any]:
-        # `by_tag` is an index over `tags`, `cache` a version-validated
-        # memo, `version` its key space: all derived, all excluded.  A
-        # restored set rebuilds `by_tag` eagerly and its cache lazily.
-        return {
-            "v": 1,
-            "kind": "IBTBSet",
-            "ways": self.ways,
-            "tags": [None if tag is None else int(tag) for tag in self.tags],
-            "regions": list(self.regions),
-            "generations": list(self.generations),
-            "offsets": list(self.offsets),
-            "rrip": self.rrip.state_dict(),
-        }
-
-    def load_state(self, state: Dict[str, Any]) -> None:
-        check_state(state, "IBTBSet")
-        require(state["ways"] == self.ways, "IBTB set way-count mismatch")
-        tags = state["tags"]
-        require(
-            len(tags) == self.ways
-            and len(state["regions"]) == self.ways
-            and len(state["generations"]) == self.ways
-            and len(state["offsets"]) == self.ways,
-            "IBTB set arrays malformed",
-        )
-        self.tags = [None if tag is None else int(tag) for tag in tags]
-        self.regions = [int(value) for value in state["regions"]]
-        self.generations = [int(value) for value in state["generations"]]
-        self.offsets = [int(value) for value in state["offsets"]]
-        self.rrip.load_state(state["rrip"])
-        self.by_tag = {}
-        for way, tag in enumerate(self.tags):
-            if tag is not None:
-                self.by_tag.setdefault(tag, set()).add(way)
-        self.version = 0
-        self.cache = {}
+#: Tag of an empty way; valid partial tags are non-negative.
+_EMPTY = -1
+#: Snapshot keys of the flat fields, in field order.
+_KEYS = ("tags", "regions", "generations", "offsets", "rrpv")
 
 
 class IndirectBTB(Stateful):
@@ -123,20 +47,42 @@ class IndirectBTB(Stateful):
             raise ValueError("IBTB needs >= 1 set and >= 1 way")
         if tag_bits < 1:
             raise ValueError(f"need >= 1 tag bits, got {tag_bits}")
+        if rrpv_bits < 1:
+            raise ValueError(f"need >= 1 RRPV bits, got {rrpv_bits}")
         self.num_sets = num_sets
         self.num_ways = num_ways
         self.tag_bits = tag_bits
         self.rrpv_bits = rrpv_bits
         self.regions = regions if regions is not None else RegionArray()
-        self._sets = [_IBTBSet(num_ways, rrpv_bits) for _ in range(num_sets)]
+        self._max = (1 << rrpv_bits) - 1
+        # Empty ways start at max RRPV so they are chosen as victims
+        # first.  The arrays are only ever updated in place.
+        self._fields = tuple(
+            array("q", [initial]) * (num_sets * num_ways)
+            for initial in (_EMPTY, 0, 0, 0, self._max)
+        )
+        (self._tags, self._regions, self._generations, self._offsets,
+         self._rrpv) = self._fields
+        #: Per set: bumped on any membership change; keys the cache.
+        self._versions = [0] * num_sets
+        #: Per set: tag -> ways, ``None`` until the set is next used.
+        self._by_tag: List[Optional[dict]] = [None] * num_sets
+        #: Per set: tag -> (set version, region version, candidates).
+        self._caches: List[dict] = [{} for _ in range(num_sets)]
 
-    def _locate(self, pc: int) -> Tuple[_IBTBSet, int]:
+    def _locate(self, pc: int) -> Tuple[int, int]:
         hashed = mix_pc(pc)
         set_index = hashed % self.num_sets
         tag = (hashed >> 12) & ((1 << self.tag_bits) - 1)
-        return self._sets[set_index], tag
+        return set_index, tag
 
-    def _candidates(self, bucket: _IBTBSet, tag: int) -> List[Tuple[int, int]]:
+    def _entry(self, pc: int, way: int) -> int:
+        """Flat index of ``way`` in the set for ``pc``."""
+        if not 0 <= way < self.num_ways:
+            raise ValueError(f"way {way} out of range [0, {self.num_ways})")
+        return self._locate(pc)[0] * self.num_ways + way
+
+    def _candidates(self, set_index: int, tag: int) -> List[Tuple[int, int]]:
         """(way, target) pairs for ``tag``, via the per-set lookup cache.
 
         A cached result stays valid while neither the set's membership
@@ -147,29 +93,70 @@ class IndirectBTB(Stateful):
         mutate it.
         """
         regions = self.regions
-        cached = bucket.cache.get(tag)
+        cache = self._caches[set_index]
+        cached = cache.get(tag)
         if (
             cached is not None
-            and cached[0] == bucket.version
+            and cached[0] == self._versions[set_index]
             and cached[1] == regions.version
         ):
             return cached[2]
+        base = set_index * self.num_ways
+        by_tag = self._by_tag[set_index]
+        if by_tag is None:
+            by_tag = self._by_tag[set_index] = {}
+            for way, stored in enumerate(self._tags[base : base + self.num_ways]):
+                if stored != _EMPTY:
+                    by_tag.setdefault(stored, set()).add(way)
         candidates: List[Tuple[int, int]] = []
-        ways = bucket.by_tag.get(tag)
-        if ways:
-            stale: List[int] = []
-            for way in sorted(ways):
-                target = regions.decode(
-                    bucket.regions[way], bucket.generations[way], bucket.offsets[way]
-                )
-                if target is None:
-                    stale.append(way)
-                else:
-                    candidates.append((way, target))
-            for way in stale:
-                bucket.invalidate(way)
-        bucket.cache[tag] = (bucket.version, regions.version, candidates)
+        stale: List[int] = []
+        for way in sorted(by_tag.get(tag, ())):
+            target = regions.decode(
+                self._regions[base + way],
+                self._generations[base + way],
+                self._offsets[base + way],
+            )
+            if target is None:
+                stale.append(way)
+            else:
+                candidates.append((way, target))
+        for way in stale:
+            self._invalidate(set_index, way)
+        cache[tag] = (self._versions[set_index], regions.version, candidates)
         return candidates
+
+    def _invalidate(self, set_index: int, way: int) -> None:
+        entry = set_index * self.num_ways + way
+        tag = self._tags[entry]
+        if tag != _EMPTY:
+            ways = self._by_tag[set_index][tag]
+            ways.discard(way)
+            if not ways:
+                del self._by_tag[set_index][tag]
+            self._tags[entry] = _EMPTY
+        self._versions[set_index] += 1  # also covers a fill's new tag
+
+    def _fill(self, set_index: int, tag: int, target: int) -> int:
+        """Store ``target`` over the SRRIP victim of an indexed set: the
+        first way at max RRPV once the set has aged, inserted at max - 1."""
+        region, generation, offset = self.regions.encode(target)
+        base = set_index * self.num_ways
+        rrpv = self._rrpv
+        window = rrpv[base : base + self.num_ways]
+        oldest = max(window)
+        way = window.index(oldest)
+        if oldest < self._max:
+            for entry in range(base, base + self.num_ways):
+                rrpv[entry] += self._max - oldest
+        self._invalidate(set_index, way)
+        entry = base + way
+        self._tags[entry] = tag
+        self._regions[entry] = region
+        self._generations[entry] = generation
+        self._offsets[entry] = offset
+        rrpv[entry] = self._max - 1
+        self._by_tag[set_index].setdefault(tag, set()).add(way)
+        return way
 
     def lookup(self, pc: int) -> List[Tuple[int, int]]:
         """All (way, target) candidates whose partial tag matches ``pc``.
@@ -178,8 +165,8 @@ class IndirectBTB(Stateful):
         the returned targets are always decodable.  The list may be a
         cached object shared across calls — treat it as read-only.
         """
-        bucket, tag = self._locate(pc)
-        return self._candidates(bucket, tag)
+        set_index, tag = self._locate(pc)
+        return self._candidates(set_index, tag)
 
     def ensure(self, pc: int, target: int) -> int:
         """Guarantee ``target`` is stored for ``pc``; return its way.
@@ -187,28 +174,24 @@ class IndirectBTB(Stateful):
         On a hit the way's RRIP value is promoted; on a fill the RRIP
         victim is evicted and the new way gets the insertion RRPV.
         """
-        bucket, tag = self._locate(pc)
-        for way, stored in self._candidates(bucket, tag):
+        set_index, tag = self._locate(pc)
+        for way, stored in self._candidates(set_index, tag):
             if stored == target:
-                bucket.rrip.touch(way)
+                self._rrpv[set_index * self.num_ways + way] = 0
                 return way
-        region, generation, offset = self.regions.encode(target)
-        victim = bucket.rrip.victim()
-        bucket.fill(victim, tag, region, generation, offset)
-        bucket.rrip.insert(victim)
-        return victim
+        return self._fill(set_index, tag, target)
 
     def touch(self, pc: int, way: int) -> None:
         """Promote ``way`` in the set for ``pc`` (correct-use hit)."""
-        bucket, _ = self._locate(pc)
-        bucket.rrip.touch(way)
+        self._rrpv[self._entry(pc, way)] = 0
+
+    def rrpv(self, pc: int, way: int) -> int:
+        """The RRPV of ``way`` in the set for ``pc``."""
+        return self._rrpv[self._entry(pc, way)]
 
     def occupancy(self) -> int:
         """Total live entries across all sets."""
-        return sum(
-            sum(1 for tag in bucket.tags if tag is not None)
-            for bucket in self._sets
-        )
+        return len(self._tags) - self._tags.count(_EMPTY)
 
     def storage_bits(self) -> int:
         """IBTB state: tag + region number + offset + RRPV per entry."""
@@ -221,16 +204,55 @@ class IndirectBTB(Stateful):
         )
         return self.num_sets * self.num_ways * entry_bits
 
+    def content_key(self) -> Tuple[str, bytes]:
+        """A key equal exactly when :meth:`state_dict` is: the geometry
+        and region state, plus the fields' raw buffers (no JSON)."""
+        return repr((
+            self.num_sets, self.num_ways, self.tag_bits, self.rrpv_bits,
+            self.regions.state_dict(),
+        )), b"".join(self._fields)
+
+    def _flat_state(self) -> tuple:
+        """Copies of the flat fields plus the region array's snapshot."""
+        return tuple(field[:] for field in self._fields), self.regions.state_dict()
+
+    def _restore_flat(self, flat: tuple) -> None:
+        """Trusted write-back of :meth:`_flat_state` output: no checks.
+        Regions load in place, as the hierarchical IBTB shares them."""
+        fields, regions = flat
+        self.regions.load_state(regions)
+        for field, values in zip(self._fields, fields):
+            field[:] = values
+        self._by_tag = [None] * self.num_sets
+        self._caches = [{} for _ in range(self.num_sets)]
+
     def state_dict(self) -> Dict[str, Any]:
+        # The tag→ways index and the lookup caches (with the versions
+        # that key them) are derived, so they are excluded.
+        ways = self.num_ways
+        columns = [field.tolist() for field in self._fields]
+        columns[0] = [None if tag == _EMPTY else tag for tag in columns[0]]
+        sets = []
+        for base in range(0, len(columns[0]), ways):
+            tags, regions, generations, offsets, rrpv = (
+                column[base : base + ways] for column in columns
+            )
+            sets.append({
+                "v": 1, "kind": "IBTBSet", "ways": ways, "tags": tags,
+                "regions": regions, "generations": generations,
+                "offsets": offsets,
+                "rrip": {"v": 1, "kind": "RRIPPolicy", "num_ways": ways,
+                         "rrpv_bits": self.rrpv_bits, "rrpv": rrpv},
+            })
         return {
             "v": 1,
             "kind": "IndirectBTB",
             "num_sets": self.num_sets,
-            "num_ways": self.num_ways,
+            "num_ways": ways,
             "tag_bits": self.tag_bits,
             "rrpv_bits": self.rrpv_bits,
             "regions": self.regions.state_dict(),
-            "sets": [bucket.state_dict() for bucket in self._sets],
+            "sets": sets,
         }
 
     def load_state(self, state: Dict[str, Any]) -> None:
@@ -243,8 +265,35 @@ class IndirectBTB(Stateful):
             "IndirectBTB geometry mismatch",
         )
         require(len(state["sets"]) == self.num_sets, "IBTB set count mismatch")
-        # Regions load in place: the array object may be shared (e.g.
-        # the hierarchical IBTB's L1/L2 share one RegionArray).
-        self.regions.load_state(state["regions"])
-        for bucket, bucket_state in zip(self._sets, state["sets"]):
-            bucket.load_state(bucket_state)
+        ways = self.num_ways
+        columns: Tuple[list, ...] = ([], [], [], [], [])
+        for bucket in state["sets"]:
+            check_state(bucket, "IBTBSet")
+            rrip = check_state(bucket["rrip"], "RRIPPolicy")
+            require(
+                bucket["ways"] == ways == rrip["num_ways"]
+                and rrip["rrpv_bits"] == self.rrpv_bits,
+                "IBTB set geometry mismatch",
+            )
+            for column, key in zip(columns, _KEYS):
+                values = rrip[key] if key == "rrpv" else bucket[key]
+                require(len(values) == ways, "IBTB set arrays malformed")
+                column.extend(values)
+        # Ranges are checked once per field over the whole table.  The
+        # None count catches a literal -1 tag posing as the sentinel.
+        empty = columns[0].count(None)
+        tags = [_EMPTY if tag is None else tag for tag in columns[0]]
+        try:
+            fields = [array("q", values) for values in (tags,) + columns[1:]]
+        except (TypeError, OverflowError) as exc:
+            raise StateError(f"IBTB entries malformed: {exc}") from None
+        require(fields[0].count(_EMPTY) == empty, "IBTB tags out of range")
+        limits = (1 << self.tag_bits, self.regions.num_entries, None,
+                  1 << self.regions.offset_bits, self._max + 1)
+        for key, field, limit in zip(_KEYS, fields, limits):
+            require(
+                min(field) >= (_EMPTY if key == "tags" else 0)
+                and (limit is None or max(field) < limit),
+                f"IBTB {key} out of range",
+            )
+        self._restore_flat((fields, state["regions"]))

@@ -53,6 +53,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.common.state import StateError
 from repro.exec.events import (
     CAMPAIGN_END,
     CAMPAIGN_START,
@@ -183,18 +184,25 @@ def run_cell(
             # per-worker cache shares one plane across every cell and
             # retry on the same trace.
             derived = cached_derived(spec.trace_path, trace, spec.ras_depth)
-        result = simulate(
-            predictor,
-            trace,
-            ras_depth=spec.ras_depth,
-            warmup_records=spec.warmup_records,
-            counters=SimCounters() if spec.profile else None,
-            checkpoint_every=spec.checkpoint_every,
-            checkpoint_path=spec.checkpoint_path,
-            resume_from=resume_from,
-            backend=spec.backend,
-            derived=derived,
-        )
+        try:
+            result = simulate(
+                predictor,
+                trace,
+                ras_depth=spec.ras_depth,
+                warmup_records=spec.warmup_records,
+                counters=SimCounters() if spec.profile else None,
+                checkpoint_every=spec.checkpoint_every,
+                checkpoint_path=spec.checkpoint_path,
+                resume_from=resume_from,
+                backend=spec.backend,
+                derived=derived,
+            )
+        except StateError:
+            # A snapshot that fails validation is dropped: the retry
+            # restarts the trace instead of failing the same way.
+            if resume_from is not None:
+                discard_checkpoint(spec.checkpoint_path)
+            raise
     if spec.checkpoint_path is not None:
         discard_checkpoint(spec.checkpoint_path)
     result.predictor_name = spec.predictor_name

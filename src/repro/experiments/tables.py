@@ -85,31 +85,3 @@ def headline(scale: Optional[float] = None) -> Dict[str, Dict[str, float]]:
     secondary = get_campaign(pair, scale=scale, suite="cbp4")
     cbp4 = {name: secondary.mean_mpki(name) for name in secondary.predictors()}
     return {"suite88": suite88, "cbp4": cbp4}
-
-
-def format_headline(scale: Optional[float] = None) -> str:
-    results = headline(scale)
-    lines = [
-        "Section 5.1 headline: mean indirect-target MPKI",
-        f"{'predictor':<8}  {'paper':>8}  {'measured':>9}",
-        "-" * 32,
-    ]
-    for name in ("BTB", "VPC", "ITTAGE", "BLBP"):
-        measured = results["suite88"].get(name, float("nan"))
-        lines.append(
-            f"{name:<8}  {PAPER_HEADLINE_MPKI[name]:>8.3f}  {measured:>9.4f}"
-        )
-    it = results["suite88"]["ITTAGE"]
-    bl = results["suite88"]["BLBP"]
-    improvement = 100.0 * (it - bl) / it if it else 0.0
-    lines.append(
-        f"BLBP vs ITTAGE: {improvement:+.1f}% MPKI reduction (paper: +5.2%)"
-    )
-    lines.append("")
-    lines.append("CBP-4-like cross-check (untuned):")
-    for name in ("ITTAGE", "BLBP"):
-        lines.append(
-            f"  {name:<8} paper {PAPER_CBP4_MPKI[name]:.3f}"
-            f"  measured {results['cbp4'][name]:.4f}"
-        )
-    return "\n".join(lines)

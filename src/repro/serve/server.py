@@ -363,9 +363,6 @@ class PredictionServer:
         await self._stopping.wait()
         return await self.stop()
 
-    def request_stop(self) -> None:
-        self._stopping.set()
-
     async def drain(self) -> int:
         """Flush every batcher and checkpoint every resident session."""
         for batcher in self.batchers:

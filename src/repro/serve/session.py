@@ -284,12 +284,12 @@ class PredictorSession:
             inner = SimulationCheckpoint.from_state(state["checkpoint"])
             expected_hash = state["predictor_hash"]
             gaps = int(state["instruction_gaps"])
+            session.predictor.load_state(inner.predictor)
+            session.ras.load_state(inner.ras)
         except SessionError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise SessionError(f"malformed session checkpoint: {exc}") from exc
-        session.predictor.load_state(inner.predictor)
-        session.ras.load_state(inner.ras)
         session.cursor = inner.cursor
         session.skip = inner.skip
         session.indirect = inner.indirect

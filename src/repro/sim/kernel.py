@@ -371,17 +371,18 @@ def _replay_ibtb(
     ibtb = predictor.ibtb
     count = len(pcs)
     set_ids = np.zeros(count, dtype=np.int64)
+    # Distinct candidate-target tuples -> their ids, in first-seen order.
     registry: Dict[Tuple[int, ...], int] = {}
-    sets: List[Tuple[int, ...]] = []
 
     if type(ibtb) is IndirectBTB:
         regions = ibtb.regions
         locate = ibtb._locate
         candidates_of = ibtb._candidates
-        # pc -> (bucket, tag, rrpv list, target->way, sid,
-        #        bucket version, region version).  Valid while neither
-        #        version moved; a hit (RRPV promote) moves neither, so
-        #        the hot path is two dict probes and two int compares.
+        rrpv = ibtb._rrpv
+        versions = ibtb._versions
+        # pc -> (set, tag, target->flat entry, sid, set version, region
+        # version): valid while neither version moved.  A hit (RRPV
+        # promote) moves neither: two dict probes and two int compares.
         memo: Dict[int, tuple] = {}
         out = set_ids.tolist()
         for position in range(count):
@@ -390,58 +391,43 @@ def _replay_ibtb(
             entry = memo.get(pc)
             if (
                 entry is None
-                or entry[5] != entry[0].version
-                or entry[6] != regions.version
+                or entry[4] != versions[entry[0]]
+                or entry[5] != regions.version
             ):
                 if entry is None:
-                    bucket, tag = locate(pc)
+                    set_index, tag = locate(pc)
                 else:
-                    bucket, tag = entry[0], entry[1]
-                candidates = candidates_of(bucket, tag)
+                    set_index, tag = entry[0], entry[1]
+                candidates = candidates_of(set_index, tag)
                 key = tuple(stored for _, stored in candidates)
-                sid = registry.get(key)
-                if sid is None:
-                    sid = len(sets)
-                    registry[key] = sid
-                    sets.append(key)
+                sid = registry.setdefault(key, len(registry))
+                base = set_index * ibtb.num_ways
                 entry = (
-                    bucket,
+                    set_index,
                     tag,
-                    bucket.rrip._rrpv,
                     # reversed: on (impossible-by-construction) duplicate
                     # targets, keep the first way, like the scalar scan.
-                    {stored: way for way, stored in reversed(candidates)},
+                    {t: base + way for way, t in reversed(candidates)},
                     sid,
-                    bucket.version,
+                    versions[set_index],
                     regions.version,
                 )
                 memo[pc] = entry
-            out[position] = entry[4]
+            out[position] = entry[3]
             # Inlined IndirectBTB.ensure (hit-promote or fill+insert).
-            way = entry[3].get(target)
-            if way is not None:
-                entry[2][way] = 0  # rrip.touch
+            slot = entry[2].get(target)
+            if slot is not None:
+                rrpv[slot] = 0
             else:
-                bucket, tag = entry[0], entry[1]
-                region, generation, offset = regions.encode(target)
-                victim = bucket.rrip.victim()
-                bucket.fill(victim, tag, region, generation, offset)
-                bucket.rrip.insert(victim)
+                ibtb._fill(entry[0], entry[1], target)
         set_ids = np.asarray(out, dtype=np.int64)
     else:
         for position in range(count):
             pc = pcs[position]
-            key = tuple(
-                target for _, target in ibtb.lookup(pc)
-            )
-            sid = registry.get(key)
-            if sid is None:
-                sid = len(sets)
-                registry[key] = sid
-                sets.append(key)
-            set_ids[position] = sid
+            key = tuple(target for _, target in ibtb.lookup(pc))
+            set_ids[position] = registry.setdefault(key, len(registry))
             ibtb.ensure(pc, targets[position])
-    return set_ids, sets
+    return set_ids, list(registry)
 
 
 def _candidate_tensors(
@@ -651,20 +637,25 @@ def _prepare_blbp(
 
     rows = shared.get(rows_key, _build_rows)
 
+    # The flat IBTB is keyed by its content and written back unchecked;
+    # the hierarchical one by its canonical hash and snapshot.
     ibtb = predictor.ibtb
-    ibtb_key = ("ibtb", type(ibtb).__qualname__, ibtb.state_hash())
+    flat = type(ibtb) is IndirectBTB
+    ibtb_key = ("ibtb", type(ibtb).__qualname__,
+                ibtb.content_key() if flat else ibtb.state_hash())
+    replayed = []
 
     def _build_ibtb() -> tuple:
-        ids, candidate_sets = _replay_ibtb(
-            predictor, pcs_list, targets_list
-        )
-        return ids, candidate_sets, ibtb.state_dict()
+        replayed.append(True)
+        ids, candidate_sets = _replay_ibtb(predictor, pcs_list, targets_list)
+        final = ibtb._flat_state() if flat else ibtb.state_dict()
+        return ids, candidate_sets, final
 
     set_ids, sets, ibtb_final = shared.get(ibtb_key, _build_ibtb)
     # A cache hit skips the structural replay entirely — the IBTB jumps
-    # straight to its recorded final state.  (On a miss this reloads the
-    # state the replay just produced, a no-op round-trip.)
-    ibtb.load_state(ibtb_final)
+    # straight to its recorded final state.  A miss leaves it there.
+    if not replayed:
+        (ibtb._restore_flat if flat else ibtb.load_state)(ibtb_final)
 
     shifts_key = tuple(int(s) for s in predictor._bit_shifts.tolist())
     num_bits = config.num_target_bits

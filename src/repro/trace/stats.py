@@ -39,9 +39,6 @@ class TraceStats:
             return 0.0
         return 1000.0 * self.counts_by_type.get(branch_type, 0) / self.total_instructions
 
-    def branches_per_kilo(self) -> Dict[BranchType, float]:
-        return {bt: self.per_kilo(bt) for bt in BranchType}
-
     def polymorphic_fraction(self) -> float:
         """Fraction of indirect executions from polymorphic branches (Fig. 6)."""
         if self.indirect_executions == 0:

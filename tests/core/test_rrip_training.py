@@ -19,10 +19,9 @@ from repro.core.ibtb import IndirectBTB
 
 def _rrpv_of(ibtb: IndirectBTB, pc: int, target: int) -> int:
     """RRPV of the way currently holding ``target`` for ``pc``."""
-    bucket, _tag = ibtb._locate(pc)
     for way, stored in ibtb.lookup(pc):
         if stored == target:
-            return bucket.rrip.rrpv(way)
+            return ibtb.rrpv(pc, way)
     raise AssertionError(f"target {target:#x} not stored for pc {pc:#x}")
 
 

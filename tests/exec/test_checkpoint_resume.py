@@ -205,6 +205,30 @@ class TestMidCellResume:
         )
         assert _flat(resumed) == _flat(baseline)
 
+    def test_out_of_range_ibtb_checkpoint_restarts_cleanly(
+        self, traces, tmp_path
+    ):
+        """A snapshot that parses but fails ``load_state`` validation
+        (IBTB region indices past the region array) is dropped, and the
+        retry restarts the trace from record zero."""
+        plan = plan_campaign(traces[:1], {"BLBP": BLBP},
+                             cache_dir=tmp_path / "c")
+        baseline = execute_plan(plan, jobs=1)
+
+        journal = tmp_path / "bad-ibtb.jsonl"
+        checkpoint_dir = Path(str(journal) + ".ckpt")
+        checkpoint_dir.mkdir()
+        planted = _plant_partial_checkpoint(plan.cells[0], checkpoint_dir)
+        document = json.loads(planted.read_text())
+        for bucket in document["predictor"]["ibtb"]["sets"]:
+            bucket["regions"] = [999] * len(bucket["regions"])
+        planted.write_text(json.dumps(document))
+
+        resumed = execute_plan(
+            plan, jobs=1, journal_path=journal, checkpoint_every=_EVERY
+        )
+        assert _flat(resumed) == _flat(baseline)
+
     def test_run_cell_discards_checkpoint_on_success(self, traces, tmp_path):
         import dataclasses
 

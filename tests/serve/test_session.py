@@ -144,6 +144,15 @@ class TestSuspendResume:
         with pytest.raises(SessionError, match="skip"):
             PredictorSession.from_checkpoint(document)
 
+    def test_rejects_out_of_range_ibtb_entry(self):
+        session = PredictorSession("corrupt-ibtb", "BLBP")
+        session.step_events(trace_events(_trace())[:30])
+        document = session.checkpoint()
+        ibtb = document["checkpoint"]["predictor"]["ibtb"]
+        ibtb["sets"][0]["regions"][0] = 999  # 128 regions
+        with pytest.raises(SessionError, match="regions out of range"):
+            PredictorSession.from_checkpoint(document)
+
     def test_rejects_tampered_state(self):
         session = PredictorSession("tamper", "BLBP")
         session.step_events(trace_events(_trace())[:30])

@@ -22,6 +22,10 @@ the fused entry point:
   exact results and final state a solo run produces — called directly
   and through ``simulate_many(backend="columnar-strict")`` — and must
   form a single lane-parallel group from identical-config lanes;
+* the six ablation BLBP lanes, which share one IBTB artifact, must
+  match scalar without a single ``IndirectBTB.state_hash`` or
+  ``load_state`` call, and lanes given the IBTB's final state by the
+  trusted write-back must continue on the scalar path exactly;
 * :func:`repro.sim.kernel.columnar_support` reasons must name the
   offending type and the remedy, and the kernels must refuse
   unsupported predictors rather than silently misreplay them.
@@ -39,6 +43,7 @@ from hypothesis import strategies as st
 from repro.cond.mpp import MultiperspectivePerceptron
 from repro.core import BLBP
 from repro.core.config import BLBPConfig
+from repro.core.ibtb import IndirectBTB
 from repro.predictors.ittage import ITTAGE, ITTAGEConfig
 from repro.predictors.vpc import VPCConfig, VPCPredictor
 from repro.sim import kernel
@@ -50,6 +55,7 @@ from repro.sim.kernel import (
 )
 from repro.trace.record import BranchRecord, BranchType
 from repro.trace.stream import Trace
+from repro.workloads.suite import suite88_specs
 
 _COND = int(BranchType.CONDITIONAL)
 _INDIRECT = (int(BranchType.INDIRECT_JUMP), int(BranchType.INDIRECT_CALL))
@@ -531,6 +537,81 @@ class TestFusedColumnarMany:
 
     def test_empty_predictor_list(self):
         assert simulate_columnar_many([], _random_trace(0, "t", 20)) == []
+
+
+def _ablation_lanes():
+    """The six BLBP lanes of the fused ablation campaign: one default
+    BLBP and five single-feature removals, all on the Table 2 IBTB."""
+    return [
+        BLBP(),
+        BLBP(BLBPConfig(use_selective_update=False)),
+        BLBP(BLBPConfig(use_adaptive_threshold=False)),
+        BLBP(BLBPConfig(use_transfer_function=False)),
+        BLBP(BLBPConfig(use_local_history=False)),
+        BLBP(BLBPConfig(use_intervals=False)),
+    ]
+
+
+def _suite_trace(index):
+    return suite88_specs(0.02)[index].generate()
+
+
+class TestIBTBWriteBack:
+    """Lanes that share an IBTB artifact get its final state through a
+    trusted flat copy: no canonical hash, no validated reload."""
+
+    def test_no_hash_or_validated_load_on_the_kernel_path(self, monkeypatch):
+        trace = _suite_trace(3)
+        expected = []
+        for reference in _ablation_lanes():
+            result = simulate(reference, trace, collect_per_pc=True)
+            expected.append((result, reference.state_hash()))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("IndirectBTB state marshalled by the kernel")
+
+        monkeypatch.setattr(IndirectBTB, "state_hash", forbidden)
+        monkeypatch.setattr(IndirectBTB, "load_state", forbidden)
+        restores = []
+        restore = IndirectBTB._restore_flat
+
+        def counting(self, flat):
+            restores.append(self)
+            restore(self, flat)
+
+        monkeypatch.setattr(IndirectBTB, "_restore_flat", counting)
+        lanes = _ablation_lanes()
+        results = simulate_columnar_many(lanes, trace, collect_per_pc=True)
+        for slot, (lane, result) in enumerate(zip(lanes, results)):
+            assert (result, lane.state_hash()) == expected[slot], (
+                f"lane {slot} diverges from scalar"
+            )
+        # Six lanes, one IBTB key: at least five trusted write-backs.
+        assert len(restores) >= 5
+
+    def test_scalar_continuation_after_write_back(self):
+        """A written-back IBTB rebuilds its per-set indexes lazily; the
+        scalar path must then continue exactly as if it had run scalar
+        throughout, evictions included.  The lanes are warmed scalar
+        first, so each holds built indexes the write-back must drop."""
+        warm, first, second = (_suite_trace(i) for i in (1, 5, 9))
+        small = lambda: BLBP(BLBPConfig(ibtb_sets=4, ibtb_ways=4))  # noqa: E731
+
+        def lanes():
+            return _ablation_lanes() + [small(), small()]
+
+        mixed, scalar = lanes(), lanes()
+        for lane in mixed + scalar:
+            simulate(lane, warm)
+        simulate_columnar_many(mixed, first)
+        for reference in scalar:
+            simulate(reference, first)
+        for slot, (lane, reference) in enumerate(zip(mixed, scalar)):
+            assert lane.state_hash() == reference.state_hash(), slot
+            assert simulate(lane, second, collect_per_pc=True) == simulate(
+                reference, second, collect_per_pc=True
+            ), f"lane {slot}: scalar continuation diverges"
+            assert lane.state_hash() == reference.state_hash(), slot
 
 
 class TestColumnarSupport:
