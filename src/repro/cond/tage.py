@@ -11,7 +11,9 @@ directly.
 Structure mirrors :class:`repro.predictors.ittage.ITTAGE`: a bimodal
 base table plus partially-tagged tables at geometric history lengths,
 longest-match provider selection with a weak-entry/altpred meta-choice,
-usefulness-guided allocation, and periodic usefulness resets.
+usefulness-guided allocation, and periodic usefulness resets, with the
+index and tag folds kept by the same lazy
+:class:`~repro.common.hashing.GlobalHistoryRegister`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.common.hashing import FoldedHistory, mix_pc
+from repro.common.hashing import mix_pc
 from repro.common.state import (
     StateError,
     check_state,
@@ -32,7 +34,7 @@ from repro.common.state import (
 )
 from repro.common.storage import StorageBudget
 from repro.cond.base import ConditionalPredictor
-from repro.predictors.ittage import geometric_lengths
+from repro.predictors.ittage import geometric_lengths, tagged_history
 
 
 @dataclass(frozen=True)
@@ -94,21 +96,12 @@ class TAGE(ConditionalPredictor):
         self._ctr_min = -(1 << (cfg.counter_bits - 1))
         self._useful_max = (1 << cfg.useful_bits) - 1
 
-        capacity = max(cfg.history_lengths) + 1
-        self._history_ring = [0] * capacity
+        self._history = tagged_history(cfg, self._index_bits)
+        folds, count = self._history._folds, cfg.num_tagged
+        self._index_folds = folds[:count]
+        self._tag_folds = folds[count : 2 * count]
+        self._tag_folds2 = folds[2 * count :]
         self._history_head = 0
-        self._index_folds = [
-            FoldedHistory(length, self._index_bits)
-            for length in cfg.history_lengths
-        ]
-        self._tag_folds = [
-            FoldedHistory(length, cfg.tag_bits[i])
-            for i, length in enumerate(cfg.history_lengths)
-        ]
-        self._tag_folds2 = [
-            FoldedHistory(length, max(1, cfg.tag_bits[i] - 1))
-            for i, length in enumerate(cfg.history_lengths)
-        ]
         self._use_alt = 0
         self._use_alt_max = (1 << (cfg.use_alt_bits - 1)) - 1
         self._use_alt_min = -(1 << (cfg.use_alt_bits - 1))
@@ -136,6 +129,7 @@ class TAGE(ConditionalPredictor):
 
     def predict(self, pc: int) -> bool:
         cfg = self.config
+        self._history.flush()
         indices = []
         tags = []
         hits: List[Tuple[int, int]] = []
@@ -270,22 +264,10 @@ class TAGE(ConditionalPredictor):
 
     # ------------------------------------------------------------------
 
-    def _push_history_bit(self, bit: int) -> None:
-        lengths = self.config.history_lengths
-        capacity = len(self._history_ring)
-        outgoing = [
-            self._history_ring[(self._history_head - length) % capacity]
-            for length in lengths
-        ]
-        self._history_ring[self._history_head] = bit
-        self._history_head = (self._history_head + 1) % capacity
-        for folds in (self._index_folds, self._tag_folds, self._tag_folds2):
-            for fold, out in zip(folds, outgoing):
-                fold.update(bit, out)
-
     def update(self, pc: int, taken: bool) -> None:
         self._train(pc, taken)
-        self._push_history_bit(int(taken))
+        self._history.push(1 if taken else 0)
+        self._history_head = (self._history_head + 1) % self._history._capacity
 
     def train_weights(self, pc: int, taken: bool) -> None:
         self._train(pc, taken)
@@ -301,6 +283,7 @@ class TAGE(ConditionalPredictor):
                 "cannot snapshot TAGE between predict and update; "
                 "snapshot at record boundaries"
             )
+        self._history.flush()
         return {
             "v": 1,
             "kind": "TAGE",
@@ -315,7 +298,7 @@ class TAGE(ConditionalPredictor):
                 }
                 for table in self._tables
             ],
-            "history_ring": list(self._history_ring),
+            "history_ring": self._history.ring(self._history_head),
             "history_head": self._history_head,
             "index_folds": [fold.state_dict() for fold in self._index_folds],
             "tag_folds": [fold.state_dict() for fold in self._tag_folds],
@@ -335,10 +318,19 @@ class TAGE(ConditionalPredictor):
             len(state["tables"]) == len(self._tables),
             "TAGE table count mismatch",
         )
+        use_alt, updates = int(state["use_alt"]), int(state["updates"])
         require(
-            len(state["history_ring"]) == len(self._history_ring),
-            "TAGE history ring size mismatch",
+            self._use_alt_min <= use_alt <= self._use_alt_max,
+            f"TAGE use-alt counter {use_alt} out of range",
         )
+        require(updates >= 0, f"TAGE update count {updates} is negative")
+        head = int(state["history_head"])
+        self._history.restore_ring(
+            state["history_ring"],
+            head,
+            state["index_folds"] + state["tag_folds"] + state["tag_folds2"],
+        )
+        self._history_head = head
         for table, payload in zip(self._tables, state["tables"]):
             for attr in ("tags", "ctr", "useful", "valid"):
                 decoded = decode_array(payload[attr])
@@ -350,18 +342,7 @@ class TAGE(ConditionalPredictor):
                 )
                 setattr(table, attr, decoded)
         self._base = decode_array(state["base"])
-        self._history_ring = [int(bit) for bit in state["history_ring"]]
-        self._history_head = int(state["history_head"])
-        for folds, payloads in (
-            (self._index_folds, state["index_folds"]),
-            (self._tag_folds, state["tag_folds"]),
-            (self._tag_folds2, state["tag_folds2"]),
-        ):
-            require(len(folds) == len(payloads), "TAGE fold count mismatch")
-            for fold, payload in zip(folds, payloads):
-                fold.load_state(payload)
-        self._use_alt = int(state["use_alt"])
-        self._updates = int(state["updates"])
+        self._use_alt, self._updates = use_alt, updates
         self._rng.bit_generator.state = state["rng"]
         self._ctx = None
 

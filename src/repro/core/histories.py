@@ -18,30 +18,14 @@ Hot-path structure
 
 The naive index computation re-folds up to 630 history bits through
 :func:`~repro.common.hashing.fold_int` for each of the seven intervals
-on *every* prediction.  This module instead keeps one incremental
-:class:`~repro.common.hashing.FoldedHistory` per interval — the same
-circular-shift-register fold TAGE-family hardware implements.  Per
-pushed bit, interval ``[start, end)`` rotates its fold left once, XORs
-in the bit entering its window (global position ``start - 1`` before
-the shift, or the pushed bit itself when ``start == 0``) and XORs out
-the leaving bit (position ``end - 1``) at the fold's out-position.
-
-Because conditional branches outnumber indirect branches by an order of
-magnitude in real traces, the simulator does not execute that recurrence
-bit-by-bit: :meth:`BLBPHistories.push_conditional` is a bare shift
-(O(1), no per-interval work), and the pending bits are absorbed in one
-*batched* step the next time a fold value is read.  The m-step
-recurrence collapses algebraically — each entering bit lands at fold
-position ``(m-1-j) % W`` and each leaving bit at
-``(out + m-1-j) % W``, so
-
-    fold' = rot_m(fold) ^ fold(entering slice) ^ rot_out(fold(leaving slice))
-
-where both slices are contiguous m-bit windows of the (unmasked) global
-history and ``fold``/``rot`` are the standard folded-XOR and left
-rotation over ``W`` bits.  For ``m == 1`` this is exactly
-:meth:`FoldedHistory.update`; the parity suite pins the batch against
-both the one-step recurrence and a from-scratch ``fold_bits`` recompute.
+on *every* prediction.  :class:`BLBPHistories` is instead a
+:class:`~repro.common.hashing.GlobalHistoryRegister` with one
+incremental fold per interval — the circular-shift-register fold
+TAGE-family hardware implements, which ITTAGE and TAGE share.  Because
+conditional branches outnumber indirect branches by an order of
+magnitude in real traces, a conditional push is a bare shift, and the
+pending bits are absorbed in one batched closed-form step the next
+time a fold value is read.
 
 :meth:`BLBPHistories.indices_reference` retains the from-scratch
 ``fold_int`` computation as the differential oracle — the equivalence
@@ -52,56 +36,39 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
-from repro.common.hashing import FoldedHistory, fold_int, mix_pc, stable_hash64
+from repro.common.hashing import (
+    GlobalHistoryRegister,
+    fold_int,
+    mix_pc,
+    stable_hash64,
+)
 from repro.common.history import LocalHistoryTable
-from repro.common.state import Stateful, check_state, require
+from repro.common.state import Stateful, check_state
 from repro.core.config import BLBPConfig
 
 
-class BLBPHistories(Stateful):
+class BLBPHistories(GlobalHistoryRegister, Stateful):
     """Global + local history registers and feature index computation."""
 
     def __init__(self, config: BLBPConfig) -> None:
         self.config = config
-        self._ghist = 0
-        self._ghist_mask = (1 << config.global_history_bits) - 1
+        self._fold_bits = max(1, (config.table_rows - 1).bit_length())
+        #: One incremental fold per interval, kept equal to ``fold_int``
+        #: over the interval's current window whenever it is read.
+        super().__init__(
+            config.global_history_bits,
+            [(start, end, self._fold_bits)
+             for start, end in config.effective_intervals],
+        )
         self._local = LocalHistoryTable(
             config.local_histories, config.local_history_bits
         )
-        self._fold_bits = max(1, (config.table_rows - 1).bit_length())
-        #: One incremental fold per interval, kept equal at all times to
-        #: ``fold_int`` over the interval's current window.
-        self._folds = [
-            FoldedHistory(end - start, self._fold_bits)
-            for start, end in config.effective_intervals
-        ]
-        # Batch-update table: (fold, start, end, out-position) per
-        # interval.  ``start``/``end`` double as the shifts selecting the
-        # entering/leaving bit slices out of the global history, and
-        # ``out`` is the fold position where leaving bits are cancelled
-        # (``length % width``, as in :class:`FoldedHistory`).
-        width = self._fold_bits
-        self._fold_batch = [
-            (fold, start, end, (end - start) % width)
-            for fold, (start, end) in zip(
-                self._folds, config.effective_intervals
-            )
-        ]
-        self._num_folds = len(self._folds)
-        # Conditional outcomes pushed since the folds were last brought
-        # current.  While bits are pending, ``_ghist`` is kept *unmasked*
-        # so the leaving-bit slices (positions up to end + m - 1) are
-        # still available at flush time.
-        self._pending = 0
         # Pure-function memos for the hot path.  PCs and local-history
         # values are drawn from small static sets in any real trace, so
         # both caches stay tiny; they hold hashes of *inputs*, never
         # predictor state.
         self._pc_memo: Dict[int, Tuple[Tuple[int, ...], int]] = {}
         self._local_hash_memo: Dict[int, int] = {}
-        #: Incremental fold updates performed (observability; see
-        #: :class:`repro.sim.counters.SimCounters`).
-        self.stat_fold_updates = 0
 
     # ------------------------------------------------------------------
     # History updates
@@ -112,16 +79,14 @@ class BLBPHistories(Stateful):
 
         O(1) with *no* per-interval work: the folds are brought current
         lazily, in one batched step, the next time a fold value is read
-        (:meth:`_flush_folds`).  Conditional pushes outnumber
-        predictions ~10:1 in real traces, so this path must stay a bare
-        shift — per-push fold maintenance was the profile's top entry.
+        (:meth:`flush`).  Conditional pushes outnumber predictions ~10:1
+        in real traces, so this path must stay a bare shift — per-push
+        fold maintenance was the profile's top entry.
         """
-        # Unmasked on purpose; see _flush_folds for why pending bits
-        # keep the history wider than its architectural capacity.
         self._ghist = (self._ghist << 1) | (1 if taken else 0)
         self._pending += 1
         if self._pending >= 1024:
-            self._flush_folds()
+            self.flush()
 
     def on_conditional(self, _pc: int, taken: bool) -> None:
         """:meth:`push_conditional` with the predictor hook's signature.
@@ -135,58 +100,7 @@ class BLBPHistories(Stateful):
         self._ghist = (self._ghist << 1) | (1 if taken else 0)
         self._pending += 1
         if self._pending >= 1024:
-            self._flush_folds()
-
-    def _flush_folds(self) -> None:
-        """Absorb all pending outcomes into every interval fold at once.
-
-        Applying :meth:`FoldedHistory.update` m times rotates the fold
-        left m positions, lands the step-j entering bit at fold position
-        ``(m-1-j) % W`` and the step-j leaving bit at
-        ``(out + m-1-j) % W``.  Reading the entering bits of all m steps
-        as one slice E = ghist[start : start+m] (and leaving bits
-        L = ghist[end : end+m]) of the *new* unmasked history lines bit
-        b of each slice up with fold position ``b % W`` — exactly the
-        standard fold — giving the closed form
-
-            fold' = rot_m(fold) ^ fold_int(E, m, W) ^ rot_out(fold_int(L, m, W))
-
-        Two small ``fold_int`` calls per interval replace m one-step
-        updates; for m == 1 the expressions coincide.
-        """
-        m = self._pending
-        if not m:
-            return
-        ghist = self._ghist
-        width = self._fold_bits
-        fold_mask = (1 << width) - 1
-        slice_mask = (1 << m) - 1
-        rot_m = m % width
-        inv_rot_m = width - rot_m
-        for fold, start, end, out in self._fold_batch:
-            f = fold.fold
-            if rot_m:
-                f = ((f << rot_m) | (f >> inv_rot_m)) & fold_mask
-            # fold_int over both slices, inlined (14 calls per flush
-            # otherwise; m rarely exceeds 2*width so each loop runs
-            # once or twice).
-            segment = (ghist >> start) & slice_mask
-            while segment:
-                f ^= segment & fold_mask
-                segment >>= width
-            leaving = 0
-            segment = (ghist >> end) & slice_mask
-            while segment:
-                leaving ^= segment & fold_mask
-                segment >>= width
-            if out and leaving:
-                leaving = (
-                    (leaving << out) | (leaving >> (width - out))
-                ) & fold_mask
-            fold.fold = f ^ leaving
-        self.stat_fold_updates += m * self._num_folds
-        self._pending = 0
-        self._ghist = ghist & self._ghist_mask
+            self.flush()
 
     def push_target(self, pc: int, target: int) -> None:
         """Record the local-history bit (bit 3 of the taken target)."""
@@ -218,7 +132,7 @@ class BLBPHistories(Stateful):
         every reachable state (pinned by the equivalence suite).
         """
         if self._pending:
-            self._flush_folds()
+            self.flush()
         rows = self.config.table_rows
         mixes, local_index = self._pc_hashes(pc)
 
@@ -287,7 +201,7 @@ class BLBPHistories(Stateful):
         # The PC/local-hash memos cache pure functions of their inputs
         # and are excluded — a restored instance rebuilds them lazily
         # with identical values.
-        self._flush_folds()
+        self.flush()
         return {
             "v": 1,
             "kind": "BLBPHistories",
@@ -299,21 +213,8 @@ class BLBPHistories(Stateful):
 
     def load_state(self, state: Dict[str, Any]) -> None:
         check_state(state, "BLBPHistories")
-        folds = state["folds"]
-        require(
-            len(folds) == len(self._folds),
-            f"interval count mismatch: snapshot has {len(folds)} folds, "
-            f"this configuration {len(self._folds)}",
-        )
-        ghist = int(state["ghist"])
-        require(0 <= ghist <= self._ghist_mask, "global history out of range")
-        self._ghist = ghist
-        self._pending = 0
+        self.restore(int(state["ghist"]), state["folds"])
         self._local.load_state(state["local"])
-        # Fold objects load in place: `_fold_batch` keeps references to
-        # them, so replacing the objects would sever the batch table.
-        for fold, fold_state in zip(self._folds, folds):
-            fold.load_state(fold_state)
         self.stat_fold_updates = int(state["stat_fold_updates"])
         self._pc_memo = {}
         self._local_hash_memo = {}

@@ -12,8 +12,11 @@ History discipline follows Seznec's implementation: conditional branches
 shift their outcome into global history; indirect branches shift several
 low-order target bits (so the history encodes *which* target was taken,
 not just that a branch was); all branches update a path history of PC
-bits.  Folded-history registers keep index/tag computation O(1) per
-branch.
+bits.  Every table's index and tag folds are interval folds of one lazy
+:class:`~repro.common.hashing.GlobalHistoryRegister`: a push is one
+shift (an indirect's hashed target bits go in as one multi-bit shift),
+and each prediction flushes the pending bits into all folds at once.
+Snapshots keep the circular ``ring``/``ring_head`` layout.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.common.hashing import FoldedHistory, mix_pc, stable_hash64
+from repro.common.hashing import GlobalHistoryRegister, mix_pc, stable_hash64
 from repro.common.state import (
     StateError,
     check_state,
@@ -51,6 +54,24 @@ def geometric_lengths(count: int, minimum: int = 4, maximum: int = 640) -> Tuple
             length = lengths[-1] + 1
         lengths.append(length)
     return tuple(lengths)
+
+
+def tagged_history(config, index_bits: int) -> GlobalHistoryRegister:
+    """The history register of a TAGE-family predictor.
+
+    Index, tag and tag2 folds of ``[0, length)`` for every table, in
+    that order, over one bit more than the longest window: the capacity
+    of the circular history buffer the snapshots record.
+    """
+    lengths = config.history_lengths
+    tag_bits = config.tag_bits
+    return GlobalHistoryRegister(
+        max(lengths) + 1,
+        [(0, length, index_bits) for length in lengths]
+        + [(0, length, bits) for length, bits in zip(lengths, tag_bits)]
+        + [(0, length, max(1, bits - 1))
+           for length, bits in zip(lengths, tag_bits)],
+    )
 
 
 @dataclass(frozen=True)
@@ -89,25 +110,6 @@ class ITTAGEConfig:
             raise ValueError("history lengths must be non-decreasing")
 
 
-class _HistoryRing:
-    """Circular raw-history buffer backing the folded registers."""
-
-    __slots__ = ("_buffer", "_capacity", "_head")
-
-    def __init__(self, capacity: int) -> None:
-        self._buffer = [0] * capacity
-        self._capacity = capacity
-        self._head = 0
-
-    def bit_at(self, age: int) -> int:
-        """The bit shifted in ``age`` pushes ago (0 = most recent)."""
-        return self._buffer[(self._head - 1 - age) % self._capacity]
-
-    def push(self, bit: int) -> None:
-        self._buffer[self._head] = bit
-        self._head = (self._head + 1) % self._capacity
-
-
 class _TaggedTable:
     """One partially-tagged ITTAGE table."""
 
@@ -143,19 +145,12 @@ class ITTAGE(IndirectBranchPredictor):
         ]
         self._index_bits = max(1, (cfg.tagged_entries - 1).bit_length())
 
-        capacity = max(cfg.history_lengths) + 1
-        self._ring = _HistoryRing(capacity)
-        self._index_folds = [
-            FoldedHistory(length, self._index_bits) for length in cfg.history_lengths
-        ]
-        self._tag_folds = [
-            FoldedHistory(length, cfg.tag_bits[i])
-            for i, length in enumerate(cfg.history_lengths)
-        ]
-        self._tag_folds2 = [
-            FoldedHistory(length, max(1, cfg.tag_bits[i] - 1))
-            for i, length in enumerate(cfg.history_lengths)
-        ]
+        self._history = tagged_history(cfg, self._index_bits)
+        folds, count = self._history._folds, cfg.num_tagged
+        self._index_folds = folds[:count]
+        self._tag_folds = folds[count : 2 * count]
+        self._tag_folds2 = folds[2 * count :]
+        self._ring_head = 0
         self._path = 0
         self._use_alt = 0  # signed meta-counter: >= 0 favours altpred on weak entries
         self._use_alt_max = (1 << (cfg.use_alt_bits - 1)) - 1
@@ -190,6 +185,7 @@ class ITTAGE(IndirectBranchPredictor):
 
     def predict_target(self, pc: int) -> Optional[int]:
         cfg = self.config
+        self._history.flush()
         hits: List[Tuple[int, int]] = []  # (table, index), longest first
         indices = []
         tags = []
@@ -361,24 +357,10 @@ class ITTAGE(IndirectBranchPredictor):
     # History discipline
     # ------------------------------------------------------------------
 
-    def _push_history_bit(self, bit: int) -> None:
-        outgoing = [
-            self._ring.bit_at(length - 1) for length in self.config.history_lengths
-        ]
-        self._ring.push(bit)
-        for fold, out in zip(self._index_folds, outgoing):
-            fold.update(bit, out)
-        for fold, out in zip(self._tag_folds, outgoing):
-            fold.update(bit, out)
-        for fold, out in zip(self._tag_folds2, outgoing):
-            fold.update(bit, out)
-
     def on_conditional(self, pc: int, taken: bool) -> None:
-        self._push_history_bit(int(taken))
-        self._push_path(pc)
+        self._push(1 if taken else 0, 1, pc)
 
     def on_retired(self, pc: int, branch_type: int, target: int) -> None:
-        cfg = self.config
         if branch_type in (
             int(BranchType.INDIRECT_JUMP),
             int(BranchType.INDIRECT_CALL),
@@ -386,15 +368,17 @@ class ITTAGE(IndirectBranchPredictor):
             # Insert bits of a target *hash* rather than raw low-order
             # bits: raw bits 2..4 can be constant across an aligned
             # target set, which would erase the information Seznec's
-            # history insertion is meant to provide.
-            hashed = stable_hash64(target)
-            for bit_position in range(cfg.target_bits_per_indirect):
-                self._push_history_bit((hashed >> bit_position) & 1)
+            # history insertion is meant to provide.  Hash bit 0 is
+            # pushed first, so the shift-in value is bit-reversed.
+            count = self.config.target_bits_per_indirect
+            hashed = stable_hash64(target) & ((1 << count) - 1)
+            self._push(int(format(hashed, f"0{count}b")[::-1], 2), count, pc)
         else:
-            self._push_history_bit(1)
-        self._push_path(pc)
+            self._push(1, 1, pc)
 
-    def _push_path(self, pc: int) -> None:
+    def _push(self, bits: int, count: int, pc: int) -> None:
+        self._history.push(bits, count)
+        self._ring_head = (self._ring_head + count) % self._history._capacity
         self._path = ((self._path << 2) | ((pc >> 2) & 3)) & (
             (1 << self.config.path_bits) - 1
         )
@@ -410,6 +394,7 @@ class ITTAGE(IndirectBranchPredictor):
                 "cannot snapshot ITTAGE between predict_target and train; "
                 "snapshot at record boundaries"
             )
+        self._history.flush()
         return {
             "v": 1,
             "kind": "ITTAGE",
@@ -427,8 +412,8 @@ class ITTAGE(IndirectBranchPredictor):
                 }
                 for table in self._tables
             ],
-            "ring": list(self._ring._buffer),
-            "ring_head": self._ring._head,
+            "ring": self._history.ring(self._ring_head),
+            "ring_head": self._ring_head,
             "index_folds": [fold.state_dict() for fold in self._index_folds],
             "tag_folds": [fold.state_dict() for fold in self._tag_folds],
             "tag_folds2": [fold.state_dict() for fold in self._tag_folds2],
@@ -448,10 +433,25 @@ class ITTAGE(IndirectBranchPredictor):
             len(state["tables"]) == len(self._tables),
             "ITTAGE table count mismatch",
         )
-        require(
-            len(state["ring"]) == len(self._ring._buffer),
-            "ITTAGE history ring size mismatch",
+        path, use_alt, updates = (
+            int(state["path"]), int(state["use_alt"]), int(state["updates"])
         )
+        require(
+            0 <= path < (1 << self.config.path_bits),
+            f"ITTAGE path history {path} out of range",
+        )
+        require(
+            self._use_alt_min <= use_alt <= self._use_alt_max,
+            f"ITTAGE use-alt counter {use_alt} out of range",
+        )
+        require(updates >= 0, f"ITTAGE update count {updates} is negative")
+        head = int(state["ring_head"])
+        self._history.restore_ring(
+            state["ring"],
+            head,
+            state["index_folds"] + state["tag_folds"] + state["tag_folds2"],
+        )
+        self._ring_head = head
         for table, payload in zip(self._tables, state["tables"]):
             for attr in ("tags", "targets", "ctr", "useful", "valid"):
                 decoded = decode_array(payload[attr])
@@ -465,19 +465,7 @@ class ITTAGE(IndirectBranchPredictor):
         self._base_targets = decode_array(state["base_targets"])
         self._base_ctr = decode_array(state["base_ctr"])
         self._base_valid = decode_array(state["base_valid"])
-        self._ring._buffer = [int(bit) for bit in state["ring"]]
-        self._ring._head = int(state["ring_head"])
-        for folds, payloads in (
-            (self._index_folds, state["index_folds"]),
-            (self._tag_folds, state["tag_folds"]),
-            (self._tag_folds2, state["tag_folds2"]),
-        ):
-            require(len(folds) == len(payloads), "ITTAGE fold count mismatch")
-            for fold, payload in zip(folds, payloads):
-                fold.load_state(payload)
-        self._path = int(state["path"])
-        self._use_alt = int(state["use_alt"])
-        self._updates = int(state["updates"])
+        self._path, self._use_alt, self._updates = path, use_alt, updates
         self._rng.bit_generator.state = state["rng"]
         self._ctx = None
 

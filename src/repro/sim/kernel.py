@@ -15,8 +15,8 @@ of earlier predictions.
 * **Global-history folds.**  The fold register for interval ``[s, e)``
   after ``c`` stream bits equals an XOR over a contiguous window of the
   outcome stream, with each bit pre-rotated by its stream position.
-  Precomputing ``W`` prefix-XOR tables (one per fold phase) turns every
-  (branch, interval) fold into two table lookups — no sequential state.
+  One prefix-XOR row turns every (branch, interval) fold into two
+  lookups and a rotation by the fold phase — no sequential state.
   An initial, possibly warm, history register is handled by prepending
   its bits to the stream as a virtual prefix.
 * **Local histories.**  Per local-table slot, the register seen by each
@@ -250,11 +250,12 @@ def _validated_derived(
 def _history_stream(
     ghist0: int, pending0: int, history_bits: int, outcomes: np.ndarray
 ) -> np.ndarray:
-    """The full outcome stream, oldest first: virtual prefix ++ trace.
+    """The full history stream, oldest first: virtual prefix ++ trace.
 
     The virtual prefix is the initial (possibly unmasked, ``pending0``
     bits wide beyond capacity) global-history register, so a kernel run
     over a warm predictor sees exactly the history the scalar loop would.
+    BLBP passes its conditional outcomes, ITTAGE its whole push stream.
     """
     prefix_bits = history_bits + pending0
     if prefix_bits:
@@ -269,24 +270,18 @@ def _history_stream(
 
 
 def _fold_prefix_tables(ext: np.ndarray, width: int) -> np.ndarray:
-    """``P[m, j]`` = XOR of ``ext[u] << ((m - u) % width)`` for u < j.
+    """``P[j]`` = XOR of ``ext[u] << (-u % width)`` for u < j.
 
-    The fold of interval ``[s, e)`` after ``c`` consumed stream bits is
-    ``P[(c - 1 - s) % W, c - s] ^ P[(c - 1 - s) % W, c - e]`` — each
-    window bit lands at fold position ``(c - 1 - s - u) % W``, exactly
-    :func:`repro.common.hashing.fold_int` over the live register.
+    One row serves every fold phase: shifting each bit by ``m - u``
+    instead is the same row rotated left by ``m`` (see
+    :func:`_branch_folds`).
     """
     total = len(ext)
     dtype = np.uint16 if width <= 15 else np.uint32
-    table = np.zeros((width, total + 1), dtype=dtype)
-    if total == 0:
-        return table
-    phase = (np.arange(total, dtype=np.int64) % width).astype(np.int64)
-    ext_wide = ext.astype(dtype)
-    for m in range(width):
-        shifts = ((m - phase) % width).astype(dtype)
-        table[m, 1:] = np.left_shift(ext_wide, shifts)
-        np.bitwise_xor.accumulate(table[m], out=table[m])
+    table = np.zeros(total + 1, dtype=dtype)
+    shifts = (-np.arange(total, dtype=np.int64) % width).astype(dtype)
+    table[1:] = np.left_shift(ext.astype(dtype), shifts)
+    np.bitwise_xor.accumulate(table, out=table)
     return table
 
 
@@ -296,14 +291,24 @@ def _branch_folds(
     intervals: Tuple[Tuple[int, int], ...],
     width: int,
 ) -> np.ndarray:
-    """Fold values per (branch, interval) from the prefix-XOR tables."""
+    """Fold values per (branch, interval) from the prefix-XOR row.
+
+    The fold of interval ``[s, e)`` after ``c`` consumed stream bits is
+    ``rotl_W(P[c - s] ^ P[c - e], (c - 1 - s) % W)``: each window bit
+    ``u`` lands at fold position ``(c - 1 - s - u) % W``, exactly
+    :func:`repro.common.hashing.fold_int` over the live register.
+    """
     count = len(consumed)
     folds = np.zeros((count, len(intervals)), dtype=np.uint64)
+    mask = np.uint64((1 << width) - 1)
     for position, (start, end) in enumerate(intervals):
-        phase = (consumed - 1 - start) % width
-        high = prefix[phase, consumed - start]
-        low = prefix[phase, consumed - end]
-        folds[:, position] = (high ^ low).astype(np.uint64)
+        phase = ((consumed - 1 - start) % width).astype(np.uint64)
+        window = (
+            prefix[consumed - start] ^ prefix[consumed - end]
+        ).astype(np.uint64)
+        folds[:, position] = (
+            (window << phase) | (window >> (np.uint64(width) - phase))
+        ) & mask
     return folds
 
 

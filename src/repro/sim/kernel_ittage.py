@@ -10,9 +10,11 @@ prediction-dependent.
   per indirect (hashed-target bits), one constant ``1`` for every other
   retired branch — so each branch's fold positions are known up front.
   The folded index/tag registers are interval-``[0, length)`` folds of
-  that stream, served from the same prefix-XOR tables the BLBP kernel
-  uses, with the live history ring prepended as a virtual prefix so warm
-  predictors replay exactly.
+  that stream, served from the same one-row prefix-XOR tables the BLBP
+  kernel uses.  The live history register (with any pending bits) is
+  prepended as a virtual prefix by BLBP's ``_history_stream``, so warm
+  predictors replay exactly, and the write-back shifts the stream's
+  tail into the register.
 * **Path history.**  Two PC bits per record; the 16-bit register any
   branch observes is a fixed-size window over (initial register ++
   per-record codes), computed with a handful of shifted gathers.
@@ -40,6 +42,7 @@ import numpy as np
 from repro.common.hashing import mix_pc, stable_hash64
 from repro.predictors.ittage import ITTAGE
 from repro.sim import native
+from repro.sim.kernel import _branch_folds, _fold_prefix_tables, _history_stream
 from repro.sim.metrics import SimulationResult
 from repro.trace.derived import DerivedPlane
 from repro.trace.stream import Trace
@@ -98,12 +101,6 @@ def _push_stream(
     return body, bits_before, total
 
 
-def _ring_prefix(predictor: ITTAGE, length: int) -> Tuple[int, ...]:
-    """The most recent ``length`` ring bits, oldest first."""
-    ring = predictor._ring
-    return tuple(ring.bit_at(length - 1 - i) for i in range(length))
-
-
 def _path_values(
     codes: np.ndarray,
     positions: np.ndarray,
@@ -142,7 +139,6 @@ def _prepare(
     cfg = predictor.config
     num_tagged = cfg.num_tagged
     lengths = cfg.history_lengths
-    longest = max(lengths)
     tbits = cfg.target_bits_per_indirect
     index_bits = predictor._index_bits
 
@@ -151,24 +147,24 @@ def _prepare(
     branch_pcs = derived.indirect_pcs
     branch_targets = np.asarray(derived.indirect_targets)
 
-    # History stream with the live ring as a virtual prefix; keyed on
-    # the prefix so warm lanes with different rings never collide.
-    prefix_bits = _ring_prefix(predictor, longest)
+    # History stream with the live register as a virtual prefix; keyed
+    # on the register so warm lanes with different histories never
+    # collide.
+    history = predictor._history
+    ghist0 = history._ghist
+    pending0 = history._pending
+    capacity = history._capacity
     body, bits_before, total = shared.get(
         ("ittage-stream", tbits),
         lambda: _push_stream(trace, derived, tbits),
     )
-    stream_key = ("ittage-ext", tbits, prefix_bits)
+    stream_key = ("ittage-ext", tbits, capacity, ghist0, pending0)
     ext = shared.get(
         stream_key,
-        lambda: np.concatenate(
-            [np.asarray(prefix_bits, dtype=np.uint8), body]
-        ),
+        lambda: _history_stream(ghist0, pending0, capacity, body),
     )
-    consumed = longest + bits_before
-    final_consumed = np.asarray([longest + total], dtype=np.int64)
-
-    from repro.sim.kernel import _branch_folds, _fold_prefix_tables
+    consumed = capacity + pending0 + bits_before
+    final_consumed = np.asarray([len(ext)], dtype=np.int64)
 
     def folds_for(width: int, intervals: Tuple[Tuple[int, int], ...]):
         prefix = shared.get(
@@ -374,23 +370,14 @@ def _replay(predictor: ITTAGE, prep: dict) -> None:
     predictor._use_alt = use_alt
     predictor._updates = updates
 
-    ring = predictor._ring
-    capacity = ring._capacity
-    head0 = ring._head
-    pushed = prep["pushed"]
-    stream = prep["stream"]
-    total = len(stream)
-    buffer0 = ring._buffer
-    fresh = [0] * capacity
-    for age in range(capacity):
-        if age < pushed:
-            bit = int(stream[total - 1 - age])
-        else:
-            bit = buffer0[(head0 - 1 - (age - pushed)) % capacity]
-        fresh[(head0 + pushed - 1 - age) % capacity] = bit
-    ring._buffer = fresh
-    ring._head = (head0 + pushed) % capacity
-
+    history = predictor._history
+    capacity = history._capacity
+    tail = np.packbits(prep["stream"][-capacity:])
+    history._ghist = int.from_bytes(tail.tobytes(), "big") >> (
+        8 * len(tail) - capacity
+    )
+    history._pending = 0
+    predictor._ring_head = (predictor._ring_head + prep["pushed"]) % capacity
     for t in range(num_tagged):
         predictor._index_folds[t].fold = prep["index_finals"][t]
         predictor._tag_folds[t].fold = prep["tag_finals"][t]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.common.state import StateError
 from repro.cond.tage import TAGE, TAGEConfig
 
 
@@ -88,3 +89,65 @@ class TestTAGE:
         budget = TAGE().storage_budget()
         assert budget.total_bits() > 0
         assert any("bimodal" in item for item, _ in budget.items)
+
+
+def _warm_state():
+    predictor = TAGE()
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        pc = 0x1000 + int(rng.integers(4)) * 0x40
+        predictor.predict(pc)
+        predictor.update(pc, bool(rng.integers(2)))
+    return predictor.state_dict()
+
+
+def _set(key, value):
+    return lambda state: state.__setitem__(key, value)
+
+
+def _flip_fold(group, table):
+    def mutate(state):
+        state[group][table]["fold"] ^= 1
+    return mutate
+
+
+def _flip_newest_ring_bit(state):
+    newest = (state["history_head"] - 1) % len(state["history_ring"])
+    state["history_ring"][newest] ^= 1
+
+
+class TestSnapshotValidation:
+    """A malformed history snapshot is refused by ``load_state`` instead
+    of failing on the first update or running on an inconsistent state."""
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            _set("history_head", 321),
+            _set("history_head", -1),
+            lambda state: state["history_ring"].__setitem__(5, 7),
+            _flip_newest_ring_bit,
+            _flip_fold("index_folds", 0),
+            _flip_fold("tag_folds", 6),
+            _flip_fold("tag_folds2", 3),
+            _set("use_alt", 99),
+            _set("use_alt", -9),
+            _set("updates", -1),
+        ],
+        ids=[
+            "head-at-capacity", "head-negative", "ring-bit-7",
+            "ring-disagrees-with-folds", "index-fold", "tag-fold",
+            "tag2-fold", "use-alt-high", "use-alt-low", "updates-negative",
+        ],
+    )
+    def test_malformed_snapshot_rejected(self, mutate):
+        state = _warm_state()
+        mutate(state)
+        with pytest.raises(StateError):
+            TAGE().load_state(state)
+
+    def test_valid_snapshot_round_trips(self):
+        state = _warm_state()
+        restored = TAGE()
+        restored.load_state(state)
+        assert restored.state_dict() == state

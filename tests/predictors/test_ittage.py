@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.common.state import StateError
 from repro.predictors.ittage import ITTAGE, ITTAGEConfig, geometric_lengths
 from repro.trace.record import BranchType
 
@@ -132,3 +133,67 @@ class TestITTAGE:
             return outcomes
 
         assert run(42) == run(42)
+
+
+def _warm_state():
+    predictor = ITTAGE()
+    rng = np.random.default_rng(5)
+    for _ in range(80):
+        predictor.on_conditional(0x500, bool(rng.integers(2)))
+        _drive(predictor, 0x1000, 0x2000 + int(rng.integers(3)) * 0x100)
+    return predictor.state_dict()
+
+
+def _set(key, value):
+    return lambda state: state.__setitem__(key, value)
+
+
+def _flip_fold(group, table):
+    def mutate(state):
+        state[group][table]["fold"] ^= 1
+    return mutate
+
+
+def _flip_newest_ring_bit(state):
+    newest = (state["ring_head"] - 1) % len(state["ring"])
+    state["ring"][newest] ^= 1
+
+
+class TestSnapshotValidation:
+    """A malformed history snapshot is refused by ``load_state`` instead
+    of failing on the first push or running on an inconsistent state."""
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            _set("ring_head", 641),
+            _set("ring_head", -1),
+            lambda state: state["ring"].__setitem__(5, 7),
+            _flip_newest_ring_bit,
+            _flip_fold("index_folds", 0),
+            _flip_fold("tag_folds", 6),
+            _flip_fold("tag_folds2", 3),
+            _set("path", 1 << 40),
+            _set("path", -1),
+            _set("use_alt", 99),
+            _set("use_alt", -9),
+            _set("updates", -1),
+        ],
+        ids=[
+            "head-at-capacity", "head-negative", "ring-bit-7",
+            "ring-disagrees-with-folds", "index-fold", "tag-fold",
+            "tag2-fold", "path-too-wide", "path-negative",
+            "use-alt-high", "use-alt-low", "updates-negative",
+        ],
+    )
+    def test_malformed_snapshot_rejected(self, mutate):
+        state = _warm_state()
+        mutate(state)
+        with pytest.raises(StateError):
+            ITTAGE().load_state(state)
+
+    def test_valid_snapshot_round_trips(self):
+        state = _warm_state()
+        restored = ITTAGE()
+        restored.load_state(state)
+        assert restored.state_dict() == state

@@ -9,7 +9,9 @@ Two layers of oracle, matching the two layers of optimization:
 * :meth:`BLBPHistories.indices` (the *batched* m-step fold absorption)
   against :meth:`BLBPHistories.indices_reference` (per-read ``fold_int``
   recomputation) — covered in ``tests/core/test_histories_boundaries``
-  for handpicked intervals and here over random push/read schedules.
+  for handpicked intervals and here over random push/read schedules;
+* :func:`fold_int` (chunk halving) against :func:`fold_bits` for every
+  length 1–700 and width 1–16.
 """
 
 import random
@@ -80,6 +82,31 @@ class TestFoldedHistoryDifferential:
             window = ((window << 1) | bit) & 0b11111
             fold.update(bit, outgoing)
             assert fold.fold == bin(window).count("1") % 2
+
+
+class TestFoldIntDifferential:
+    def test_every_length_and_width(self):
+        """Halving keeps the XOR of every chunk, including a ragged top
+        chunk and bits above ``total_bits`` (which must be ignored)."""
+        rng = random.Random(11)
+        for length in range(1, 701):
+            value = rng.getrandbits(length + 9)
+            bits = [(value >> position) & 1 for position in range(length)]
+            for width in range(1, 17):
+                assert fold_int(value, length, width) == fold_bits(
+                    bits, width
+                ), (length, width)
+
+    @given(
+        length=st.integers(min_value=0, max_value=700),
+        width=st.integers(min_value=1, max_value=16),
+        data=st.data(),
+    )
+    @settings(max_examples=300)
+    def test_random_values(self, length, width, data):
+        value = data.draw(st.integers(min_value=0, max_value=(1 << 720) - 1))
+        bits = [(value >> position) & 1 for position in range(length)]
+        assert fold_int(value, length, width) == fold_bits(bits, width)
 
 
 class TestBatchedIndicesDifferential:

@@ -26,6 +26,10 @@ the fused entry point:
   match scalar without a single ``IndirectBTB.state_hash`` or
   ``load_state`` call, and lanes given the IBTB's final state by the
   trusted write-back must continue on the scalar path exactly;
+* a BLBP or ITTAGE lane warmed on the scalar path, replayed columnar
+  and continued on the scalar path must match a lane run scalar
+  throughout, which pins both kernels' write-back into the lazy
+  global-history register (pending bits included);
 * :func:`repro.sim.kernel.columnar_support` reasons must name the
   offending type and the remedy, and the kernels must refuse
   unsupported predictors rather than silently misreplay them.
@@ -612,6 +616,58 @@ class TestIBTBWriteBack:
                 reference, second, collect_per_pc=True
             ), f"lane {slot}: scalar continuation diverges"
             assert lane.state_hash() == reference.state_hash(), slot
+
+
+def _trace_ending_in_conditionals(seed, name, count, tail):
+    """A random trace whose last ``tail`` records are conditionals, so
+    the history register holds pending bits when the trace ends."""
+    rng = random.Random(seed)
+    records = []
+    depth = 0
+    for position in range(count + tail):
+        kind = rng.choice(_KINDS) if position < count else "cond"
+        depth = _append_event(
+            records, depth, kind,
+            rng.randrange(len(_PCS)), rng.randrange(len(_TARGETS)),
+            rng.random() < 0.5,
+        )
+    return Trace.from_records(name, records)
+
+
+class TestScalarColumnarHandOff:
+    """Scalar -> columnar -> scalar equals scalar throughout."""
+
+    @pytest.mark.parametrize(
+        "make_predictor", [_small_ittage, BLBP], ids=["ITTAGE", "BLBP"]
+    )
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_random_traces(self, make_predictor, seed):
+        warm, middle, last = (
+            _trace_ending_in_conditionals(seed * 10 + i, f"hand-off-{i}",
+                                          150, 9 + 40 * i)
+            for i in range(3)
+        )
+        self._assert_hand_off(make_predictor, warm, middle, last)
+
+    @pytest.mark.parametrize(
+        "make_predictor", [ITTAGE, BLBP], ids=["ITTAGE", "BLBP"]
+    )
+    def test_suite_traces(self, make_predictor):
+        warm, middle, last = (_suite_trace(i) for i in (2, 6, 10))
+        self._assert_hand_off(make_predictor, warm, middle, last)
+
+    @staticmethod
+    def _assert_hand_off(make_predictor, warm, middle, last):
+        mixed, scalar = make_predictor(), make_predictor()
+        assert simulate(mixed, warm) == simulate(scalar, warm)
+        assert simulate_columnar_many(
+            [mixed], middle, collect_per_pc=True
+        ) == [simulate(scalar, middle, collect_per_pc=True)]
+        assert mixed.state_hash() == scalar.state_hash()
+        assert simulate(mixed, last, collect_per_pc=True) == simulate(
+            scalar, last, collect_per_pc=True
+        )
+        assert mixed.state_hash() == scalar.state_hash()
 
 
 class TestColumnarSupport:
