@@ -538,6 +538,7 @@ class NodePool(_RemotePool):
             address = self._read_address(process)
             sock = socket.create_connection(address, timeout=SPAWN_TIMEOUT)
             sock.settimeout(None)
+            protocol.set_nodelay(sock)
             client = _NodeClient(
                 sock.makefile("rb"),
                 sock.makefile("wb"),

@@ -120,17 +120,31 @@ class DistWorker:
 
     # -- plumbing ------------------------------------------------------
 
-    def _send(self, message: Dict[str, Any]) -> None:
+    def _send(self, *messages: Dict[str, Any]) -> None:
+        """Write ``messages`` in order with one write and one flush."""
         try:
-            self.writer.write(protocol.encode(message))
+            self.writer.write(b"".join(map(protocol.encode, messages)))
             self.writer.flush()
         except (BrokenPipeError, OSError) as exc:
             raise _Disconnect(str(exc)) from exc
 
+    def _readline(self) -> bytes:
+        try:
+            return self.reader.readline(MAX_LINE_BYTES)
+        except OSError as exc:
+            raise _Disconnect(str(exc)) from exc
+
     def _recv(self) -> Dict[str, Any]:
-        line = self.reader.readline(MAX_LINE_BYTES)
+        """The next request; :class:`DistProtocolError` if malformed."""
+        line = self._readline()
         if not line:
             raise _Disconnect("coordinator closed the stream")
+        if len(line) == MAX_LINE_BYTES and not line.endswith(b"\n"):
+            # Drop the rest of the oversized line so the next read
+            # starts at a message boundary.
+            while line and not line.endswith(b"\n"):
+                line = self._readline()
+            raise protocol.DistProtocolError("message line too long")
         return protocol.decode(line)
 
     # -- handlers ------------------------------------------------------
@@ -257,18 +271,22 @@ class DistWorker:
                 raise
             self._send({"t": "unit_failed", "message": repr(exc)})
             return
-        for index, result, duration in outcomes:
-            self._send(
+        self.units_run += 1
+        self.cells_run += len(outcomes)
+        # One write for the whole reply: no cell_done waits on the
+        # coordinator's ACK of the one before it.
+        self._send(
+            *(
                 {
                     "t": "cell_done",
                     "index": index,
                     "result": result_to_json(result),
                     "duration": duration,
                 }
-            )
-        self.units_run += 1
-        self.cells_run += len(outcomes)
-        self._send({"t": "unit_done", "cells": len(outcomes)})
+                for index, result, duration in outcomes
+            ),
+            {"t": "unit_done", "cells": len(outcomes)},
+        )
 
     def _handle_stats(self, message: Dict[str, Any]) -> None:
         self._send(
@@ -296,19 +314,17 @@ class DistWorker:
             "stats": self._handle_stats,
         }
         while True:
+            tag = None
             try:
                 message = self._recv()
-            except _Disconnect:
-                return
-            tag = message["t"]
-            if tag == "ping":
-                self._send({"t": "pong", "node": self.node})
-                continue
-            if tag == "shutdown":
-                self._send({"t": "bye", "node": self.node})
-                return
-            handler = handlers.get(tag)
-            try:
+                tag = message["t"]
+                if tag == "ping":
+                    self._send({"t": "pong", "node": self.node})
+                    continue
+                if tag == "shutdown":
+                    self._send({"t": "bye", "node": self.node})
+                    return
+                handler = handlers.get(tag)
                 if handler is None:
                     raise protocol.DistProtocolError(
                         f"unknown message type {tag!r}"
@@ -317,9 +333,11 @@ class DistWorker:
             except _Disconnect:
                 return
             except (protocol.DistProtocolError, StoreError) as exc:
-                # Contract violations are answerable; the session lives.
+                # Malformed lines and contract violations are
+                # answerable; the session lives.
+                extra = {"request": tag} if tag is not None else {}
                 try:
-                    self._send(protocol.error_message(str(exc), request=tag))
+                    self._send(protocol.error_message(str(exc), **extra))
                 except _Disconnect:
                     return
 
@@ -341,6 +359,7 @@ def _serve_socket(
     print(f"dist worker listening on {bound_host}:{bound_port}", flush=True)
     connection, _ = listener.accept()
     listener.close()
+    protocol.set_nodelay(connection)
     try:
         reader = connection.makefile("rb")
         writer = connection.makefile("wb")
