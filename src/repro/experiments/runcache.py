@@ -20,7 +20,6 @@ either way.
 from __future__ import annotations
 
 import functools
-import os
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.predictors.base import IndirectBranchPredictor
@@ -115,17 +114,6 @@ def _campaign_key(
     )
 
 
-def _env_jobs() -> int:
-    """Worker count requested via REPRO_JOBS (1 when unset/invalid)."""
-    raw = os.environ.get("REPRO_JOBS")
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def get_campaign(
     factories: Dict[str, Callable[[], IndirectBranchPredictor]],
     scale: Optional[float] = None,
@@ -135,16 +123,17 @@ def get_campaign(
 
     With ``REPRO_JOBS`` set above 1, the campaign is executed by the
     parallel engine; results are deterministic and identical to the
-    serial path, so the cache never mixes semantics.
+    serial path, so the cache never mixes semantics.  A non-integer
+    ``REPRO_JOBS`` raises ``ValueError`` (:func:`repro.exec.resolve_jobs`).
     """
     scale = _resolve_scale(scale)
     key = _campaign_key(suite, scale, factories)
     if key not in _campaign_cache:
-        traces = get_suite_traces(scale, suite)
-        jobs = _env_jobs()
-        if jobs > 1:
-            from repro.exec import run_campaign_parallel
+        from repro.exec import resolve_jobs, run_campaign_parallel
 
+        jobs = resolve_jobs()
+        traces = get_suite_traces(scale, suite)
+        if jobs > 1:
             _campaign_cache[key] = run_campaign_parallel(
                 traces, factories, jobs=jobs
             )

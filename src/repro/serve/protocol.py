@@ -53,6 +53,10 @@ MAX_LINE_BYTES = 4 * 1024 * 1024
 #: Valid integer branch-type values (``repro.trace.record.BranchType``).
 _BRANCH_TYPES = frozenset(range(6))
 
+#: Event addresses are 64-bit, like ``Trace``'s ``uint64`` pc and target
+#: columns; a wider one would fail inside the predictor mid-step.
+_ADDRESS_LIMIT = 1 << 64
+
 
 class ProtocolError(ValueError):
     """A malformed or out-of-contract protocol message."""
@@ -90,6 +94,17 @@ def decode(line: bytes) -> Dict[str, Any]:
 Event = Tuple[int, int, bool, int, int]
 
 
+def _check_address(field: str, value: Any) -> None:
+    if (
+        not isinstance(value, int)
+        or isinstance(value, bool)
+        or not 0 <= value < _ADDRESS_LIMIT
+    ):
+        raise ProtocolError(
+            f"event {field} must be an int in [0, 2**64), got {value!r}"
+        )
+
+
 def parse_event(raw: Any) -> Event:
     """Validate and normalize one wire event array.
 
@@ -103,16 +118,12 @@ def parse_event(raw: Any) -> Event:
             f"got {raw!r}"
         )
     pc, branch_type, taken, target, gap = raw
-    if not isinstance(pc, int) or isinstance(pc, bool) or pc < 0:
-        raise ProtocolError(f"event pc must be a non-negative int, got {pc!r}")
+    _check_address("pc", pc)
     if branch_type not in _BRANCH_TYPES:
         raise ProtocolError(f"unknown branch type {branch_type!r}")
     if not isinstance(taken, (bool, int)):
         raise ProtocolError(f"event taken must be a bool, got {taken!r}")
-    if not isinstance(target, int) or isinstance(target, bool) or target < 0:
-        raise ProtocolError(
-            f"event target must be a non-negative int, got {target!r}"
-        )
+    _check_address("target", target)
     if not isinstance(gap, int) or isinstance(gap, bool) or gap < 0:
         raise ProtocolError(
             f"event gap must be a non-negative int, got {gap!r}"

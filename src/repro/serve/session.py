@@ -2,17 +2,27 @@
 
 A :class:`PredictorSession` is the serve-side incarnation of one
 ``simulate(predictor, trace)`` call, unrolled into an event-at-a-time
-state machine.  :meth:`PredictorSession.step` issues the predictor the
-*exact* call sequence the engine's per-record loop
-(``_replay_span_many``, which ``simulate`` runs with one lane) would —
-conditional hook, predict/train/retire for indirects, RAS traffic for
-calls and returns, warmup accounting — so a session fed a trace's
-events, in order, finishes with predictions, metrics, and a final
-``state_hash`` bit-identical to :func:`repro.sim.engine.simulate` on
-that trace.  The equivalence suite asserts exactly that.
+state machine.  :func:`step_sessions_fused` is the one per-event loop:
+it issues each predictor the *exact* call sequence the engine's
+per-record loop (``_replay_span_many``, which ``simulate`` runs with one
+lane) would — conditional hook, predict/train/retire for indirects, RAS
+traffic for calls and returns, warmup accounting — so a session fed a
+trace's events, in order, finishes with predictions, metrics, and a
+final ``state_hash`` bit-identical to :func:`repro.sim.engine.simulate`
+on that trace.  The equivalence suite asserts exactly that.
+
+When many sessions have the *same* pending event run (many clients
+streaming the same workload), the loop pays the per-event decode and
+type dispatch once for the whole group while each session keeps its own
+RAS and accumulators.  A solo session
+(:meth:`PredictorSession.step_events`) steps as a group of one, so fused
+and solo stepping are the same code and bit-identical by construction.
+There is no columnar shortcut: a serve message is far shorter than the
+run length at which packing it into a trace for the columnar kernels
+pays off.
 
 Because all mutable state (predictor, RAS, accumulators, cursor) rides
-the PR 4 snapshot protocol, a session can be *suspended* at any event
+the snapshot protocol, a session can be *suspended* at any event
 boundary: :meth:`checkpoint` freezes it into the same
 :class:`~repro.sim.checkpoint.SimulationCheckpoint` document the batch
 engine uses, wrapped in a ``ServeSessionCheckpoint`` envelope that also
@@ -20,41 +30,17 @@ records the registry key and the predictor's ``state_hash`` at suspend
 time.  :meth:`PredictorSession.from_checkpoint` rebuilds the session in
 any process and verifies the restored predictor hashes identically —
 a corrupted or mismatched checkpoint is refused, never silently loaded.
-
-:func:`step_sessions_fused` is the cross-session analogue of a fused
-``_replay_span_many`` pass: when many sessions have the *same* pending
-event run (the common case under load — many clients streaming
-the same workload), one pass over the shared events amortizes the
-per-event decode and type dispatch across all of them while issuing
-each session its exact solo call sequence (own RAS, own accumulators),
-so fused stepping is bit-identical to stepping each session alone.
-
-Long event runs take a columnar shortcut: when a run has at least
-:data:`COLUMNAR_STEP_THRESHOLD` events and every hosted predictor has a
-columnar kernel, the run is packed into a transient
-:class:`~repro.trace.stream.Trace` and replayed through
-:func:`repro.sim.kernel.simulate_columnar_many` — predictor work as
-tensor passes (fused sessions as lanes over one shared precompute),
-while the per-session RAS and warmup/metric accounting replay in a
-cheap Python sweep over the events.  The kernels are bit-identical to
-the scalar call sequence, so outputs, counters, and final
-``state_hash`` are unchanged; runs below the threshold, or hosting
-predictors without a kernel, step exactly as before.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.registry import RegistryError, make_indirect
 from repro.sim.checkpoint import SimulationCheckpoint
-from repro.sim.kernel import columnar_supported, simulate_columnar_many
 from repro.sim.metrics import SimulationResult
 from repro.sim.ras import ReturnAddressStack
-from repro.trace.record import BranchRecord, BranchType
-from repro.trace.stream import Trace
+from repro.trace.record import BranchType
 
 _COND = int(BranchType.CONDITIONAL)
 _DIRECT_CALL = int(BranchType.DIRECT_CALL)
@@ -64,11 +50,6 @@ _RETURN = int(BranchType.RETURN)
 
 #: Envelope kind of a serve-layer session checkpoint file.
 SESSION_CHECKPOINT_KIND = "ServeSessionCheckpoint"
-
-#: Minimum pending events before a session run is worth packing into a
-#: transient trace for the columnar kernels; short interactive runs stay
-#: on the per-event scalar path (trace construction would dominate).
-COLUMNAR_STEP_THRESHOLD = 256
 
 #: One per-event output: ``None`` for events that carry no prediction
 #: (conditionals, direct branches), else ``(prediction-or-None, correct)``.
@@ -118,76 +99,14 @@ class PredictorSession:
     # Stepping
     # ------------------------------------------------------------------
 
-    def step(
-        self, pc: int, branch_type: int, taken: bool, target: int, gap: int = 0
-    ) -> StepOutput:
-        """Consume one branch event; return its prediction output.
-
-        The call sequence into the predictor and the RAS — and the
-        warmup/metric accounting — mirror one lane of the engine's
-        per-record loop (``_replay_span_many``) exactly, so session state
-        evolution is bit-identical to a batch simulation of the same
-        records.
-        """
-        self.cursor += 1
-        self.instruction_gaps += gap
-        predictor = self.predictor
-
-        if branch_type == _COND:
-            predictor.on_conditional(pc, taken)
-            self.conditionals += 1
-            if self.skip:
-                self.skip -= 1
-            return None
-
-        counted = not self.skip
-        if self.skip:
-            self.skip -= 1
-
-        if branch_type == _INDIRECT_JUMP or branch_type == _INDIRECT_CALL:
-            prediction = predictor.predict_target(pc)
-            correct = 1 if prediction == target else 0
-            if counted:
-                self.indirect += 1
-                if not correct:
-                    self.mispredictions += 1
-            predictor.train(pc, target)
-            predictor.on_retired(pc, branch_type, target)
-            if branch_type == _INDIRECT_CALL:
-                self.ras.push(pc + 4)
-            return (prediction, correct)
-        if branch_type == _RETURN:
-            ras_prediction = self.ras.predict()
-            self.ras.pop()
-            correct = 1 if ras_prediction == target else 0
-            if counted:
-                self.returns += 1
-                if not correct:
-                    self.return_mispredictions += 1
-            predictor.on_retired(pc, branch_type, target)
-            return (ras_prediction, correct)
-        if branch_type == _DIRECT_CALL:
-            self.ras.push(pc + 4)
-        predictor.on_retired(pc, branch_type, target)
-        return None
-
     def step_events(
         self, events: Sequence[Tuple[int, int, bool, int, int]]
     ) -> List[StepOutput]:
         """Consume a run of events; one output per event.
 
-        Runs of at least :data:`COLUMNAR_STEP_THRESHOLD` events on a
-        columnar-supported predictor replay through the batch kernels
-        (bit-identical outputs and state); everything else steps
-        per-event.
+        A solo session steps as a fused group of one.
         """
-        if _columnar_eligible([self], events):
-            outputs = _step_sessions_columnar([self], events)
-            if outputs is not None:
-                return outputs[0]
-        step = self.step
-        return [step(pc, bt, taken, target, gap)
-                for pc, bt, taken, target, gap in events]
+        return step_sessions_fused([self], events)[0]
 
     # ------------------------------------------------------------------
     # Results and state
@@ -325,8 +244,8 @@ def step_sessions_fused(
     unpacking and branch-type dispatch — are paid once per event instead
     of once per (session, event).  Each session still keeps its own RAS,
     warmup countdown, and accumulators, and receives exactly the calls
-    :meth:`PredictorSession.step` would issue, so the outputs and final
-    session states are bit-identical to solo stepping.
+    one lane of ``_replay_span_many`` would issue, so the outputs and
+    final session states do not depend on the group it steps in.
 
     Returns one output list (aligned with ``events``) per session.
     """
@@ -334,14 +253,9 @@ def step_sessions_fused(
     outputs: List[List[StepOutput]] = [[] for _ in range(count)]
     if not count:
         return outputs
-    if _columnar_eligible(sessions, events):
-        columnar = _step_sessions_columnar(sessions, events)
-        if columnar is not None:
-            return columnar
     engines = [
         (
             session,
-            session.predictor,
             session.predictor.predict_target,
             session.predictor.train,
             session.predictor.on_conditional,
@@ -353,7 +267,7 @@ def step_sessions_fused(
     ]
     for pc, branch_type, taken, target, gap in events:
         if branch_type == _COND:
-            for session, _, _, _, on_conditional, _, _, out in engines:
+            for session, _, _, on_conditional, _, _, out in engines:
                 session.cursor += 1
                 session.instruction_gaps += gap
                 on_conditional(pc, taken)
@@ -362,7 +276,7 @@ def step_sessions_fused(
                     session.skip -= 1
                 out.append(None)
         elif branch_type == _INDIRECT_JUMP or branch_type == _INDIRECT_CALL:
-            for session, _, predict_target, train, _, on_retired, ras, out in engines:
+            for session, predict_target, train, _, on_retired, ras, out in engines:
                 session.cursor += 1
                 session.instruction_gaps += gap
                 counted = not session.skip
@@ -380,7 +294,7 @@ def step_sessions_fused(
                     ras.push(pc + 4)
                 out.append((prediction, correct))
         elif branch_type == _RETURN:
-            for session, _, _, _, _, on_retired, ras, out in engines:
+            for session, _, _, _, on_retired, ras, out in engines:
                 session.cursor += 1
                 session.instruction_gaps += gap
                 counted = not session.skip
@@ -397,7 +311,7 @@ def step_sessions_fused(
                 out.append((ras_prediction, correct))
         else:  # direct call / direct jump
             push = branch_type == _DIRECT_CALL
-            for session, _, _, _, _, on_retired, ras, out in engines:
+            for session, _, _, _, on_retired, ras, out in engines:
                 session.cursor += 1
                 session.instruction_gaps += gap
                 if session.skip:
@@ -409,113 +323,7 @@ def step_sessions_fused(
     return outputs
 
 
-def _columnar_eligible(
-    sessions: Sequence[PredictorSession],
-    events: Sequence[Tuple[int, int, bool, int, int]],
-) -> bool:
-    """Whether this event run should take the columnar shortcut."""
-    if len(events) < COLUMNAR_STEP_THRESHOLD:
-        return False
-    depth = sessions[0].ras_depth
-    return all(
-        session.ras_depth == depth
-        and columnar_supported(session.predictor)
-        for session in sessions
-    )
-
-
-def _step_sessions_columnar(
-    sessions: Sequence[PredictorSession],
-    events: Sequence[Tuple[int, int, bool, int, int]],
-) -> Optional[List[List[StepOutput]]]:
-    """Replay one event run through the columnar kernels, all sessions.
-
-    The predictor work — history folds, table reads, training — runs as
-    one fused :func:`~repro.sim.kernel.simulate_columnar_many` pass over
-    a transient trace built from the events (one shared precompute for
-    every session); each session's RAS, warmup countdown, and metric
-    accounting then replay in a cheap Python sweep using the kernels'
-    per-branch prediction arrays.  Outputs, accumulators, and final
-    predictor state are bit-identical to per-event stepping.
-
-    Returns ``None`` when the events cannot form a trace (an unknown
-    branch-type code); the caller falls back to the scalar path, whose
-    per-event validation reports the offending event precisely.
-    """
-    try:
-        records = [
-            BranchRecord(
-                pc, BranchType(branch_type), bool(taken), target,
-                inst_gap=gap,
-            )
-            for pc, branch_type, taken, target, gap in events
-        ]
-        trace = Trace.from_records("serve-step", records)
-    except (ValueError, TypeError):
-        return None
-
-    sinks: List[Dict[str, np.ndarray]] = [{} for _ in sessions]
-    simulate_columnar_many(
-        [session.predictor for session in sessions],
-        trace,
-        ras_depth=sessions[0].ras_depth,
-        prediction_sinks=sinks,
-    )
-
-    outputs: List[List[StepOutput]] = []
-    for session, sink in zip(sessions, sinks):
-        valid = sink["valid"].tolist()
-        predictions = sink["predictions"].tolist()
-        ras = session.ras
-        out: List[StepOutput] = []
-        position = 0
-        for pc, branch_type, taken, target, gap in events:
-            session.cursor += 1
-            session.instruction_gaps += gap
-            if branch_type == _COND:
-                session.conditionals += 1
-                if session.skip:
-                    session.skip -= 1
-                out.append(None)
-                continue
-            counted = not session.skip
-            if session.skip:
-                session.skip -= 1
-            if (
-                branch_type == _INDIRECT_JUMP
-                or branch_type == _INDIRECT_CALL
-            ):
-                prediction = (
-                    predictions[position] if valid[position] else None
-                )
-                position += 1
-                correct = 1 if prediction == target else 0
-                if counted:
-                    session.indirect += 1
-                    if not correct:
-                        session.mispredictions += 1
-                if branch_type == _INDIRECT_CALL:
-                    ras.push(pc + 4)
-                out.append((prediction, correct))
-            elif branch_type == _RETURN:
-                ras_prediction = ras.predict()
-                ras.pop()
-                correct = 1 if ras_prediction == target else 0
-                if counted:
-                    session.returns += 1
-                    if not correct:
-                        session.return_mispredictions += 1
-                out.append((ras_prediction, correct))
-            else:
-                if branch_type == _DIRECT_CALL:
-                    ras.push(pc + 4)
-                out.append(None)
-        outputs.append(out)
-    return outputs
-
-
 __all__ = [
-    "COLUMNAR_STEP_THRESHOLD",
     "SESSION_CHECKPOINT_KIND",
     "PredictorSession",
     "SessionError",

@@ -147,11 +147,6 @@ def _vpc_conditional_blocker(conditional: object) -> Optional[str]:
     return None
 
 
-def columnar_supported(predictor: object) -> bool:
-    """Whether the columnar kernels can replay ``predictor`` exactly."""
-    return columnar_support(predictor)[0]
-
-
 # ----------------------------------------------------------------------
 # Shared precompute
 # ----------------------------------------------------------------------

@@ -366,18 +366,21 @@ def cached_derived(
 
     Keyed by the *spill's* ``(path, size, mtime_ns)`` plus the RAS depth,
     mirroring :class:`repro.trace.plane.TraceCache` — a rewritten spill
-    invalidates its derived plane along with its mapping.
+    invalidates its derived plane along with its mapping.  As there, a
+    hit also re-reads the spill header's content hash, so a same-size
+    rewrite that keeps the mtime cannot serve the old trace's plane.
     """
     spill_path = Path(spill_path)
     stat = os.stat(spill_path)
     key = (str(spill_path), stat.st_size, stat.st_mtime_ns, ras_depth)
+    recorded = spilled_hash(spill_path)
     cached = _derived_cache.get(key)
-    if cached is not None:
+    if cached is not None and recorded in (None, cached.content_hash):
         _derived_cache.move_to_end(key)
         return cached
     for stale in [k for k in _derived_cache if k[0] == key[0] and k[3] == ras_depth]:
         del _derived_cache[stale]
-    plane = load_or_compute_derived(trace, spill_path, ras_depth)
+    plane = load_or_compute_derived(trace, spill_path, ras_depth, recorded)
     _derived_cache[key] = plane
     while len(_derived_cache) > _DERIVED_CACHE_CAPACITY:
         _derived_cache.popitem(last=False)

@@ -271,6 +271,9 @@ def attach_trace(path: Union[str, Path]) -> Trace:
 
 _CacheKey = Tuple[str, int, int]
 
+#: Attached traces one worker keeps (:func:`cached_trace`).
+TRACE_CACHE_CAPACITY = 8
+
 
 class TraceCache:
     """A small LRU of attached traces, keyed by ``(path, size, mtime_ns)``.
@@ -289,9 +292,7 @@ class TraceCache:
     carry no header hash, so for them the stat key is the only guard.
     """
 
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        if capacity is None:
-            capacity = int(os.environ.get("REPRO_TRACE_CACHE", "8"))
+    def __init__(self, capacity: int = TRACE_CACHE_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity

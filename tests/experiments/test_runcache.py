@@ -98,3 +98,10 @@ class TestCampaignCacheFactoryIdentity:
         assert parallel.traces() == serial.traces()
         for trace in serial.traces():
             assert parallel.results[trace]["BTB"] == serial.results[trace]["BTB"]
+
+    def test_bad_repro_jobs_raises(self, monkeypatch):
+        """A malformed REPRO_JOBS fails loudly, as in every other entry
+        point, instead of quietly running serial."""
+        monkeypatch.setenv("REPRO_JOBS", "abc")
+        with pytest.raises(ValueError, match="REPRO_JOBS"):
+            get_campaign({"BTB": BranchTargetBuffer}, scale=0.2)

@@ -308,18 +308,12 @@ class TestColumnarEquivalence:
         ``simulate`` scalar; the columnar backend must land on exactly
         the same result and state, closing the loop serve → scalar →
         columnar."""
+        from repro.serve.protocol import trace_events
         from repro.serve.session import PredictorSession
 
         for name, trace in _traces()[:3]:
             session = PredictorSession("oracle", "BLBP")
-            for pc, branch_type, taken, target, gap in zip(
-                trace.pcs.tolist(),
-                trace.types.tolist(),
-                trace.takens.tolist(),
-                trace.targets.tolist(),
-                trace.gaps.tolist(),
-            ):
-                session.step(pc, branch_type, taken, target, gap)
+            session.step_events(trace_events(trace))
             predictor = BLBP()
             columnar = simulate(predictor, trace, backend="columnar")
             assert (

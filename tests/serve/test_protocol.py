@@ -6,12 +6,17 @@ validation contract (everything the server will refuse), and the
 trace → wire-events bridge the equivalence suite builds on.
 """
 
+import asyncio
 import json
 
 import pytest
 
+from repro.registry import make_indirect
 from repro.serve import protocol
+from repro.serve.client import ClientError, ServeClient
 from repro.serve.protocol import ProtocolError
+from repro.serve.server import PredictionServer
+from repro.sim.engine import simulate
 from repro.trace.record import BranchType
 from repro.workloads.vdispatch import VirtualDispatchSpec
 
@@ -87,6 +92,58 @@ class TestEventValidation:
             protocol.require_session_id({"session": 17})
         with pytest.raises(ProtocolError):
             protocol.require_session_id({"session": "x" * 257})
+
+
+class TestAddressBounds:
+    """Addresses are 64-bit on the wire, as in ``Trace``'s columns."""
+
+    @pytest.mark.parametrize("field,raw", [
+        ("pc", [2**64, 3, True, 0x1000, 1]),
+        ("target", [0x1000, 3, True, 2**64, 1]),
+    ])
+    def test_rejects_addresses_beyond_64_bits(self, field, raw):
+        with pytest.raises(ProtocolError, match=f"event {field} "):
+            protocol.parse_event(raw)
+
+    def test_accepts_the_upper_half(self):
+        raw = [2**63, 3, True, 2**64 - 1, 1]
+        assert protocol.parse_event(raw) == (2**63, 3, True, 2**64 - 1, 1)
+
+    @pytest.mark.parametrize("kind", ["BLBP", "ITTAGE"])
+    @pytest.mark.parametrize("field", ["pc", "target"])
+    def test_refused_message_leaves_the_session_untouched(
+        self, tmp_path, kind, field
+    ):
+        """An out-of-range address is refused before the session steps:
+        its cursor stays put and the rest of the stream still ends
+        bit-identical to ``simulate``."""
+        trace = _trace(num_records=80)
+        events = protocol.trace_events(trace)
+        bad = list(events[0])
+        bad[{"pc": 0, "target": 3}[field]] = 2**64
+
+        async def scenario():
+            server = PredictionServer(state_dir=tmp_path / "state")
+            port = await server.start()
+            client = await ServeClient.connect("127.0.0.1", port)
+            try:
+                await client.open("s", kind)
+                head = await client.events("s", events[:40])
+                with pytest.raises(ClientError, match="must be an int in"):
+                    await client.events("s", events[40:45] + [bad])
+                tail = await client.events("s", events[40:])
+                return head, tail, await client.close_session("s")
+            finally:
+                await client.aclose()
+                await server.stop()
+
+        head, tail, closed = asyncio.run(scenario())
+        assert head["events"] == 40
+        assert tail["events"] == len(events)
+        reference = make_indirect(kind)
+        result = simulate(reference, trace)
+        assert closed["state_hash"] == reference.state_hash()
+        assert closed["result"]["mpki"] == result.mpki()
 
 
 class TestTraceEvents:

@@ -6,10 +6,16 @@ The whole serve subsystem rests on one guarantee: a
 session at *any* event boundary (checkpoint → JSON → rehydrate) does not
 perturb that.  These tests pin the guarantee directly, for several
 registered predictor kinds, with the suspend point chosen by hypothesis.
+Solo and fused stepping run the same loop; the chunk-size matrix pins
+both against ``simulate`` on a mixed call/return stream.
 """
 
+import functools
 import json
+import random
+from typing import List, Tuple
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +29,8 @@ from repro.serve.session import (
     step_sessions_fused,
 )
 from repro.sim.engine import simulate
+from repro.trace.record import BranchType
+from repro.trace.stream import Trace
 from repro.workloads.vdispatch import VirtualDispatchSpec
 
 #: Predictor kinds the equivalence property runs over (≥ 3, spanning
@@ -42,10 +50,73 @@ def _trace(seed=11, num_records=160):
     ).generate()
 
 
+Event = Tuple[int, int, bool, int, int]
+
+
+def _mixed_events(seed: int, count: int) -> List[Event]:
+    """A mixed event run: conditionals, indirects, calls, returns."""
+    rng = random.Random(seed)
+    pcs = [0x4000, 0x4008, 0x4040, 0x5000]
+    targets = [0x10_0000, 0x10_0040, 0x10_0080, 0x11_0000]
+    events: List[Event] = []
+    depth = 0
+    for _ in range(count):
+        kind = rng.choice(
+            ("ind", "ind", "icall", "cond", "cond", "ret", "dcall")
+        )
+        if kind == "ret" and depth == 0:
+            kind = "cond"
+        if kind == "cond":
+            events.append(
+                (0x900, int(BranchType.CONDITIONAL),
+                 rng.random() < 0.5, 0x910, 1)
+            )
+        elif kind == "ind":
+            events.append(
+                (rng.choice(pcs), int(BranchType.INDIRECT_JUMP), True,
+                 rng.choice(targets), 2)
+            )
+        elif kind == "icall":
+            events.append(
+                (rng.choice(pcs), int(BranchType.INDIRECT_CALL), True,
+                 rng.choice(targets), 2)
+            )
+            depth += 1
+        elif kind == "dcall":
+            events.append(
+                (0x7000, int(BranchType.DIRECT_CALL), True,
+                 rng.choice(targets), 1)
+            )
+            depth += 1
+        else:
+            events.append(
+                (0x8000, int(BranchType.RETURN), True,
+                 rng.choice(targets), 1)
+            )
+            depth -= 1
+    return events
+
+
+def _events_trace(name: str, events: List[Event]) -> Trace:
+    pcs, types, takens, targets, gaps = zip(*events)
+    return Trace(
+        name=name,
+        pcs=np.array(pcs, dtype=np.uint64),
+        types=np.array(types, dtype=np.uint8),
+        takens=np.array(takens, dtype=bool),
+        targets=np.array(targets, dtype=np.uint64),
+        gaps=np.array(gaps, dtype=np.uint32),
+    )
+
+
 def _assert_matches_simulate(session, trace, warmup=0):
     """The session's result and state hash equal a direct simulate."""
     reference = make_indirect(session.predictor_key)
     result = simulate(reference, trace, warmup_records=warmup)
+    _assert_matches_result(session, result, reference.state_hash())
+
+
+def _assert_matches_result(session, result, state_hash):
     ours = session.result()
     assert ours.total_instructions == result.total_instructions
     assert ours.indirect_branches == result.indirect_branches
@@ -53,7 +124,7 @@ def _assert_matches_simulate(session, trace, warmup=0):
     assert ours.return_branches == result.return_branches
     assert ours.return_mispredictions == result.return_mispredictions
     assert ours.conditional_branches == result.conditional_branches
-    assert session.state_hash() == reference.state_hash()
+    assert session.state_hash() == state_hash
 
 
 class TestEquivalence:
@@ -189,6 +260,65 @@ class TestFusedStepping:
         assert step_sessions_fused([], trace_events(_trace())[:3]) == []
         session = PredictorSession("e", "BTB")
         assert step_sessions_fused([session], []) == [[]]
+
+
+#: The mixed stream of the chunk matrix, long enough that every chunk
+#: size below ends mid-stream at least once.
+_MIXED = _mixed_events(1, 2100)
+
+#: Warmup that ends inside the sixth 64-event chunk and the second
+#: 300-event one, so the countdown crosses message boundaries.
+_WARMUP = 350
+
+
+@functools.lru_cache(maxsize=None)
+def _mixed_reference(kind: str, warmup: int, ras_depth: int):
+    """``simulate`` on the mixed stream: its result and final state hash."""
+    predictor = make_indirect(kind)
+    result = simulate(
+        predictor, _events_trace("serve-mixed", _MIXED),
+        ras_depth=ras_depth, warmup_records=warmup,
+    )
+    return result, predictor.state_hash()
+
+
+class TestChunkMatrix:
+    """Solo and fused stepping match ``simulate`` at every chunk size."""
+
+    #: The fused group: the solo configuration, a cold one, and one with
+    #: a different RAS depth, all stepping the same messages.
+    _GROUP = [(_WARMUP, 32), (0, 32), (0, 16)]
+
+    @staticmethod
+    def _stream(sessions, chunk):
+        outputs = [[] for _ in sessions]
+        for start in range(0, len(_MIXED), chunk):
+            run = _MIXED[start : start + chunk]
+            if len(sessions) == 1:
+                outputs[0].extend(sessions[0].step_events(run))
+            else:
+                for out, part in zip(outputs, step_sessions_fused(sessions, run)):
+                    out.extend(part)
+        return outputs
+
+    @pytest.mark.parametrize("chunk", [1, 13, 64, 300, 2000])
+    @pytest.mark.parametrize("kind", ["BLBP", "ITTAGE", "VPC", "BTB"])
+    def test_solo_and_fused_match_simulate(self, kind, chunk):
+        solo = PredictorSession("solo", kind, warmup_records=_WARMUP)
+        (solo_out,) = self._stream([solo], chunk)
+        _assert_matches_result(solo, *_mixed_reference(kind, _WARMUP, 32))
+        group = [
+            PredictorSession(f"fused-{slot}", kind, warmup, depth)
+            for slot, (warmup, depth) in enumerate(self._GROUP)
+        ]
+        fused_out = self._stream(group, chunk)
+        assert fused_out[0] == solo_out
+        for session, (warmup, depth) in zip(group, self._GROUP):
+            _assert_matches_result(
+                session, *_mixed_reference(kind, warmup, depth)
+            )
+            assert session.cursor == len(_MIXED)
+            assert session.skip == 0
 
 
 class TestValidation:

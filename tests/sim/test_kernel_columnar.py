@@ -54,7 +54,6 @@ from repro.sim import kernel
 from repro.sim.engine import simulate, simulate_many
 from repro.sim.kernel import (
     columnar_support,
-    columnar_supported,
     simulate_columnar_many,
 )
 from repro.trace.record import BranchRecord, BranchType
@@ -676,7 +675,7 @@ class TestColumnarSupport:
             ok, reason = columnar_support(predictor)
             assert ok, reason
             assert "kernel" in reason
-            assert columnar_supported(predictor)
+            assert columnar_support(predictor)[0]
 
     def test_subclass_rejected_with_reason(self):
         class Tweaked(BLBP):
@@ -687,7 +686,7 @@ class TestColumnarSupport:
         assert "Tweaked" in reason
         assert "subclasses BLBP" in reason
         assert "scalar" in reason
-        assert not columnar_supported(Tweaked())
+        assert not columnar_support(Tweaked())[0]
 
     def test_unknown_type_rejected_with_reason(self):
         ok, reason = columnar_support(object())

@@ -17,7 +17,8 @@ import pytest
 from repro.core import BLBP
 from repro.predictors.ittage import ITTAGE, ITTAGEConfig
 from repro.predictors.vpc import VPCConfig, VPCPredictor
-from repro.serve.session import COLUMNAR_STEP_THRESHOLD, PredictorSession
+from repro.serve.protocol import trace_events
+from repro.serve.session import PredictorSession
 from repro.sim import kernel, native
 from repro.sim.engine import ColumnarUnsupportedError, simulate, simulate_many
 from repro.trace.record import BranchRecord, BranchType
@@ -96,30 +97,13 @@ class TestFailedBuild:
         with pytest.raises(TypeError, match="cc exited"):
             kernel.simulate_columnar_many([BLBP()], _trace(4))
 
-    def test_serve_session_steps_scalar(self, monkeypatch):
-        from repro.serve import session as session_module
-
-        def no_shortcut(sessions, events):
-            raise AssertionError("the columnar shortcut ran")
-
-        monkeypatch.setattr(
-            session_module, "_step_sessions_columnar", no_shortcut
+    def test_serve_session_steps_scalar(self):
+        trace = _trace(5)
+        session = PredictorSession("s", "BLBP")
+        session.step_events(trace_events(trace))
+        reference = BLBP()
+        result = simulate(reference, trace)
+        assert session.result().indirect_mispredictions == (
+            result.indirect_mispredictions
         )
-        trace = _trace(5, COLUMNAR_STEP_THRESHOLD + 64)
-        events = list(
-            zip(
-                trace.pcs.tolist(),
-                trace.types.tolist(),
-                trace.takens.tolist(),
-                trace.targets.tolist(),
-                trace.gaps.tolist(),
-            )
-        )
-        assert len(events) >= COLUMNAR_STEP_THRESHOLD
-        batched = PredictorSession("s", "BLBP")
-        stepped = PredictorSession("s", "BLBP")
-        outputs = batched.step_events(events)
-        expected = [stepped.step(*event) for event in events]
-        assert outputs == expected
-        assert batched.result() == stepped.result()
-        assert batched.state_hash() == stepped.state_hash()
+        assert session.state_hash() == reference.state_hash()

@@ -19,7 +19,8 @@ import pytest
 from repro.cond.mpp import MultiperspectivePerceptron
 from repro.cond.tage import TAGE
 from repro.predictors.vpc import VPCConfig, VPCPredictor
-from repro.serve.session import COLUMNAR_STEP_THRESHOLD, PredictorSession
+from repro.serve.protocol import trace_events
+from repro.serve.session import PredictorSession
 from repro.sim import kernel
 from repro.sim.engine import ColumnarUnsupportedError, simulate, simulate_many
 from repro.trace.record import BranchRecord, BranchType
@@ -115,32 +116,14 @@ def test_strict_raises(conditional_type):
         )
 
 
-def test_serve_session_steps_scalar(conditional_type, monkeypatch):
-    from repro.serve import session as session_module
-
-    def no_shortcut(sessions, events):
-        raise AssertionError("the columnar shortcut ran")
-
-    monkeypatch.setattr(
-        session_module, "_step_sessions_columnar", no_shortcut
+def test_serve_session_steps_scalar(conditional_type):
+    trace = _trace(5)
+    session = PredictorSession("s", "VPC")
+    session.predictor = _vpc(conditional_type)
+    session.step_events(trace_events(trace))
+    reference = _vpc(conditional_type)
+    result = simulate(reference, trace)
+    assert session.result().indirect_mispredictions == (
+        result.indirect_mispredictions
     )
-    trace = _trace(5, COLUMNAR_STEP_THRESHOLD + 64)
-    events = list(
-        zip(
-            trace.pcs.tolist(),
-            trace.types.tolist(),
-            trace.takens.tolist(),
-            trace.targets.tolist(),
-            trace.gaps.tolist(),
-        )
-    )
-    assert len(events) >= COLUMNAR_STEP_THRESHOLD
-    batched = PredictorSession("s", "VPC")
-    stepped = PredictorSession("s", "VPC")
-    batched.predictor = _vpc(conditional_type)
-    stepped.predictor = _vpc(conditional_type)
-    outputs = batched.step_events(events)
-    expected = [stepped.step(*event) for event in events]
-    assert outputs == expected
-    assert batched.result() == stepped.result()
-    assert batched.state_hash() == stepped.state_hash()
+    assert session.state_hash() == reference.state_hash()

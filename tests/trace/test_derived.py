@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.sim.ras import ReturnAddressStack
 from repro.trace.derived import (
+    cached_derived,
     compute_derived,
     derived_path_for,
     load_or_compute_derived,
@@ -247,3 +248,56 @@ class TestDiskCache:
         assert plane.trace_name == callret_trace.name
         # And the damaged file was replaced with a good one.
         assert read_derived(cache_path).trace_name == callret_trace.name
+
+
+class TestCachedDerived:
+    """The in-memory LRU must not serve a plane of a rewritten spill."""
+
+    @pytest.fixture
+    def rewritten(self, callret_trace, tmp_path, monkeypatch):
+        """Spill trace A, cache its plane, then rewrite the same path
+        with a same-name, same-length trace B and pin the mtime back, so
+        the ``(path, size, mtime_ns)`` key cannot see the rewrite."""
+        import os
+        from collections import OrderedDict
+
+        from repro.trace import derived as derived_module
+        from repro.trace.plane import TraceCache
+
+        monkeypatch.setattr(derived_module, "_derived_cache", OrderedDict())
+        other = CallReturnSpec(
+            name=callret_trace.name, seed=11, num_records=len(callret_trace),
+            filler_conditionals=6,
+        ).generate()
+        assert trace_content_hash(other) != trace_content_hash(callret_trace)
+        spill = tmp_path / "t.trace"
+        traces = TraceCache(capacity=2)
+        write_trace_v2(callret_trace, spill)
+        before = os.stat(spill)
+        cached_derived(spill, traces.get(spill), 32)
+        write_trace_v2(other, spill)
+        os.utime(spill, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(spill)
+        assert (after.st_size, after.st_mtime_ns) == (
+            before.st_size, before.st_mtime_ns,
+        )
+        trace = traces.get(spill)
+        assert trace_content_hash(trace) == trace_content_hash(other)
+        return trace, cached_derived(spill, trace, 32)
+
+    def test_same_stat_rewrite_gets_the_new_plane(self, rewritten):
+        trace, plane = rewritten
+        fresh = compute_derived(trace, 32)
+        assert plane.content_hash == fresh.content_hash
+        assert np.array_equal(plane.return_ok, fresh.return_ok)
+        assert np.array_equal(plane.return_preds, fresh.return_preds)
+
+    @pytest.mark.usefixtures("compiled_cores")
+    def test_columnar_run_on_the_rewrite_matches_scalar(self, rewritten):
+        from repro.core import BLBP
+        from repro.sim.engine import simulate
+
+        trace, plane = rewritten
+        columnar = simulate(BLBP(), trace, backend="columnar", derived=plane)
+        scalar = simulate(BLBP(), trace)
+        assert columnar.indirect_mispredictions == scalar.indirect_mispredictions
