@@ -35,10 +35,13 @@ baseline (default 1.5x).  The measurement is written to
 import argparse
 import functools
 import json
+import struct
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 from repro.common.envinfo import environment_metadata
 from repro.exec.plan import _spill_name, plan_campaign
@@ -46,7 +49,33 @@ from repro.exec.pool import execute_plan
 from repro.predictors import BranchTargetBuffer, TwoBitBTB
 from repro.sim.engine import simulate
 from repro.sim.metrics import CampaignResult
-from repro.trace.stream import read_trace, write_trace_v1
+from repro.trace.stream import Trace
+
+#: The PR 4 spill format: a JSON header, then each column ``np.save``d.
+#: The library no longer reads or writes it; the baseline keeps a copy so
+#: the gate measures the same quantity against the same bound.
+_V1_MAGIC = b"RPTRACE1"
+_V1_COLUMNS = ("pcs", "types", "takens", "targets", "gaps")
+
+
+def _write_v1(trace: Trace, path: Path) -> None:
+    header = json.dumps({"name": trace.name, "records": len(trace)}).encode()
+    with open(path, "wb") as handle:
+        handle.write(_V1_MAGIC)
+        handle.write(struct.pack("<I", len(header)))
+        handle.write(header)
+        for column in _V1_COLUMNS:
+            np.save(handle, getattr(trace, column), allow_pickle=False)
+
+
+def _read_v1(path: Path) -> Trace:
+    with open(path, "rb") as handle:
+        if handle.read(len(_V1_MAGIC)) != _V1_MAGIC:
+            raise ValueError(f"{path} is not an RPTRACE1 trace file")
+        (header_len,) = struct.unpack("<I", handle.read(4))
+        header = json.loads(handle.read(header_len).decode())
+        columns = [np.load(handle, allow_pickle=False) for _ in _V1_COLUMNS]
+    return Trace(header["name"], *columns)
 
 
 def sweep_factories():
@@ -85,7 +114,7 @@ def _run_pr4(traces, factories, spill_dir: Path) -> CampaignResult:
     for index, trace in enumerate(traces):
         path = spill_dir / _spill_name(index, trace.name)
         for name, factory in factories.items():
-            loaded = read_trace(path)
+            loaded = _read_v1(path)
             result = simulate(factory(), loaded)
             result.predictor_name = name
             campaign.add(result)
@@ -113,7 +142,7 @@ def measure_campaign(
         v1_dir = cache / "pr4"
         v1_dir.mkdir()
         for index, trace in enumerate(traces):
-            write_trace_v1(trace, v1_dir / _spill_name(index, trace.name))
+            _write_v1(trace, v1_dir / _spill_name(index, trace.name))
 
         def fused_pass():
             started = time.perf_counter()

@@ -8,9 +8,10 @@ what makes trace shipping dedup-free by construction:
   reached the node in *any* earlier campaign is never re-sent;
 * two plan cells (or two whole campaigns) whose traces are identical
   resolve to one file, however they were named;
-* a partially received spill is invisible — chunks accumulate in a
-  ``.partial`` sibling and the final file appears atomically, verified
-  against its hash, so a coordinator killed mid-ship can simply re-send.
+* a partially received spill is invisible — chunks accumulate in memory
+  and the final file appears atomically, only once its columns re-hash
+  to the key it was shipped under, so a coordinator killed mid-ship can
+  simply re-send and a corrupted transfer never lands.
 
 The store also hands out node-local mid-trace checkpoint paths
 (``<store>/ckpt/``), keeping every file a worker writes under one
@@ -19,12 +20,16 @@ disposable root.
 
 from __future__ import annotations
 
-import hashlib
 import shutil
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from repro.trace.plane import atomic_write_bytes, spilled_hash
+from repro.trace.plane import (
+    atomic_write_bytes,
+    attach_trace,
+    spilled_hash,
+    trace_content_hash,
+)
 
 
 class StoreError(RuntimeError):
@@ -34,19 +39,28 @@ class StoreError(RuntimeError):
 def trace_file_hash(path: Union[str, Path]) -> str:
     """The content hash identifying a spill file for shipping.
 
-    ``RPTRACE2`` spills carry their content hash in the header (one
-    header read); anything else — legacy ``RPTRACE1`` archives — falls
-    back to a SHA-256 of the file bytes, which is equally stable, just
-    not free.
+    ``RPTRACE2`` spills carry it in their header (one header read);
+    any other file raises :class:`StoreError`.
     """
     recorded = spilled_hash(path)
-    if recorded:
-        return recorded
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
+    if recorded is None:
+        raise StoreError(f"{path} is not an RPTRACE2 trace spill")
+    return recorded
+
+
+def _verify_spill(path: Union[str, Path], content_hash: str) -> None:
+    """Raise unless ``path`` is a spill whose header and columns hash to
+    ``content_hash``."""
+    try:
+        actual = trace_content_hash(attach_trace(path))
+        recorded = spilled_hash(path)
+    except Exception as exc:  # noqa: BLE001 - a damaged file fails many ways
+        actual = recorded = f"nothing ({exc})"
+    if actual != content_hash or recorded != content_hash:
+        raise StoreError(
+            f"shipped trace hash mismatch: expected {content_hash}, "
+            f"columns hash to {actual}, header records {recorded}"
+        )
 
 
 class TraceStore:
@@ -82,9 +96,10 @@ class TraceStore:
         """Accumulate one shipped chunk; publish the file on ``last``.
 
         Returns the stored path once complete, ``None`` while partial.
-        A completed spill is verified — its own recorded (or computed)
-        hash must equal the key it was shipped under — so a corrupted
-        transfer can never poison the store.
+        A completed spill is verified before it is published — its
+        columns are attached and re-hashed, and both that hash and the
+        one its header records must equal the key it was shipped under —
+        so a corrupted transfer can never poison the store.
         """
         if self.has(content_hash):
             # Already present (e.g. a concurrent campaign shipped it);
@@ -97,14 +112,9 @@ class TraceStore:
             return None
         del self._partial[content_hash]
         path = self.path_for(content_hash)
-        atomic_write_bytes(path, bytes(buffer))
-        stored = trace_file_hash(path)
-        if stored != content_hash:
-            path.unlink(missing_ok=True)
-            raise StoreError(
-                f"shipped trace hash mismatch: expected {content_hash}, "
-                f"stored bytes hash to {stored}"
-            )
+        atomic_write_bytes(
+            path, buffer, verify=lambda staged: _verify_spill(staged, content_hash)
+        )
         return path
 
     def ingest(self, source: Union[str, Path]) -> Path:

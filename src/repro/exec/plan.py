@@ -34,7 +34,6 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.sim.runner import PredictorFactory
-from repro.trace.plane import spilled_hash, trace_content_hash, write_trace_v2
 from repro.trace.source import TraceSource, as_source
 from repro.trace.stream import Trace
 
@@ -113,8 +112,7 @@ class CellSpec:
     index: int
     trace_name: str
     predictor_name: str
-    #: Spill file the worker attaches the trace from (RPTRACE2; legacy
-    #: RPTRACE1 files are still readable).
+    #: RPTRACE2 spill file the worker attaches the trace from.
     trace_path: str
     factory: FactoryRef
     ras_depth: int = 32
@@ -257,21 +255,6 @@ def _spill_name(index: int, trace_name: str) -> str:
     """A filesystem-safe, collision-free spill filename for a trace."""
     stem = _UNSAFE_FILENAME.sub("_", trace_name)[:80] or "trace"
     return f"{index:04d}-{stem}.trace"
-
-
-def spill_trace(trace: Trace, path: Path) -> bool:
-    """Spill ``trace`` to ``path`` unless an identical spill is present.
-
-    Returns ``True`` if the file was (re)written.  The content hash in
-    the RPTRACE2 header makes the check one header read — resumed
-    campaigns touch no spill bytes, which keeps worker ``TraceCache``
-    mappings and on-disk derived planes valid across runs.
-    """
-    content_hash = trace_content_hash(trace)
-    if path.exists() and spilled_hash(path) == content_hash:
-        return False
-    write_trace_v2(trace, path, content_hash=content_hash)
-    return True
 
 
 def checkpoint_name(spec: "CellSpec") -> str:
@@ -428,5 +411,4 @@ __all__ = [
     "fuse_cells",
     "plan_summary",
     "plan_campaign",
-    "spill_trace",
 ]

@@ -215,9 +215,9 @@ def run_fused_cell(
     """Execute a fused group: one trace pass, all member predictors.
 
     Worker entry point like :func:`run_cell`.  The trace is attached
-    through the per-worker :class:`~repro.trace.plane.TraceCache` and its
-    derived plane through the matching derived-plane cache, so every
-    group (and every unfused cell) on the same trace shares one mapping.
+    through the per-worker :class:`~repro.trace.plane.TraceCache`, whose
+    entry also holds its derived plane, so every group (and every
+    unfused cell) on the same trace shares one mapping and one plane.
     The SIGALRM deadline scales by group size — a fused group
     legitimately does N cells of predictor work in one pass.
 

@@ -8,10 +8,11 @@ generation instead of one simulation at a time.
 
 Two costs are paid once, not per generation:
 
-* **Trace spill.**  Tuning traces are written through the ``RPTRACE1``
-  binary cache a single time at construction; every generation's cells
-  point at the same files (``plan_campaign`` would re-spill per call,
-  which is exactly what a thousand-generation search cannot afford).
+* **Trace spill.**  Tuning traces are spilled as ``RPTRACE2`` files
+  (:meth:`~repro.trace.source.TraceSource.spill`) a single time at
+  construction; every generation's cells point at the same files
+  (``plan_campaign`` would re-spill per call, which is exactly what a
+  thousand-generation search cannot afford).
 * **Candidate scores.**  A per-evaluator memo keyed on
   ``(candidate key, trace subset)`` makes re-proposed candidates free —
   hill-climbing revisits its incumbent constantly, and successive

@@ -56,7 +56,7 @@ from repro.trace.source import (
     as_source,
 )
 from repro.trace.stats import TraceStats, compute_stats
-from repro.trace.stream import Trace, read_trace, write_trace, write_trace_v1
+from repro.trace.stream import Trace, read_trace, write_trace
 
 __all__ = [
     "BranchRecord",
@@ -64,7 +64,6 @@ __all__ = [
     "Trace",
     "read_trace",
     "write_trace",
-    "write_trace_v1",
     "write_trace_v2",
     "atomic_write_bytes",
     "attach_trace",

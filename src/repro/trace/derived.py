@@ -15,11 +15,11 @@ cell are pure functions of the trace alone:
   branch, for diagnostics and per-PC analyses.
 
 :func:`compute_derived` builds all of this once; :func:`write_derived` /
-:func:`read_derived` cache it on disk next to the spill (``RPDERIV1``
-format, raw little-endian columns like ``RPTRACE2``), keyed by the spill's
+:func:`read_derived` cache it on disk next to the spill (``RPDERIV1``, the
+aligned column layout of :mod:`repro.trace.plane`), keyed by the spill's
 content hash and the RAS depth so a stale plane can never be attached to
-the wrong trace.  :func:`cached_derived` adds the per-worker in-memory LRU
-used by fused execution.
+the wrong trace.  :func:`cached_derived` keeps the planes a worker uses in
+its trace's :class:`~repro.trace.plane.TraceCache` entry.
 
 The replay here intentionally re-implements the ``ReturnAddressStack``
 contract (bounded stack, overflow drops the oldest entry, underflow
@@ -30,10 +30,6 @@ the two implementations together (``tests/trace/test_derived.py``).
 
 from __future__ import annotations
 
-import json
-import os
-import struct
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -41,16 +37,16 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.trace.plane import (
-    atomic_write_bytes,
+    cached_entry,
+    read_columns,
     spilled_hash,
     trace_content_hash,
+    write_columns,
 )
 from repro.trace.record import BranchType
 from repro.trace.stream import Trace
 
 MAGIC_DERIVED = b"RPDERIV1"
-
-_ALIGNMENT = 64
 
 _COND = int(BranchType.CONDITIONAL)
 _DIRECT_CALL = int(BranchType.DIRECT_CALL)
@@ -207,11 +203,6 @@ def compute_derived(
     )
 
 
-def _pad_to(offset: int, alignment: int = _ALIGNMENT) -> int:
-    remainder = offset % alignment
-    return offset if remainder == 0 else offset + (alignment - remainder)
-
-
 def derived_path_for(spill_path: Union[str, Path], ras_depth: int) -> Path:
     """Where the derived plane for ``spill_path`` at ``ras_depth`` lives."""
     spill_path = Path(spill_path)
@@ -220,89 +211,21 @@ def derived_path_for(spill_path: Union[str, Path], ras_depth: int) -> Path:
 
 def write_derived(plane: DerivedPlane, path: Union[str, Path]) -> None:
     """Cache ``plane`` at ``path`` (atomic; raw aligned LE columns)."""
-    path = Path(path)
-    raw = {}
-    for name, dtype in _COLUMNS:
-        raw[name] = np.ascontiguousarray(
-            getattr(plane, name), dtype=np.dtype(dtype)
-        ).tobytes()
-
-    table: List[dict] = []
-    header_stub = {
+    header = {
         "version": 1,
         "trace_name": plane.trace_name,
         "records": plane.records,
         "ras_depth": plane.ras_depth,
         "content_hash": plane.content_hash,
         "conditionals": plane.conditionals,
-        "columns": table,
     }
-    prefix = len(MAGIC_DERIVED) + 4
-    offsets = {name: 0 for name, _ in _COLUMNS}
-    while True:
-        table.clear()
-        for name, dtype in _COLUMNS:
-            table.append(
-                {
-                    "name": name,
-                    "dtype": dtype,
-                    "offset": offsets[name],
-                    "bytes": len(raw[name]),
-                }
-            )
-        encoded = json.dumps(header_stub, sort_keys=True).encode("utf-8")
-        data_start = _pad_to(prefix + len(encoded))
-        cursor = data_start
-        new_offsets = {}
-        for name, _ in _COLUMNS:
-            cursor = _pad_to(cursor)
-            new_offsets[name] = cursor
-            cursor += len(raw[name])
-        if new_offsets == offsets:
-            break
-        offsets = new_offsets
-
-    # Serialize fully, then publish through atomic_write_bytes: each
-    # writer stages into its own mkstemp sibling, so two processes
-    # recomputing the same plane concurrently cannot truncate each
-    # other's staging file — last rename wins with a complete file
-    # either way.  (A fixed ".tmp" staging name raced exactly that way.)
-    parts = [
-        MAGIC_DERIVED,
-        struct.pack("<I", len(encoded)),
-        encoded,
-        b"\x00" * (data_start - prefix - len(encoded)),
-    ]
-    cursor = data_start
-    for name, _ in _COLUMNS:
-        aligned = _pad_to(cursor)
-        parts.append(b"\x00" * (aligned - cursor))
-        parts.append(raw[name])
-        cursor = aligned + len(raw[name])
-    atomic_write_bytes(path, b"".join(parts))
+    columns = [(name, dtype, getattr(plane, name)) for name, dtype in _COLUMNS]
+    write_columns(path, MAGIC_DERIVED, header, columns)
 
 
 def read_derived(path: Union[str, Path]) -> DerivedPlane:
     """Attach a cached derived plane (``np.memmap``; raises on damage)."""
-    path = Path(path)
-    with open(path, "rb") as handle:
-        magic = handle.read(len(MAGIC_DERIVED))
-        if magic != MAGIC_DERIVED:
-            raise ValueError(f"{path} is not an RPDERIV1 derived-plane file")
-        (header_len,) = struct.unpack("<I", handle.read(4))
-        header = json.loads(handle.read(header_len).decode("utf-8"))
-    arrays = {}
-    for entry in header["columns"]:
-        dtype = np.dtype(entry["dtype"])
-        if entry["bytes"] % dtype.itemsize:
-            raise ValueError(f"{path}: column {entry['name']} byte count misaligned")
-        count = entry["bytes"] // dtype.itemsize
-        if count:
-            arrays[entry["name"]] = np.memmap(
-                path, mode="r", dtype=dtype, offset=entry["offset"], shape=(count,)
-            )
-        else:
-            arrays[entry["name"]] = np.empty(0, dtype=dtype)
+    header, arrays = read_columns(path, MAGIC_DERIVED)
     missing = {name for name, _ in _COLUMNS} - set(arrays)
     if missing:
         raise ValueError(f"{path}: missing derived columns {sorted(missing)}")
@@ -355,33 +278,22 @@ def load_or_compute_derived(
     return plane
 
 
-_derived_cache: "OrderedDict[Tuple[str, int, int, int], DerivedPlane]" = OrderedDict()
-_DERIVED_CACHE_CAPACITY = 8
-
-
 def cached_derived(
     spill_path: Union[str, Path], trace: Trace, ras_depth: int
 ) -> DerivedPlane:
-    """Per-worker LRU front for :func:`load_or_compute_derived`.
+    """Per-worker memo of :func:`load_or_compute_derived`.
 
-    Keyed by the *spill's* ``(path, size, mtime_ns)`` plus the RAS depth,
-    mirroring :class:`repro.trace.plane.TraceCache` — a rewritten spill
-    invalidates its derived plane along with its mapping.  As there, a
-    hit also re-reads the spill header's content hash, so a same-size
-    rewrite that keeps the mtime cannot serve the old trace's plane.
+    The plane lives in the spill's entry of the per-worker
+    :class:`repro.trace.plane.TraceCache`, found by the same
+    ``(path, size, mtime_ns)`` key and header content-hash re-check as
+    :func:`repro.trace.plane.cached_trace` — a rewritten spill drops its
+    planes with its mapping, and an evicted trace takes its planes along.
     """
-    spill_path = Path(spill_path)
-    stat = os.stat(spill_path)
-    key = (str(spill_path), stat.st_size, stat.st_mtime_ns, ras_depth)
-    recorded = spilled_hash(spill_path)
-    cached = _derived_cache.get(key)
-    if cached is not None and recorded in (None, cached.content_hash):
-        _derived_cache.move_to_end(key)
-        return cached
-    for stale in [k for k in _derived_cache if k[0] == key[0] and k[3] == ras_depth]:
-        del _derived_cache[stale]
-    plane = load_or_compute_derived(trace, spill_path, ras_depth, recorded)
-    _derived_cache[key] = plane
-    while len(_derived_cache) > _DERIVED_CACHE_CAPACITY:
-        _derived_cache.popitem(last=False)
+    entry = cached_entry(spill_path)
+    plane = entry.planes.get(ras_depth)
+    if plane is None:
+        plane = load_or_compute_derived(
+            trace, spill_path, ras_depth, entry.content_hash
+        )
+        entry.planes[ras_depth] = plane
     return plane

@@ -50,6 +50,7 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
+from repro.trace.plane import MAGIC_V2
 from repro.trace.record import BranchType
 from repro.trace.stream import Trace
 
@@ -362,7 +363,7 @@ def detect_format(path: Union[str, Path]) -> str:
             magic = handle.read(8)
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from None
-    if magic in (b"RPTRACE1", b"RPTRACE2"):
+    if magic == MAGIC_V2:
         return "rptrace"
     suffixes = [s.lower() for s in path.suffixes]
     if ".csv" in suffixes:

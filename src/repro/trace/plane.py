@@ -1,32 +1,27 @@
-"""The zero-copy trace plane: raw column spills and the per-worker map cache.
+"""The zero-copy trace plane: aligned column files and the per-worker cache.
 
 A campaign simulates the same immutable trace under many predictors, often
-from many worker processes at once.  The ``RPTRACE1`` format (``np.save``
-per column) forces every reader to *decode* the file into fresh heap
-arrays — each worker pays the copy again for every cell.  The ``RPTRACE2``
-format written here stores each column as raw little-endian bytes at a
-64-byte-aligned offset, so workers can attach the file with ``np.memmap``:
-the kernel page cache holds one physical copy of the columns no matter how
-many processes (or cells per process) read them, and attaching is O(header).
+from many worker processes at once.  Trace spills (``RPTRACE2``) and
+derived planes (``RPDERIV1``, :mod:`repro.trace.derived`) store each
+column as raw little-endian bytes at a 64-byte-aligned offset, so workers
+attach them with ``np.memmap``: the page cache holds one physical copy of
+the columns however many processes read them, and attaching is O(header).
+:func:`write_columns` and :func:`read_columns` are the layout's only
+writer and reader::
 
-Layout::
+    magic | <I header_len | JSON header | pad | column bytes ...
 
-    b"RPTRACE2" | <I header_len | JSON header | pad | column bytes ...
-
-The JSON header carries the trace name, record count, a SHA-256 content
-hash (used by the planner to skip re-spilling identical traces), and a
-column table of ``{name, dtype, offset, bytes}`` entries.  Columns are
-stored in fixed little-endian dtypes (``<u8``/``u1``/``<u4``); ``takens``
-is stored as ``u1`` and viewed as ``bool`` on attach, which keeps the view
-zero-copy.
+The JSON header (sorted keys) carries the file's own fields plus a column
+table of ``{name, dtype, offset, bytes}`` entries.  A spill's header holds
+the trace name, record count and SHA-256 content hash (the planner skips
+re-spilling a matching trace); ``takens`` is stored as ``u1`` and viewed
+as ``bool`` on attach, which keeps the view zero-copy.
 
 :class:`TraceCache` fronts :func:`attach_trace` with a small LRU keyed by
-``(path, size, mtime_ns)`` so a worker maps each spill file once no matter
-how many cells reference it; a rewritten spill is re-attached and the
-stale entry dropped — detected by the stat key, or, when a same-size
-rewrite lands within one mtime tick, by the header content hash checked
-on every hit.  :func:`cached_trace` uses a module-level instance as the
-per-worker-process cache.
+``(path, size, mtime_ns)``, so a worker maps each spill once however many
+cells reference it.  An entry also holds the trace's derived planes by RAS
+depth, so a plane leaves the cache with its trace.  :func:`cached_trace`
+uses a module-level instance as the per-worker-process cache.
 """
 
 from __future__ import annotations
@@ -34,25 +29,30 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import struct
 import tempfile
 from collections import OrderedDict
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.trace.stream import Trace
 
 
-def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
-    """Atomically publish ``data`` at ``path``.
+def atomic_write_bytes(
+    path: Union[str, Path],
+    *parts: Any,
+    verify: Optional[Callable[[str], None]] = None,
+) -> None:
+    """Atomically publish the concatenated buffers ``parts`` at ``path``.
 
-    The bytes land via a temp sibling in the same directory, an fsync,
-    and ``os.replace`` — readers only ever see a complete file, and a
-    process killed mid-write leaves the previous version intact.  Shared
-    by the trace plane, simulation checkpoints, and the serve layer's
-    session-eviction checkpoints.
+    The bytes land via a uniquely named temp sibling, an fsync, and
+    ``os.replace`` — readers only ever see a complete file, concurrent
+    writers of one path cannot tear each other's staging file, and a
+    process killed mid-write leaves the previous version intact.
+    ``verify``, if given, is called with the staged path before the
+    rename; whatever it raises aborts the publish.
     """
     path = Path(path)
     descriptor, temp_name = tempfile.mkstemp(
@@ -60,9 +60,12 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
     )
     try:
         with os.fdopen(descriptor, "wb") as handle:
-            handle.write(data)
+            for part in parts:
+                handle.write(part)
             handle.flush()
             os.fsync(handle.fileno())
+        if verify is not None:
+            verify(temp_name)
         os.replace(temp_name, path)
     except BaseException:
         try:
@@ -71,9 +74,88 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
             pass
         raise
 
-MAGIC_V2 = b"RPTRACE2"
 
 _ALIGNMENT = 64
+
+#: ``(name, on-disk dtype, values)`` — one column of a column file.
+Column = Tuple[str, str, np.ndarray]
+
+
+def _pad_to(offset: int) -> int:
+    remainder = offset % _ALIGNMENT
+    return offset if remainder == 0 else offset + (_ALIGNMENT - remainder)
+
+
+def write_columns(
+    path: Union[str, Path], magic: bytes, header: dict, columns: Sequence[Column]
+) -> None:
+    """Atomically publish ``header`` and ``columns`` (in order) at ``path``."""
+    arrays = [
+        (name, dtype, np.ascontiguousarray(values, dtype=np.dtype(dtype)))
+        for name, dtype, values in columns
+    ]
+    prefix = len(magic) + 4
+    # Offsets feed the header's length and the header's length feeds the
+    # offsets, so re-measure from zero offsets until they are stable.
+    offsets = [0] * len(arrays)
+    while True:
+        table = [
+            {"name": name, "dtype": dtype, "offset": offset, "bytes": array.nbytes}
+            for (name, dtype, array), offset in zip(arrays, offsets)
+        ]
+        encoded = json.dumps({**header, "columns": table}, sort_keys=True).encode()
+        cursor, settled = prefix + len(encoded), []
+        for _, _, array in arrays:
+            cursor = _pad_to(cursor)
+            settled.append(cursor)
+            cursor += array.nbytes
+        if settled == offsets:
+            break
+        offsets = settled
+
+    parts: List[Any] = [magic, len(encoded).to_bytes(4, "little"), encoded]
+    cursor = prefix + len(encoded)
+    for offset, (_, _, array) in zip(offsets, arrays):
+        parts += [bytes(offset - cursor), array]
+        cursor = offset + array.nbytes
+    atomic_write_bytes(path, *parts)
+
+
+def _read_header(path: Union[str, Path], magic: bytes) -> dict:
+    with open(path, "rb") as handle:
+        if handle.read(len(magic)) != magic:
+            raise ValueError(f"{path} has no {magic.decode()} magic")
+        header_len = int.from_bytes(handle.read(4), "little")
+        return json.loads(handle.read(header_len).decode("utf-8"))
+
+
+def read_columns(
+    path: Union[str, Path], magic: bytes
+) -> Tuple[dict, Dict[str, np.ndarray]]:
+    """The header and columns of a ``magic`` column file, zero-copy.
+
+    Each column is a read-only ``np.memmap`` view over the page cache,
+    keyed by name.  Raises ``ValueError`` for a file of another format or
+    a column whose byte count is not a whole number of its dtype.
+    """
+    header = _read_header(path, magic)
+    columns = {}
+    for entry in header["columns"]:
+        dtype = np.dtype(entry["dtype"])
+        count, misaligned = divmod(entry["bytes"], dtype.itemsize)
+        if misaligned:
+            raise ValueError(f"{path}: column {entry['name']} byte count misaligned")
+        columns[entry["name"]] = (
+            np.memmap(
+                path, dtype=dtype, mode="r", offset=entry["offset"], shape=(count,)
+            )
+            if count
+            else np.empty(0, dtype=dtype)
+        )
+    return header, columns
+
+
+MAGIC_V2 = b"RPTRACE2"
 
 #: Column storage order and fixed on-disk dtypes (explicitly little-endian,
 #: so spills are portable and hashes machine-independent).
@@ -86,13 +168,19 @@ _COLUMNS: Tuple[Tuple[str, str], ...] = (
 )
 
 
-def _column_bytes(trace: Trace) -> Dict[str, bytes]:
-    """Each column as its canonical on-disk (little-endian) byte string."""
-    raw = {}
-    for name, dtype in _COLUMNS:
-        column = getattr(trace, name)
-        raw[name] = np.ascontiguousarray(column, dtype=np.dtype(dtype)).tobytes()
-    return raw
+def _trace_columns(trace: Trace) -> List[Column]:
+    """The trace's columns in storage order and their on-disk dtypes."""
+    return [
+        (name, dtype, np.ascontiguousarray(getattr(trace, name), dtype=np.dtype(dtype)))
+        for name, dtype in _COLUMNS
+    ]
+
+
+def _content_hash(name: str, columns: Sequence[Column]) -> str:
+    digest = hashlib.sha256(name.encode("utf-8") + b"\x00")
+    for _, _, array in columns:
+        digest.update(array)
+    return digest.hexdigest()
 
 
 def record_nbytes() -> int:
@@ -111,17 +199,7 @@ def trace_content_hash(trace: Trace) -> str:
     Stable across machines and NumPy versions: columns are hashed in their
     fixed little-endian storage dtypes, not native memory layout.
     """
-    digest = hashlib.sha256()
-    digest.update(trace.name.encode("utf-8"))
-    digest.update(b"\x00")
-    for name, _ in _COLUMNS:
-        digest.update(_column_bytes(trace)[name])
-    return digest.hexdigest()
-
-
-def _pad_to(offset: int, alignment: int = _ALIGNMENT) -> int:
-    remainder = offset % alignment
-    return offset if remainder == 0 else offset + (alignment - remainder)
+    return _content_hash(trace.name, _trace_columns(trace))
 
 
 def write_trace_v2(
@@ -132,100 +210,37 @@ def write_trace_v2(
     """Spill ``trace`` to ``path`` in the RPTRACE2 zero-copy format.
 
     Returns the content hash recorded in the header (computed here unless
-    the caller already has it).  The write is atomic: a sibling temp file
-    is renamed into place, so concurrent attachers never see a torn spill.
+    the caller already has it).  The write is atomic, so concurrent
+    attachers never see a torn spill.
     """
-    path = Path(path)
-    raw = _column_bytes(trace)
+    columns = _trace_columns(trace)
     if content_hash is None:
-        digest = hashlib.sha256()
-        digest.update(trace.name.encode("utf-8"))
-        digest.update(b"\x00")
-        for name, _ in _COLUMNS:
-            digest.update(raw[name])
-        content_hash = digest.hexdigest()
-
-    # The header length feeds back into column offsets, and offsets feed
-    # back into the header; padding the serialized header to the alignment
-    # boundary makes the fixed point trivial.
-    table = []
-    header_stub = {
+        content_hash = _content_hash(trace.name, columns)
+    header = {
         "version": 2,
         "name": trace.name,
         "records": len(trace),
         "content_hash": content_hash,
-        "columns": table,
     }
-    prefix = len(MAGIC_V2) + 4
-    # First pass with zero offsets to measure the header, second pass with
-    # real offsets; the padded header length is identical in both passes
-    # only if offset digit counts match, so re-measure until stable.
-    offsets = {name: 0 for name, _ in _COLUMNS}
-    while True:
-        table.clear()
-        for name, dtype in _COLUMNS:
-            table.append(
-                {
-                    "name": name,
-                    "dtype": dtype,
-                    "offset": offsets[name],
-                    "bytes": len(raw[name]),
-                }
-            )
-        encoded = json.dumps(header_stub, sort_keys=True).encode("utf-8")
-        data_start = _pad_to(prefix + len(encoded))
-        cursor = data_start
-        new_offsets = {}
-        for name, _ in _COLUMNS:
-            cursor = _pad_to(cursor)
-            new_offsets[name] = cursor
-            cursor += len(raw[name])
-        if new_offsets == offsets:
-            break
-        offsets = new_offsets
-
-    temp = path.with_name(path.name + ".tmp")
-    with open(temp, "wb") as handle:
-        handle.write(MAGIC_V2)
-        handle.write(struct.pack("<I", len(encoded)))
-        handle.write(encoded)
-        handle.write(b"\x00" * (data_start - prefix - len(encoded)))
-        cursor = data_start
-        for name, _ in _COLUMNS:
-            aligned = _pad_to(cursor)
-            handle.write(b"\x00" * (aligned - cursor))
-            handle.write(raw[name])
-            cursor = aligned + len(raw[name])
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp, path)
+    write_columns(path, MAGIC_V2, header, columns)
     return content_hash
 
 
 def read_header_v2(path: Union[str, Path]) -> Optional[dict]:
     """The RPTRACE2 JSON header of ``path``, or ``None`` if it is not v2."""
-    path = Path(path)
     try:
-        with open(path, "rb") as handle:
-            magic = handle.read(len(MAGIC_V2))
-            if magic != MAGIC_V2:
-                return None
-            (header_len,) = struct.unpack("<I", handle.read(4))
-            return json.loads(handle.read(header_len).decode("utf-8"))
-    except (OSError, ValueError, struct.error):
+        return _read_header(path, MAGIC_V2)
+    except (OSError, ValueError):
         return None
 
 
 def spilled_hash(path: Union[str, Path]) -> Optional[str]:
     """Content hash recorded in an existing spill, or ``None``.
 
-    ``None`` means the file is missing, damaged, or pre-v2 — callers should
-    treat it as "must rewrite".
+    ``None`` means the file is missing, damaged, or not a spill — callers
+    should treat it as "must rewrite".
     """
-    header = read_header_v2(path)
-    if header is None:
-        return None
-    value = header.get("content_hash")
+    value = (read_header_v2(path) or {}).get("content_hash")
     return value if isinstance(value, str) else None
 
 
@@ -236,37 +251,34 @@ def attach_trace(path: Union[str, Path]) -> Trace:
     every worker attaching the same file shares one physical copy of the
     column data.
     """
-    path = Path(path)
-    header = read_header_v2(path)
-    if header is None:
-        raise ValueError(f"{path} is not an RPTRACE2 trace file")
+    header, columns = read_columns(path, MAGIC_V2)
     records = int(header["records"])
-    columns = {}
-    for entry in header["columns"]:
-        dtype = np.dtype(entry["dtype"])
-        expected = records * dtype.itemsize
-        if entry["bytes"] != expected:
+    for name, _ in _COLUMNS:
+        found = len(columns.get(name, ()))
+        if found != records:
             raise ValueError(
-                f"{path}: column {entry['name']} has {entry['bytes']} bytes, "
-                f"expected {expected}"
+                f"{path}: column {name} has {found} records, expected {records}"
             )
-        if records:
-            column = np.memmap(
-                path, mode="r", dtype=dtype, offset=entry["offset"], shape=(records,)
-            )
-        else:
-            column = np.empty(0, dtype=dtype)
-        columns[entry["name"]] = column
-    # bool and u1 share an itemsize, so the view (unlike an astype) is free.
-    columns["takens"] = columns["takens"].view(np.bool_)
     return Trace(
         name=header["name"],
         pcs=columns["pcs"],
         types=columns["types"],
-        takens=columns["takens"],
+        # bool and u1 share an itemsize, so the view (unlike an astype) is free.
+        takens=columns["takens"].view(np.bool_),
         targets=columns["targets"],
         gaps=columns["gaps"],
     )
+
+
+@dataclass
+class CachedSpill:
+    """One :class:`TraceCache` entry: an attached spill and what hangs off it."""
+
+    trace: Trace
+    #: The header content hash at attach time, re-checked on every hit.
+    content_hash: Optional[str]
+    #: Derived planes by RAS depth (:func:`repro.trace.derived.cached_derived`).
+    planes: Dict[int, Any] = field(default_factory=dict)
 
 
 _CacheKey = Tuple[str, int, int]
@@ -276,20 +288,14 @@ TRACE_CACHE_CAPACITY = 8
 
 
 class TraceCache:
-    """A small LRU of attached traces, keyed by ``(path, size, mtime_ns)``.
+    """A small LRU of attached spills, keyed by ``(path, size, mtime_ns)``.
 
-    One instance lives per worker process (:func:`cached_trace`), so a
-    trace referenced by many fused or sequential cells is mapped exactly
-    once per worker.  A spill rewritten in place gets a new mtime, which
-    misses the cache and evicts the stale mapping.
-
-    The stat key alone is not airtight: on filesystems with coarse mtime
-    granularity a same-size rewrite can land within one tick and leave
-    size and mtime_ns unchanged.  Every hit therefore re-reads the
-    spill's JSON header (O(header), page-cached) and compares the
-    recorded content hash against the one captured at attach time; a
-    mismatch evicts the stale mapping and re-attaches.  Legacy v1 spills
-    carry no header hash, so for them the stat key is the only guard.
+    A spill rewritten in place gets a new mtime, which misses the cache
+    and evicts the stale entry.  The stat key alone is not airtight: with
+    coarse mtime granularity a same-size rewrite can land within one tick.
+    Every hit therefore re-reads the spill's JSON header (O(header),
+    page-cached) and compares its content hash against the one captured
+    at attach time; a mismatch evicts the stale entry and re-attaches.
     """
 
     def __init__(self, capacity: int = TRACE_CACHE_CAPACITY) -> None:
@@ -298,39 +304,38 @@ class TraceCache:
         self.capacity = capacity
         self.hits = 0
         self.misses = 0
-        self._entries: "OrderedDict[_CacheKey, Tuple[Trace, Optional[str]]]" = (
-            OrderedDict()
-        )
+        self._entries: "OrderedDict[_CacheKey, CachedSpill]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, path: Union[str, Path]) -> Trace:
+    def entry(self, path: Union[str, Path]) -> CachedSpill:
+        """The live entry for ``path``, attaching the spill on a miss."""
         path = Path(path)
         stat = os.stat(path)
         key = (str(path), stat.st_size, stat.st_mtime_ns)
         cached = self._entries.get(key)
         if cached is not None:
-            trace, attached_hash = cached
-            if spilled_hash(path) == attached_hash:
+            if spilled_hash(path) == cached.content_hash:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                return trace
+                return cached
             del self._entries[key]
         self.misses += 1
         # Drop stale generations of the same file before admitting the new
         # one, so a rewritten spill cannot pin two mappings.
         for stale in [k for k in self._entries if k[0] == key[0]]:
             del self._entries[stale]
-        # read_trace dispatches on magic: v2 spills attach zero-copy, v1
-        # spills decode through the legacy reader but still get cached.
-        from repro.trace.stream import read_trace
-
-        trace = read_trace(path)
-        self._entries[key] = (trace, spilled_hash(path))
+        # Hash before attaching: a rewrite in between then fails the next
+        # hit's re-check instead of pinning the new hash to old columns.
+        recorded = spilled_hash(path)
+        cached = self._entries[key] = CachedSpill(attach_trace(path), recorded)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-        return trace
+        return cached
+
+    def get(self, path: Union[str, Path]) -> Trace:
+        return self.entry(path).trace
 
     def clear(self) -> None:
         self._entries.clear()
@@ -340,6 +345,11 @@ class TraceCache:
 
 #: Per-process cache used by execution workers.
 _worker_cache = TraceCache()
+
+
+def cached_entry(path: Union[str, Path]) -> CachedSpill:
+    """The per-worker-process :class:`TraceCache` entry for ``path``."""
+    return _worker_cache.entry(path)
 
 
 def cached_trace(path: Union[str, Path]) -> Trace:

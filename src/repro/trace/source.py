@@ -17,7 +17,7 @@ same planning/spill/ship machinery:
   and memoized; a campaign plan over workload sources spills byte-for-
   byte what the eager ``spec.generate()`` path spilled.
 * :class:`FileSource` — an on-disk trace in any readable format
-  (RPTRACE1/2, interchange CSV, or an ingested external format — see
+  (an RPTRACE2 spill, interchange CSV, or an ingested external format — see
   :mod:`repro.trace.ingest`).  For RPTRACE2 files the name, record
   count, and content hash come straight from the header, so identity
   questions never decode the columns.
@@ -111,10 +111,10 @@ class TraceSource(abc.ABC):
         """Materialize into an RPTRACE2 spill at ``path``, at most once.
 
         Keyed on the source content hash: an existing spill whose header
-        hash matches is left byte-untouched (so worker ``TraceCache``
-        mappings and derived planes stay valid), exactly like
-        :func:`repro.exec.plan.spill_trace`.  Returns ``True`` if the
-        file was (re)written.
+        hash matches is left byte-untouched (one header read), so resumed
+        campaigns rewrite nothing and worker ``TraceCache`` mappings and
+        derived planes stay valid.  Returns ``True`` if the file was
+        (re)written.
         """
         path = Path(path)
         content_hash = self.content_hash()
@@ -175,7 +175,7 @@ class WorkloadSource(TraceSource):
 class FileSource(TraceSource):
     """An on-disk trace in any readable format.
 
-    Formats: RPTRACE2/RPTRACE1 spills, the interchange CSV, and the
+    Formats: RPTRACE2 spills, the interchange CSV, and the
     ingestion formats of :mod:`repro.trace.ingest` (ChampSim-style,
     gem5-style) — dispatched by :func:`repro.trace.ingest.detect_format`
     unless ``format`` pins one.  For RPTRACE2 files, ``name``,

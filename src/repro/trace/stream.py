@@ -5,25 +5,21 @@ than lists of record objects: the simulation engine iterates millions of
 records, and attribute access on dataclasses dominates runtime otherwise.
 Record-object views are still available for tests and tooling.
 
-Two on-disk formats exist.  ``RPTRACE1`` (legacy, still readable) stores
-the five columns via ``np.save``; ``RPTRACE2`` (the default spill format,
-``repro.trace.plane``) stores raw little-endian column bytes at aligned
-offsets so workers can attach them with ``np.memmap`` — zero-copy, shared
-through the page cache.  :func:`read_trace` dispatches on the magic.
+On disk a trace is an ``RPTRACE2`` spill (:mod:`repro.trace.plane`): raw
+little-endian column bytes at aligned offsets, which workers attach with
+``np.memmap`` — zero-copy, shared through the page cache.
+:func:`write_trace` and :func:`read_trace` are this module's names for
+that writer and reader.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
 from repro.trace.record import BranchRecord, BranchType
-
-_MAGIC = b"RPTRACE1"
 
 
 class Trace:
@@ -146,48 +142,17 @@ class Trace:
 
 
 def write_trace(trace: Trace, path: Union[str, Path]) -> None:
-    """Serialize ``trace`` to ``path`` in the current spill format.
-
-    Writes RPTRACE2 (zero-copy attachable; see ``repro.trace.plane``).
-    :func:`write_trace_v1` keeps the legacy format reachable for tests and
-    interop; :func:`read_trace` reads both.
-    """
+    """Spill ``trace`` to ``path`` (RPTRACE2; see ``repro.trace.plane``)."""
     from repro.trace.plane import write_trace_v2
 
     write_trace_v2(trace, path)
 
 
-def write_trace_v1(trace: Trace, path: Union[str, Path]) -> None:
-    """Serialize ``trace`` to ``path`` in the legacy RPTRACE1 format."""
-    path = Path(path)
-    header = json.dumps({"name": trace.name, "records": len(trace)}).encode()
-    with open(path, "wb") as handle:
-        handle.write(_MAGIC)
-        handle.write(struct.pack("<I", len(header)))
-        handle.write(header)
-        for column in (trace.pcs, trace.types, trace.takens, trace.targets, trace.gaps):
-            np.save(handle, column, allow_pickle=False)
-
-
 def read_trace(path: Union[str, Path]) -> Trace:
-    """Load a trace written by :func:`write_trace` (RPTRACE2 or RPTRACE1)."""
-    path = Path(path)
-    with open(path, "rb") as handle:
-        magic = handle.read(len(_MAGIC))
-        if magic == b"RPTRACE2":
-            from repro.trace.plane import attach_trace
+    """Attach an RPTRACE2 spill (:func:`repro.trace.plane.attach_trace`)."""
+    from repro.trace.plane import attach_trace
 
-            return attach_trace(path)
-        if magic != _MAGIC:
-            raise ValueError(f"{path} is not an RPTRACE1/RPTRACE2 trace file")
-        (header_len,) = struct.unpack("<I", handle.read(4))
-        header = json.loads(handle.read(header_len).decode())
-        pcs = np.load(handle, allow_pickle=False)
-        types = np.load(handle, allow_pickle=False)
-        takens = np.load(handle, allow_pickle=False)
-        targets = np.load(handle, allow_pickle=False)
-        gaps = np.load(handle, allow_pickle=False)
-    return Trace(header["name"], pcs, types, takens, targets, gaps)
+    return attach_trace(path)
 
 
 def concatenate(name: str, traces: Iterable[Trace]) -> Trace:

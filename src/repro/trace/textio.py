@@ -1,6 +1,6 @@
 """Text (CSV) trace interchange format.
 
-The binary RPTRACE1 format (:mod:`repro.trace.stream`) is for caching;
+The binary RPTRACE2 spill (:mod:`repro.trace.plane`) is for caching;
 this module adds a human-readable interchange format so users can
 import branch traces produced by *other* tools (a Pin tool, a QEMU
 plugin, a CBP-trace converter) and run this library's predictors on

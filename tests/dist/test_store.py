@@ -3,14 +3,14 @@
 import pytest
 
 from repro.dist.store import StoreError, TraceStore, trace_file_hash
-from repro.exec.plan import spill_trace
 from repro.trace.plane import spilled_hash
+from repro.trace.source import MaterializedSource
 
 
 @pytest.fixture
 def spill(tiny_trace, tmp_path):
     path = tmp_path / "tiny.trace"
-    spill_trace(tiny_trace, path)
+    MaterializedSource(tiny_trace).spill(path)
     return path
 
 
@@ -23,16 +23,12 @@ class TestTraceFileHash:
     def test_v2_spill_uses_recorded_hash(self, spill):
         assert trace_file_hash(spill) == spilled_hash(spill)
 
-    def test_headerless_file_hashes_bytes(self, tmp_path):
-        import hashlib
-
+    def test_headerless_file_raises(self, tmp_path):
         path = tmp_path / "legacy.bin"
-        path.write_bytes(b"RPTRACE1 era bytes without a v2 header")
+        path.write_bytes(b"bytes without an RPTRACE2 header")
         assert spilled_hash(path) is None
-        assert (
+        with pytest.raises(StoreError, match="not an RPTRACE2"):
             trace_file_hash(path)
-            == hashlib.sha256(path.read_bytes()).hexdigest()
-        )
 
 
 class TestChunkedIngest:
@@ -57,6 +53,25 @@ class TestChunkedIngest:
         with pytest.raises(StoreError, match="hash mismatch"):
             store.add_chunk(content_hash, b"corrupted bytes", last=True)
         assert not store.has(content_hash)
+
+    def test_flipped_column_byte_rejected_and_not_stored(
+        self, store, spill
+    ):
+        """A shipped spill whose columns no longer hash to its key (the
+        header still claims the key) never reaches the store."""
+        from repro.trace.plane import read_header_v2
+
+        content_hash = trace_file_hash(spill)
+        data = bytearray(spill.read_bytes())
+        gaps = next(
+            entry for entry in read_header_v2(spill)["columns"]
+            if entry["name"] == "gaps"
+        )
+        data[gaps["offset"]] ^= 0x01
+        with pytest.raises(StoreError, match="hash mismatch"):
+            store.add_chunk(content_hash, bytes(data), last=True)
+        assert not store.has(content_hash)
+        assert list(store.root.iterdir()) == []
 
     def test_reship_of_present_trace_is_a_noop(self, store, spill):
         content_hash = trace_file_hash(spill)

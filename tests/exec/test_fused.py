@@ -12,11 +12,11 @@ from repro.exec.plan import (
     PlanError,
     fuse_cells,
     plan_campaign,
-    spill_trace,
 )
 from repro.exec.pool import CellTimeout, execute_plan, run_cell, run_fused_cell
 from repro.predictors import BranchTargetBuffer, TwoBitBTB
 from repro.sim.runner import run_campaign
+from repro.trace.source import MaterializedSource
 
 
 def _cells(tiny_trace, vdispatch_trace, tmp_path, factories=None):
@@ -128,9 +128,10 @@ class TestSpillReuse:
     def test_spill_trace_reports_writes(self, tiny_trace, vdispatch_trace,
                                         tmp_path):
         path = tmp_path / "t.trace"
-        assert spill_trace(tiny_trace, path) is True
-        assert spill_trace(tiny_trace, path) is False
-        assert spill_trace(vdispatch_trace, path) is True  # content changed
+        assert MaterializedSource(tiny_trace).spill(path) is True
+        assert MaterializedSource(tiny_trace).spill(path) is False
+        # content changed
+        assert MaterializedSource(vdispatch_trace).spill(path) is True
 
 
 class TestFusedTimeout:

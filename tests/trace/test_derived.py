@@ -251,7 +251,7 @@ class TestDiskCache:
 
 
 class TestCachedDerived:
-    """The in-memory LRU must not serve a plane of a rewritten spill."""
+    """The worker cache must not serve a plane of a rewritten spill."""
 
     @pytest.fixture
     def rewritten(self, callret_trace, tmp_path, monkeypatch):
@@ -259,12 +259,11 @@ class TestCachedDerived:
         with a same-name, same-length trace B and pin the mtime back, so
         the ``(path, size, mtime_ns)`` key cannot see the rewrite."""
         import os
-        from collections import OrderedDict
 
-        from repro.trace import derived as derived_module
+        from repro.trace import plane as plane_module
         from repro.trace.plane import TraceCache
 
-        monkeypatch.setattr(derived_module, "_derived_cache", OrderedDict())
+        monkeypatch.setattr(plane_module, "_worker_cache", TraceCache())
         other = CallReturnSpec(
             name=callret_trace.name, seed=11, num_records=len(callret_trace),
             filler_conditionals=6,
@@ -301,3 +300,72 @@ class TestCachedDerived:
         columnar = simulate(BLBP(), trace, backend="columnar", derived=plane)
         scalar = simulate(BLBP(), trace)
         assert columnar.indirect_mispredictions == scalar.indirect_mispredictions
+
+
+class TestOneSpillCache:
+    """A spill's derived planes live in its worker TraceCache entry."""
+
+    @pytest.fixture
+    def worker_cache(self, monkeypatch):
+        from repro.trace import plane as plane_module
+        from repro.trace.plane import TraceCache
+
+        cache = TraceCache(capacity=1)
+        monkeypatch.setattr(plane_module, "_worker_cache", cache)
+        return cache
+
+    def test_same_stat_rewrite_gets_new_trace_and_plane(
+        self, worker_cache, callret_trace, tmp_path
+    ):
+        import os
+
+        from repro.trace.plane import cached_trace
+
+        other = CallReturnSpec(
+            name=callret_trace.name, seed=11, num_records=len(callret_trace),
+            filler_conditionals=6,
+        ).generate()
+        spill = tmp_path / "t.trace"
+        write_trace_v2(callret_trace, spill)
+        before = os.stat(spill)
+        first = cached_derived(spill, cached_trace(spill), 32)
+        write_trace_v2(other, spill)
+        os.utime(spill, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert os.stat(spill).st_size == before.st_size
+
+        trace = cached_trace(spill)
+        plane = cached_derived(spill, trace, 32)
+        assert trace_content_hash(trace) == trace_content_hash(other)
+        assert plane is not first
+        assert plane.content_hash == trace_content_hash(other)
+        assert np.array_equal(
+            plane.return_preds, compute_derived(other, 32).return_preds
+        )
+
+    def test_plane_memoized_in_the_trace_entry(
+        self, worker_cache, callret_trace, tmp_path
+    ):
+        from repro.trace.plane import cached_entry, cached_trace
+
+        spill = tmp_path / "t.trace"
+        write_trace_v2(callret_trace, spill)
+        trace = cached_trace(spill)
+        plane = cached_derived(spill, trace, 32)
+        assert cached_derived(spill, trace, 32) is plane
+        assert cached_entry(spill).planes == {32: plane}
+
+    def test_evicting_a_trace_drops_its_planes(
+        self, worker_cache, callret_trace, tiny_trace, tmp_path
+    ):
+        from repro.trace.plane import cached_entry, cached_trace
+
+        first, second = tmp_path / "a.trace", tmp_path / "b.trace"
+        write_trace_v2(callret_trace, first)
+        write_trace_v2(tiny_trace, second)
+        plane = cached_derived(first, cached_trace(first), 32)
+        cached_derived(second, cached_trace(second), 32)  # evicts ``first``
+        assert len(worker_cache) == 1
+        assert cached_entry(first).planes == {}
+        again = cached_derived(first, cached_trace(first), 32)
+        assert again is not plane
+        assert again.content_hash == plane.content_hash

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,7 +19,21 @@ from repro.trace.plane import (
     write_trace_v2,
 )
 from repro.trace.record import BranchRecord, BranchType
-from repro.trace.stream import Trace, read_trace, write_trace, write_trace_v1
+from repro.trace.stream import Trace, read_trace, write_trace
+
+
+CHAMPSIM_FIXTURE = (
+    Path(__file__).parent.parent / "fixtures" / "ingest" / "mini.champsim.txt"
+)
+
+#: sha256 of ``repro import mini.champsim.txt`` and of that trace's
+#: RAS-depth-32 derived plane.  Either changes only with a file format.
+MINI_TRACE_SHA256 = (
+    "aad92a9e953f8c165b8cba23b65d870ea7bcec93297f93c4b6df2d73ef86c8dd"
+)
+MINI_PLANE_SHA256 = (
+    "ededd1160046b29c70d1a732411a18c3f0628cbd95346f24f7bbf1cb3234a5b5"
+)
 
 
 def _columns_equal(left: Trace, right: Trace) -> bool:
@@ -36,12 +55,6 @@ class TestRoundTrip:
         path = tmp_path / "t.trace"
         write_trace(tiny_trace, path)
         assert path.read_bytes()[:8] == b"RPTRACE2"
-        assert _columns_equal(tiny_trace, read_trace(path))
-
-    def test_read_trace_still_reads_v1(self, tiny_trace, tmp_path):
-        path = tmp_path / "t.trace"
-        write_trace_v1(tiny_trace, path)
-        assert path.read_bytes()[:8] == b"RPTRACE1"
         assert _columns_equal(tiny_trace, read_trace(path))
 
     def test_attach_is_memmap_backed(self, callret_trace, tmp_path):
@@ -83,6 +96,66 @@ class TestRoundTrip:
             read_trace(path)
 
 
+class TestFormatPins:
+    def test_imported_trace_bytes(self, tmp_path):
+        from repro.cli import main
+
+        out = tmp_path / "mini.trace"
+        assert main(["import", str(CHAMPSIM_FIXTURE), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == MINI_TRACE_SHA256
+
+    def test_derived_plane_bytes(self, tmp_path):
+        from repro.trace.derived import compute_derived, write_derived
+        from repro.trace.source import FileSource
+
+        spill = tmp_path / "mini.trace"
+        FileSource(CHAMPSIM_FIXTURE).spill(spill)
+        plane = tmp_path / "mini.plane"
+        write_derived(compute_derived(read_trace(spill), 32), plane)
+        assert hashlib.sha256(plane.read_bytes()).hexdigest() == MINI_PLANE_SHA256
+
+
+class TestConcurrentSpills:
+    def test_write_does_not_claim_fixed_tmp_name(self, tiny_trace, tmp_path):
+        """Staging must use a unique sibling, not ``<name>.tmp``."""
+        path = tmp_path / "t.trace"
+        decoy = tmp_path / "t.trace.tmp"
+        decoy.write_bytes(b"another writer's staging bytes")
+        write_trace_v2(tiny_trace, path)
+        assert decoy.read_bytes() == b"another writer's staging bytes"
+        assert _columns_equal(tiny_trace, attach_trace(path))
+
+    def test_concurrent_spills_of_one_path(self, callret_trace, tmp_path):
+        """Writers spilling one path never fail or publish a torn file
+        (as when two processes plan into one ``cache_dir``)."""
+        path = tmp_path / "t.trace"
+        barrier = threading.Barrier(4)
+        errors = []
+
+        def spill_repeatedly():
+            barrier.wait()
+            for _ in range(50):
+                try:
+                    write_trace_v2(callret_trace, path)
+                except Exception as exc:  # noqa: BLE001 - collected below
+                    errors.append(exc)
+
+        writers = [threading.Thread(target=spill_repeatedly) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for writer in writers:
+                writer.start()
+            for writer in writers:
+                writer.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(writer.is_alive() for writer in writers)
+        assert errors == []
+        assert _columns_equal(callret_trace, attach_trace(path))
+        assert [entry.name for entry in tmp_path.iterdir()] == ["t.trace"]
+
+
 class TestContentHash:
     def test_hash_matches_header(self, tiny_trace, tmp_path):
         path = tmp_path / "t.trace"
@@ -112,10 +185,7 @@ class TestContentHash:
         )
         assert trace_content_hash(renamed) != trace_content_hash(tiny_trace)
 
-    def test_spilled_hash_none_for_v1_or_missing(self, tiny_trace, tmp_path):
-        v1 = tmp_path / "v1.trace"
-        write_trace_v1(tiny_trace, v1)
-        assert spilled_hash(v1) is None
+    def test_spilled_hash_none_for_missing(self, tmp_path):
         assert spilled_hash(tmp_path / "missing.trace") is None
 
 
@@ -188,12 +258,6 @@ class TestTraceCache:
         assert np.array_equal(reloaded.targets, shifted.targets)
         assert cache.misses == 2
         assert len(cache) == 1
-
-    def test_reads_v1_spills_too(self, tiny_trace, tmp_path):
-        path = tmp_path / "v1.trace"
-        write_trace_v1(tiny_trace, path)
-        cache = TraceCache(capacity=2)
-        assert _columns_equal(tiny_trace, cache.get(path))
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):

@@ -164,10 +164,8 @@ class TestSpill:
         assert path.stat().st_mtime_ns == stamp
 
     def test_spill_bytes_match_direct_write(self, tiny_trace, tmp_path):
-        from repro.exec.plan import spill_trace
-
         direct = tmp_path / "direct.trace"
-        spill_trace(tiny_trace, direct)
+        write_trace(tiny_trace, direct)
         via_source = tmp_path / "source.trace"
         MaterializedSource(tiny_trace).spill(via_source)
         assert direct.read_bytes() == via_source.read_bytes()
