@@ -98,11 +98,23 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_trace(path: str):
-    """Load a trace in any readable format (RPTRACE, CSV, ingested)."""
-    from repro.trace.ingest import load_any_trace
+class _TraceLoadError(Exception):
+    """A trace file named on the command line could not be read."""
 
-    return load_any_trace(path)
+
+def _load_trace(path: str):
+    """Load a trace in any readable format (RPTRACE, CSV, ingested).
+
+    An unreadable file raises :class:`_TraceLoadError`, which
+    :func:`main` reports as one ``error:`` line, as ``trace info`` does.
+    """
+    from repro.trace.ingest import IngestError, load_any_trace
+    from repro.trace.source import SourceError
+
+    try:
+        return load_any_trace(path)
+    except (IngestError, SourceError, ValueError, OSError) as exc:
+        raise _TraceLoadError(f"{path}: error: {exc}") from exc
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -901,6 +913,9 @@ def main(argv: List[str] = None) -> int:
         # kernel's actionable reason instead of a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except _TraceLoadError as exc:
+        print(exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -10,7 +10,9 @@ Targets").
 Storage is flat: one ``array('q')`` per entry field (tag, region index,
 generation, offset, RRPV), set ``s`` owning the slice
 ``[s*ways, (s+1)*ways)``, with SRRIP-HP inlined over that slice.  Each
-set's tag→ways index and lookup cache are rebuilt lazily after a load.
+set's tag→ways index and lookup cache are rebuilt lazily after a load,
+or after the compiled BLBP core (:mod:`repro.sim.native`) has replayed
+a trace into the same fields in place.
 Snapshots keep the per-set ``IBTBSet``/``RRIPPolicy`` layout.
 
 Stale entries (whose region was recycled out of the region array) are
@@ -212,17 +214,19 @@ class IndirectBTB(Stateful):
             self.regions.state_dict(),
         )), b"".join(self._fields)
 
-    def _flat_state(self) -> tuple:
-        """Copies of the flat fields plus the region array's snapshot."""
-        return tuple(field[:] for field in self._fields), self.regions.state_dict()
-
     def _restore_flat(self, flat: tuple) -> None:
-        """Trusted write-back of :meth:`_flat_state` output: no checks.
-        Regions load in place, as the hierarchical IBTB shares them."""
+        """Write validated flat fields and a region snapshot back in
+        place (the hierarchical IBTB shares the regions)."""
         fields, regions = flat
         self.regions.load_state(regions)
         for field, values in zip(self._fields, fields):
             field[:] = values
+        self._reindex()
+
+    def _reindex(self) -> None:
+        """Drop the per-set indexes and lookup caches derived from the
+        fields, after the fields changed underneath them (a restore, or
+        a compiled replay); they rebuild lazily."""
         self._by_tag = [None] * self.num_sets
         self._caches = [{} for _ in range(self.num_sets)]
 

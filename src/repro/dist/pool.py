@@ -393,6 +393,13 @@ class _NodeClient(_Runner):
                     self.process.kill()
                 except OSError:
                     pass
+            # A socket node's stdout carried only its address line.
+            for pipe in (self.process.stdin, self.process.stdout):
+                if pipe is not None:
+                    try:
+                        pipe.close()
+                    except OSError:
+                        pass
 
 
 class _RemotePool(Pool):
@@ -550,8 +557,10 @@ class NodePool(_RemotePool):
         except BaseException:
             try:
                 process.kill()
-            except OSError:
+                process.wait(timeout=5)
+            except (OSError, subprocess.TimeoutExpired):
                 pass
+            process.stdout.close()
             raise
 
     @staticmethod

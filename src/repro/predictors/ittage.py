@@ -110,19 +110,26 @@ class ITTAGEConfig:
             raise ValueError("history lengths must be non-decreasing")
 
 
+#: Per-entry fields of a tagged table, and their dtypes.
+_TABLE_FIELDS = (
+    ("tags", np.int64),
+    ("targets", np.uint64),
+    ("ctr", np.int8),
+    ("useful", np.int8),
+    ("valid", bool),
+)
+
+
 class _TaggedTable:
-    """One partially-tagged ITTAGE table."""
+    """One partially-tagged ITTAGE table: row views of the predictor's
+    ``(num_tagged, entries)`` field buffers."""
 
-    __slots__ = ("entries", "tag_bits", "tags", "targets", "ctr", "useful", "valid")
+    __slots__ = ("tag_bits", "tags", "targets", "ctr", "useful", "valid")
 
-    def __init__(self, entries: int, tag_bits: int) -> None:
-        self.entries = entries
+    def __init__(self, tag_bits: int, fields: dict, row: int) -> None:
         self.tag_bits = tag_bits
-        self.tags = np.zeros(entries, dtype=np.int64)
-        self.targets = np.zeros(entries, dtype=np.uint64)
-        self.ctr = np.zeros(entries, dtype=np.int8)
-        self.useful = np.zeros(entries, dtype=np.int8)
-        self.valid = np.zeros(entries, dtype=bool)
+        for name, _ in _TABLE_FIELDS:
+            setattr(self, name, fields[name][row])
 
 
 class ITTAGE(IndirectBranchPredictor):
@@ -139,8 +146,14 @@ class ITTAGE(IndirectBranchPredictor):
         self._base_ctr = np.zeros(cfg.base_entries, dtype=np.int8)
         self._base_valid = np.zeros(cfg.base_entries, dtype=bool)
 
+        #: One contiguous ``(num_tagged, entries)`` buffer per field, so
+        #: the compiled replay core updates every table in place.
+        self._fields = {
+            name: np.zeros((cfg.num_tagged, cfg.tagged_entries), dtype=dtype)
+            for name, dtype in _TABLE_FIELDS
+        }
         self._tables = [
-            _TaggedTable(cfg.tagged_entries, cfg.tag_bits[i])
+            _TaggedTable(cfg.tag_bits[i], self._fields, i)
             for i in range(cfg.num_tagged)
         ]
         self._index_bits = max(1, (cfg.tagged_entries - 1).bit_length())
@@ -321,8 +334,7 @@ class ITTAGE(IndirectBranchPredictor):
 
         self._updates += 1
         if self._updates % cfg.u_reset_period == 0:
-            for table in self._tables:
-                table.useful[:] = 0
+            self._fields["useful"][:] = 0
 
     def _allocate(self, ctx: dict, provider_rank: int, target: int) -> None:
         cfg = self.config
@@ -452,19 +464,13 @@ class ITTAGE(IndirectBranchPredictor):
             state["index_folds"] + state["tag_folds"] + state["tag_folds2"],
         )
         self._ring_head = head
+        # Everything decodes into the existing buffers, which keep their
+        # shape and dtype, so the tables stay views of `_fields`.
         for table, payload in zip(self._tables, state["tables"]):
-            for attr in ("tags", "targets", "ctr", "useful", "valid"):
-                decoded = decode_array(payload[attr])
-                current = getattr(table, attr)
-                require(
-                    decoded.shape == current.shape
-                    and decoded.dtype == current.dtype,
-                    f"ITTAGE table {attr} mismatch",
-                )
-                setattr(table, attr, decoded)
-        self._base_targets = decode_array(state["base_targets"])
-        self._base_ctr = decode_array(state["base_ctr"])
-        self._base_valid = decode_array(state["base_valid"])
+            for attr, _ in _TABLE_FIELDS:
+                _load_into(getattr(table, attr), payload[attr], f"table {attr}")
+        for attr in ("base_targets", "base_ctr", "base_valid"):
+            _load_into(getattr(self, "_" + attr), state[attr], attr)
         self._path, self._use_alt, self._updates = path, use_alt, updates
         self._rng.bit_generator.state = state["rng"]
         self._ctx = None
@@ -497,3 +503,14 @@ class ITTAGE(IndirectBranchPredictor):
         budget.add("path history", cfg.path_bits)
         budget.add("use-alt meta counter", cfg.use_alt_bits)
         return budget
+
+
+def _load_into(buffer: np.ndarray, payload: dict, what: str) -> None:
+    """Decode ``payload`` into ``buffer`` in place, refusing a shape or
+    dtype other than the buffer's."""
+    decoded = decode_array(payload)
+    require(
+        decoded.shape == buffer.shape and decoded.dtype == buffer.dtype,
+        f"ITTAGE {what} mismatch",
+    )
+    buffer[...] = decoded

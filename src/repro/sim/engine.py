@@ -29,7 +29,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.predictors.base import IndirectBranchPredictor
-from repro.sim import kernel
 from repro.sim.checkpoint import (
     SimulationCheckpoint,
     load_checkpoint,
@@ -616,6 +615,10 @@ def _simulate_lanes(
 
     results: List[Optional[SimulationResult]] = [None] * len(predictors)
     if backend != "scalar":
+        # Imported here: the scalar paths (a serve child, say) never
+        # load the kernels or build the compiled cores.
+        from repro.sim import kernel
+
         blockers = [
             feature
             for feature, active in (

@@ -32,6 +32,7 @@ from repro.common.hashing import mix_pc, stable_hash64
 from repro.cond.mpp import MultiperspectivePerceptron
 from repro.predictors.vpc import VPCPredictor
 from repro.sim import native
+from repro.sim.kernel import lane_result
 from repro.sim.metrics import SimulationResult
 from repro.trace.derived import DerivedPlane
 from repro.trace.stream import Trace
@@ -131,8 +132,6 @@ def _prepare(
         "ev_a": ev_a,
         "ev_taken": ev_taken,
         "targets": branch_targets,
-        "branch_pcs": derived.indirect_pcs,
-        "indirect_idx": np.asarray(derived.indirect_idx),
         "predictions": np.zeros(branch_count, dtype=np.uint64),
         "valid": np.zeros(branch_count, dtype=np.uint8),
     }
@@ -283,52 +282,7 @@ def simulate_columnar_vpc(
     """
     prep = _prepare(predictor, trace, derived, shared)
     _replay(predictor, prep)
-
-    predictions = prep["predictions"]
-    prediction_valid = prep["valid"].astype(bool)
-    indirect_idx = prep["indirect_idx"]
-    branch_targets = prep["targets"]
-    branch_pcs = prep["branch_pcs"]
-
-    if prediction_sink is not None:
-        prediction_sink["indirect_idx"] = indirect_idx.copy()
-        prediction_sink["valid"] = prediction_valid.copy()
-        prediction_sink["predictions"] = predictions.copy()
-
-    counted = indirect_idx >= warmup_records
-    mispredicted = counted & (
-        ~prediction_valid | (predictions != branch_targets)
-    )
-    by_pc: Dict[int, int] = {}
-    if collect_per_pc and mispredicted.any():
-        miss_pcs, miss_counts = np.unique(
-            branch_pcs[mispredicted], return_counts=True
-        )
-        by_pc = {
-            int(pc): int(count)
-            for pc, count in zip(miss_pcs.tolist(), miss_counts.tolist())
-        }
-
-    return_indices = np.asarray(derived.return_idx)
-    returns = 0
-    return_mispredictions = 0
-    if len(return_indices):
-        counted_returns = return_indices >= warmup_records
-        returns = int(np.count_nonzero(counted_returns))
-        return_mispredictions = int(
-            np.count_nonzero(
-                counted_returns & (np.asarray(derived.return_ok) == 0)
-            )
-        )
-
-    return SimulationResult(
-        trace_name=trace.name,
-        predictor_name=predictor.name,
-        total_instructions=trace.total_instructions(),
-        indirect_branches=int(np.count_nonzero(counted)),
-        indirect_mispredictions=int(np.count_nonzero(mispredicted)),
-        return_branches=returns,
-        return_mispredictions=return_mispredictions,
-        conditional_branches=derived.conditionals,
-        mispredictions_by_pc=by_pc,
+    return lane_result(
+        predictor, trace, derived, prep["predictions"], prep["valid"],
+        warmup_records, collect_per_pc, prediction_sink,
     )

@@ -10,9 +10,12 @@ The invariants under test are the subsystem's reason to exist:
   (and zero times when the node's store already holds it).
 """
 
+import gc
 import os
 import signal
+import sys
 import threading
+import warnings
 
 import pytest
 
@@ -165,6 +168,19 @@ class TestNodePool:
         assert "fallback" in sink.kinds()
         _campaigns_identical(serial, campaign)
         assert journal.read_bytes() == journal_bytes
+
+    def test_close_releases_every_pipe(self, monkeypatch):
+        """Open and close leave no file behind: a pipe finalized unclosed
+        raises ResourceWarning, which the hook below collects."""
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            pool = NodePool(1)
+            pool.close()
+            del pool
+            gc.collect()
+        assert [hook.exc_value for hook in unraisable] == []
 
     def test_rejects_zero_nodes(self):
         with pytest.raises(PoolError):

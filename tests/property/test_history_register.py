@@ -7,16 +7,16 @@
   from-scratch :func:`fold_bits` of its window, and a snapshot taken
   while bits are pending restores to a register that continues
   identically.
-* The columnar kernels' one-row prefix table
-  (:func:`repro.sim.kernel._fold_prefix_tables`) with
-  :func:`repro.sim.kernel._branch_folds`: every (consumed, interval)
-  fold equals :func:`fold_int` of its window, including intervals that
-  start above 0, phase-0 reads and windows that reach the stream start.
+* The compiled BLBP core's write-back of the same register: after a
+  columnar replay from a cold or warm (pending) register, the unmasked
+  bits, pending count and folds equal the scalar register's, and every
+  flushed fold equals :func:`fold_int` of its window, for intervals
+  that start above 0 and windows that reach the history's end.
 """
 
 import random
 
-import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -27,11 +27,14 @@ from repro.common.hashing import (
     fold_int,
 )
 from repro.cond.tage import TAGE
+from repro.core.blbp import BLBP
 from repro.core.config import BLBPConfig
 from repro.core.histories import BLBPHistories
 from repro.predictors.ittage import ITTAGE, ITTAGEConfig
-from repro.sim.kernel import _branch_folds, _fold_prefix_tables
-from repro.trace.record import BranchType
+from repro.sim.engine import simulate
+from repro.sim.kernel import simulate_columnar_many
+from repro.trace.record import BranchRecord, BranchType
+from repro.trace.stream import Trace
 
 
 @st.composite
@@ -237,54 +240,93 @@ class TestPredictorSnapshotsWithPendingBits:
         assert restored.indices(0x4444) == original.indices_reference(0x4444)
 
 
-def _window_value(stream, consumed, start, end):
-    """The register's ``[start, end)`` bits after ``consumed`` stream
-    bits, most recent at bit 0."""
-    value = 0
-    for position in range(end - start):
-        value |= int(stream[consumed - 1 - start - position]) << position
-    return value
+def _blbp_trace(events):
+    """Conditionals and indirect branches over a tiny PC pool; the
+    indirects flush the register, runs of conditionals leave bits
+    pending."""
+    records = []
+    for kind, taken, pc_index in events:
+        if kind:
+            records.append(BranchRecord(0x900, BranchType.CONDITIONAL,
+                                        taken, 0x910, inst_gap=1))
+        else:
+            records.append(BranchRecord(0x4000 + 0x40 * pc_index,
+                                        BranchType.INDIRECT_JUMP, True,
+                                        0x10_0000 + 0x40 * pc_index,
+                                        inst_gap=1))
+    return Trace.from_records("folds", records)
 
 
-class TestOneRowPrefixTables:
-    @given(
-        stream=st.lists(st.integers(0, 1), min_size=1, max_size=300),
-        width=st.integers(min_value=1, max_value=16),
-        data=st.data(),
+@st.composite
+def blbp_layouts(draw):
+    """A BLBP geometry: history length, fold width and 1-6 intervals
+    inside the history."""
+    capacity = draw(st.integers(min_value=1, max_value=160))
+    width = draw(st.integers(min_value=1, max_value=12))
+    intervals = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        start = draw(st.integers(min_value=0, max_value=capacity - 1))
+        end = draw(st.integers(min_value=start + 1, max_value=capacity))
+        intervals.append((start, end))
+    return BLBPConfig(
+        global_history_bits=capacity,
+        intervals=tuple(intervals),
+        table_rows=1 << width,
     )
-    @settings(max_examples=150, deadline=None)
-    def test_branch_folds_match_fold_int(self, stream, width, data):
-        ext = np.asarray(stream, dtype=np.uint8)
-        total = len(ext)
-        intervals = []
-        for _ in range(data.draw(st.integers(1, 4))):
-            start = data.draw(st.integers(0, total - 1))
-            end = data.draw(st.integers(start + 1, total))
-            intervals.append((start, end))
-        floor = max(end for _, end in intervals)
-        consumed = data.draw(
-            st.lists(st.integers(floor, total), min_size=1, max_size=8)
-        )
-        # Edges: the window reaching the stream start, and a phase-0 read
-        # ((c - 1 - start) % width == 0) for the first interval.
-        start0 = intervals[0][0]
-        phase_zero = [
-            c for c in range(floor, total + 1) if (c - 1 - start0) % width == 0
-        ]
-        consumed = consumed + [floor] + phase_zero[:1]
-        prefix = _fold_prefix_tables(ext, width)
-        assert prefix.shape == (total + 1,)
-        folds = _branch_folds(
-            prefix, np.asarray(consumed, dtype=np.int64), tuple(intervals),
-            width,
-        )
-        for row, c in enumerate(consumed):
-            for column, (start, end) in enumerate(intervals):
-                expected = fold_int(
-                    _window_value(ext, c, start, end), end - start, width
-                )
-                assert int(folds[row, column]) == expected, (c, start, end)
+
+
+@pytest.mark.usefixtures("compiled_cores")
+class TestCompiledFoldWriteBack:
+    """The BLBP core keeps the interval folds, pending bits and flushes
+    of :class:`GlobalHistoryRegister` per record; what it writes back
+    is exactly the scalar register, and once flushed every fold equals
+    :func:`fold_int` of its window."""
+
+    @given(
+        config=blbp_layouts(),
+        warm=st.lists(
+            st.tuples(st.booleans(), st.booleans(), st.integers(0, 3)),
+            max_size=60,
+        ),
+        events=st.lists(
+            st.tuples(st.booleans(), st.booleans(), st.integers(0, 3)),
+            min_size=1,
+            max_size=200,
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_final_folds_match_fold_int(self, config, warm, events):
+        scalar, columnar = BLBP(config), BLBP(config)
+        if warm:
+            simulate(scalar, _blbp_trace(warm))
+            simulate(columnar, _blbp_trace(warm))
+        trace = _blbp_trace(events)
+        simulate(scalar, trace)
+        simulate_columnar_many([columnar], trace)
+        ours, theirs = columnar.histories, scalar.histories
+        assert (ours._ghist, ours._pending) == (theirs._ghist, theirs._pending)
+        assert [f.fold for f in ours._folds] == [f.fold for f in theirs._folds]
+        assert ours.stat_fold_updates == theirs.stat_fold_updates
+        ours.flush()
+        for fold, (start, end, width) in zip(
+            ours._folds, (entry[1:4] for entry in ours._fold_batch)
+        ):
+            assert fold.fold == fold_int(ours._ghist >> start, end - start, width)
 
     def test_empty_stream(self):
-        prefix = _fold_prefix_tables(np.zeros(0, dtype=np.uint8), 7)
-        assert prefix.tolist() == [0]
+        """No conditionals: the register keeps its bits, and the first
+        indirect branch flushes the pending bits a warm lane brings,
+        exactly as the scalar register does."""
+        scalar, columnar = BLBP(), BLBP()
+        warm = _blbp_trace([(True, True, 0)] * 50)
+        simulate(scalar, warm)
+        simulate(columnar, warm)
+        ghist = columnar.histories._ghist
+        assert columnar.histories._pending == 50
+        branches = _blbp_trace([(False, False, 1)] * 5)
+        simulate(scalar, branches)
+        simulate_columnar_many([columnar], branches)
+        ours, theirs = columnar.histories, scalar.histories
+        assert (ours._ghist, ours._pending) == (ghist, 0)
+        assert (ours._ghist, ours._pending) == (theirs._ghist, theirs._pending)
+        assert [f.fold for f in ours._folds] == [f.fold for f in theirs._folds]

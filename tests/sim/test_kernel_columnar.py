@@ -18,21 +18,22 @@ the fused entry point:
   without a single call into the Python MPP;
 * :func:`repro.sim.kernel.simulate_columnar_many` must give every lane
   of a heterogeneous fused group (identical BLBP twins, differing BLBP
-  geometries and feature toggles, hierarchical IBTB, ITTAGE, VPC) the
-  exact results and final state a solo run produces — called directly
-  and through ``simulate_many(backend="columnar-strict")`` — and must
-  form a single lane-parallel group from identical-config lanes;
-* the six ablation BLBP lanes, which share one IBTB artifact, must
-  match scalar without a single ``IndirectBTB.state_hash`` or
-  ``load_state`` call, and lanes given the IBTB's final state by the
-  trusted write-back must continue on the scalar path exactly;
+  geometries and feature toggles, ITTAGE, VPC) the exact results and
+  final state a solo run produces — called directly and through
+  ``simulate_many(backend="columnar-strict")`` — and must hand every
+  BLBP lane to one multi-lane call;
+* the six ablation BLBP lanes must match scalar with the IBTB replayed
+  in place — not a single ``IndirectBTB.state_hash``, ``load_state`` or
+  flat restore — and must then continue on the scalar path exactly,
+  their per-set indexes rebuilt from the replayed fields;
 * a BLBP or ITTAGE lane warmed on the scalar path, replayed columnar
   and continued on the scalar path must match a lane run scalar
   throughout, which pins both kernels' write-back into the lazy
   global-history register (pending bits included);
 * :func:`repro.sim.kernel.columnar_support` reasons must name the
-  offending type and the remedy, and the kernels must refuse
-  unsupported predictors rather than silently misreplay them.
+  offending type (or, for the hierarchical IBTB, the configuration) and
+  the remedy, and the kernels must refuse unsupported predictors rather
+  than silently misreplay them.
 """
 
 from __future__ import annotations
@@ -409,8 +410,8 @@ class TestCompiledMPPLockstep:
 
 
 def _lanes():
-    """A heterogeneous fused group: identical BLBP twins (groupable),
-    BLBP geometry/feature variants, hierarchical IBTB, ITTAGE, VPC."""
+    """A heterogeneous fused group: identical BLBP twins, BLBP
+    geometry/feature variants, ITTAGE, VPC."""
     return [
         BLBP(BLBPConfig(table_rows=256, ibtb_sets=64)),
         BLBP(BLBPConfig(table_rows=256, ibtb_sets=64)),
@@ -420,7 +421,6 @@ def _lanes():
                         use_local_history=False)),
         BLBP(BLBPConfig(table_rows=256, ibtb_sets=64,
                         use_selective_update=False)),
-        BLBP(BLBPConfig(use_hierarchical_ibtb=True)),
         _small_ittage(),
         _small_vpc(),
     ]
@@ -483,9 +483,8 @@ class TestFusedColumnarMany:
         assert fused.state_hash() == solo.state_hash()
 
     def test_identical_lanes_form_one_group(self, monkeypatch):
-        """Lanes with identical configurations share every precompute
-        artifact, so the kernel must hand all of them to the multi-lane
-        replay as a single group."""
+        """The kernel hands every BLBP lane of the group to one
+        multi-lane replay."""
         group_sizes = []
         original = kernel._replay_blbp_group
 
@@ -560,8 +559,8 @@ def _suite_trace(index):
 
 
 class TestIBTBWriteBack:
-    """Lanes that share an IBTB artifact get its final state through a
-    trusted flat copy: no canonical hash, no validated reload."""
+    """The compiled core replays each lane's IBTB in its own flat
+    fields: no canonical hash, no validated reload, no copy back."""
 
     def test_no_hash_or_validated_load_on_the_kernel_path(self, monkeypatch):
         trace = _suite_trace(3)
@@ -575,28 +574,26 @@ class TestIBTBWriteBack:
 
         monkeypatch.setattr(IndirectBTB, "state_hash", forbidden)
         monkeypatch.setattr(IndirectBTB, "load_state", forbidden)
-        restores = []
-        restore = IndirectBTB._restore_flat
-
-        def counting(self, flat):
-            restores.append(self)
-            restore(self, flat)
-
-        monkeypatch.setattr(IndirectBTB, "_restore_flat", counting)
+        monkeypatch.setattr(IndirectBTB, "_restore_flat", forbidden)
         lanes = _ablation_lanes()
+        fields = [lane.ibtb._fields for lane in lanes]
         results = simulate_columnar_many(lanes, trace, collect_per_pc=True)
         for slot, (lane, result) in enumerate(zip(lanes, results)):
+            # The replay wrote the predictor's own buffers.
+            assert all(
+                after is before
+                for after, before in zip(lane.ibtb._fields, fields[slot])
+            )
+            assert lane.ibtb.occupancy() > 0
             assert (result, lane.state_hash()) == expected[slot], (
                 f"lane {slot} diverges from scalar"
             )
-        # Six lanes, one IBTB key: at least five trusted write-backs.
-        assert len(restores) >= 5
 
     def test_scalar_continuation_after_write_back(self):
-        """A written-back IBTB rebuilds its per-set indexes lazily; the
+        """A replayed IBTB rebuilds its per-set indexes lazily; the
         scalar path must then continue exactly as if it had run scalar
         throughout, evictions included.  The lanes are warmed scalar
-        first, so each holds built indexes the write-back must drop."""
+        first, so each holds built indexes the replay must drop."""
         warm, first, second = (_suite_trace(i) for i in (1, 5, 9))
         small = lambda: BLBP(BLBPConfig(ibtb_sets=4, ibtb_ways=4))  # noqa: E731
 
@@ -687,6 +684,28 @@ class TestColumnarSupport:
         assert "subclasses BLBP" in reason
         assert "scalar" in reason
         assert not columnar_support(Tweaked())[0]
+
+    def test_hierarchical_ibtb_runs_scalar(self):
+        """The hierarchical IBTB (section 6 future work) has no kernel:
+        the reason names the configuration, the columnar backend warns
+        and runs the scalar oracle, and strict mode refuses."""
+        hierarchical = lambda: BLBP(  # noqa: E731
+            BLBPConfig(use_hierarchical_ibtb=True)
+        )
+        ok, reason = columnar_support(hierarchical())
+        assert not ok
+        assert "use_hierarchical_ibtb=True" in reason
+        assert "scalar" in reason
+        trace = _random_trace(6, "hierarchical", 300)
+        columnar, scalar = hierarchical(), hierarchical()
+        with pytest.warns(RuntimeWarning, match="hierarchical IBTB"):
+            result = simulate(
+                columnar, trace, collect_per_pc=True, backend="columnar"
+            )
+        assert result == simulate(scalar, trace, collect_per_pc=True)
+        assert columnar.state_hash() == scalar.state_hash()
+        with pytest.raises(TypeError, match="hierarchical IBTB"):
+            simulate_columnar_many([hierarchical()], trace)
 
     def test_unknown_type_rejected_with_reason(self):
         ok, reason = columnar_support(object())

@@ -92,3 +92,74 @@ class TestFailureReasons:
         assert native.load("ittage_replay") is None
         reason = native.unavailable_reason()
         assert reason.startswith(f"loading {bogus} failed:")
+
+
+class TestSources:
+    def test_digest_covers_every_source_byte_and_the_flags(
+        self, monkeypatch, tmp_path
+    ):
+        """Editing any shipped .c or .h file, or the flags, names a new
+        library."""
+        sources = tmp_path / "cores"
+        shutil.copytree(native._SOURCE_DIR, sources)
+        monkeypatch.setattr(native, "_SOURCE_DIR", str(sources))
+        flags = native._flags()
+        seen = {native._digest(flags)}
+        for name in native._HEADERS + native._SOURCES:
+            path = sources / name
+            path.write_bytes(path.read_bytes() + b"\n")
+            seen.add(native._digest(flags))
+        seen.add(native._digest(flags + ["-g"]))
+        assert len(seen) == 2 + len(native._HEADERS + native._SOURCES)
+
+    def test_sources_build_warning_free(self):
+        """The loaded cores compiled under -Wall -Wextra -Werror."""
+        if not native.available():
+            pytest.skip("no C compiler in this environment")
+        assert {"-Wall", "-Wextra", "-Werror"} <= set(native._CFLAGS)
+
+
+class TestSanitizedBuild:
+    def test_own_digest(self, monkeypatch):
+        plain = native._digest(native._flags())
+        monkeypatch.setenv("REPRO_NATIVE_SANITIZE", "1")
+        assert native._flags()[-len(native._SANITIZE_FLAGS):] == (
+            native._SANITIZE_FLAGS
+        )
+        assert native._digest(native._flags()) != plain
+
+    def test_needs_the_preloaded_runtime(
+        self, monkeypatch, tmp_path, fresh_loader
+    ):
+        """Without the ASan runtime loaded first, the sanitized cores
+        are unavailable and the reason says how to run them."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setenv("REPRO_NATIVE_SANITIZE", "1")
+        monkeypatch.delenv("LD_PRELOAD", raising=False)
+        assert native.load("blbp_replay_many") is None
+        reason = native.unavailable_reason()
+        assert "REPRO_NATIVE_SANITIZE=1" in reason
+        assert "LD_PRELOAD" in reason
+        assert not os.listdir(tmp_path)
+
+    def test_rejected_flags_are_named(
+        self, monkeypatch, tmp_path, fresh_loader
+    ):
+        """A compiler that refuses the sanitizer flags leaves the cores
+        unavailable with the sanitized build named in the reason."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setenv("REPRO_NATIVE_SANITIZE", "1")
+        monkeypatch.setenv("LD_PRELOAD", "libasan.so")
+
+        def refusing_run(cmd, capture_output=True, timeout=None):
+            return subprocess.CompletedProcess(
+                cmd, 1, b"", b"cc: error: unrecognized -fsanitize"
+            )
+
+        monkeypatch.setattr(native.subprocess, "run", refusing_run)
+        if native._compiler() is None:
+            pytest.skip("no C compiler in this environment")
+        assert native.load("ittage_replay") is None
+        reason = native.unavailable_reason()
+        assert reason.startswith("the sanitized build (REPRO_NATIVE_SANITIZE=1)")
+        assert "unrecognized -fsanitize" in reason

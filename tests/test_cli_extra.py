@@ -120,6 +120,22 @@ class TestTraceInfoCommand:
 
 
 class TestSimulateExternalAndSampled:
+    def test_unreadable_trace_is_one_error_line(self, tmp_path, capsys):
+        """An unrecognized trace file gets ``trace info``'s one-line
+        error and exit status, not a traceback."""
+        junk = tmp_path / "junk.txt"
+        junk.write_text("garbage line\n")
+        assert main(["trace", "info", str(junk)]) == 1
+        info = capsys.readouterr().err
+        assert main(["simulate", "--traces", str(junk),
+                     "--predictors", "BTB"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == info
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"{junk}: error: ")
+        assert "unrecognized trace format" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_simulate_champsim_file_directly(self, capsys):
         assert main(["simulate", "--traces",
                      "tests/fixtures/ingest/mini.champsim.txt",
