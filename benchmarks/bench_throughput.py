@@ -15,14 +15,22 @@ It replays a suite sample through :class:`repro.core.ReferenceBLBP`
 optimized :class:`repro.core.BLBP`, and the columnar batch kernel
 (``simulate(..., backend="columnar")`` over precomputed derived
 planes) on the headline paper configuration, prints branches/second
-for all three, writes the numbers to ``results/``, and exits non-zero
-unless optimized ≥ ``--min-speedup`` × reference AND columnar ≥
+for all three, writes the numbers to ``--out`` when one is given, and
+exits non-zero unless optimized ≥ ``--min-speedup`` × reference AND columnar ≥
 ``--min-columnar-speedup`` × optimized.  CI runs this on every push.
 
 ``--checkpoint-gate`` instead measures the cost of mid-trace
 checkpointing (see ``docs/checkpointing.md``): the same sample with
 ``checkpoint_every=0`` versus with periodic snapshots, failing if
 snapshots cost more than ``--max-checkpoint-overhead`` percent.
+
+Neither mode writes a file unless ``--out`` names one, so a gate run
+leaves the committed measurements alone.  To re-record them::
+
+    PYTHONPATH=src python benchmarks/bench_throughput.py \
+        --out results/throughput_blbp.json
+    PYTHONPATH=src python benchmarks/bench_throughput.py --checkpoint-gate \
+        --scale 2 --stride 20 --repeats 3 --out results/checkpoint_overhead.json
 """
 
 import argparse
@@ -222,8 +230,8 @@ def main(argv=None) -> int:
         help="fail unless columnar/optimized throughput ≥ this (default 5.0)",
     )
     parser.add_argument(
-        "--out", default="results/throughput_blbp.json",
-        help="where to write the measurement (empty string to skip)",
+        "--out", default="",
+        help="write the measurement to this JSON file (default: no file)",
     )
     parser.add_argument(
         "--checkpoint-gate", action="store_true",
@@ -265,11 +273,8 @@ def main(argv=None) -> int:
             f"overhead           {summary['overhead_percent']:.2f}%  "
             f"(gate: <{args.max_checkpoint_overhead}%)"
         )
-        out = args.out
-        if out == parser.get_default("out"):
-            out = "results/checkpoint_overhead.json"
-        if out:
-            out_path = Path(out)
+        if args.out:
+            out_path = Path(args.out)
             out_path.parent.mkdir(parents=True, exist_ok=True)
             out_path.write_text(json.dumps(summary, indent=2) + "\n")
             print(f"wrote {out_path}")

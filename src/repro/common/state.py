@@ -32,7 +32,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 import numpy as np
 
@@ -89,9 +89,88 @@ def canonical_json(state: Dict[str, Any]) -> str:
         raise StateError(f"state dict is not canonically serializable: {exc}") from exc
 
 
+class CanonicalText:
+    """One value's canonical JSON, rendered ahead of time.
+
+    A state view handed to :func:`hash_state` may carry one in place of
+    a large value whose text it can render faster than ``json.dumps``
+    walks it (BLBP's IBTB sets).  :func:`canonical_json` refuses it:
+    snapshots stay plain JSON.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+
+#: Bytes that JSON writes unescaped inside a string: printable ASCII
+#: but the quote and the backslash.
+_UNESCAPED = bytes(range(0x20, 0x7F)).replace(b'"', b"").replace(b"\\", b"")
+
+_NESTED = frozenset((dict, list, tuple, CanonicalText))
+
+
+def _hollow(value: Any, marker: str, parts: List[tuple]) -> Any:
+    """``value`` with every array payload and :class:`CanonicalText`
+    replaced by the placeholder ``marker + <index>``; ``parts[index]``
+    holds the bytes the placeholder's JSON stands for.
+
+    A module-level function, so a walk leaves no reference cycle (and
+    no garbage holding the blobs) behind.
+    """
+    kind = type(value)
+    if kind is dict:
+        hollow = {}
+        for key, item in value.items():
+            if key == "__ndarray__" and type(item) is str:
+                blob = item.encode("utf-8")
+                if not blob.translate(None, _UNESCAPED):
+                    parts.append((b'"', blob, b'"'))
+                    item = f"{marker}{len(parts) - 1}"
+            elif type(item) in _NESTED:
+                item = _hollow(item, marker, parts)
+            hollow[key] = item
+        return hollow
+    if kind is CanonicalText:
+        parts.append((value.text.encode("utf-8"),))
+        return f"{marker}{len(parts) - 1}"
+    if (kind is list or kind is tuple) and any(
+        type(item) in _NESTED for item in value
+    ):
+        return [_hollow(item, marker, parts) for item in value]
+    return value
+
+
 def hash_state(state: Dict[str, Any]) -> str:
-    """SHA-256 hex digest of the canonical serialization of ``state``."""
-    return hashlib.sha256(canonical_json(state).encode("utf-8")).hexdigest()
+    """SHA-256 hex digest of the canonical serialization of ``state``.
+
+    The digest is that of ``canonical_json(state)``, but the large
+    strings never pass through ``json.dumps``: a skeleton with indexed
+    placeholders in their place is serialized instead, and its pieces
+    and the array payloads (and any :class:`CanonicalText`) are fed to
+    SHA-256 in document order.
+    """
+    salt = 0
+    while True:
+        marker = f"\x00part{salt}:"
+        parts: List[tuple] = []
+        pieces = canonical_json(_hollow(state, marker, parts)).split(
+            json.dumps(marker)[:-1]
+        )
+        # Each placeholder splits once.  A string or key of the state's
+        # own whose JSON holds the marker text splits too; then another
+        # marker is tried.
+        if len(pieces) == len(parts) + 1:
+            break
+        salt += 1
+    digest = hashlib.sha256(pieces[0].encode("utf-8"))
+    for piece in pieces[1:]:
+        index, _, rest = piece.partition('"')
+        for chunk in parts[int(index)]:
+            digest.update(chunk)
+        digest.update(rest.encode("utf-8"))
+    return digest.hexdigest()
 
 
 def dataclass_fingerprint(config: Any) -> str:
@@ -155,13 +234,19 @@ class Stateful:
             f"{type(self).__name__} does not implement load_state()"
         )
 
+    def hash_view(self) -> Dict[str, Any]:
+        """What :meth:`state_hash` hashes: :meth:`state_dict`, or a view
+        of it that may carry :class:`CanonicalText`."""
+        return self.state_dict()
+
     def state_hash(self) -> str:
         """Canonical hash of :meth:`state_dict` (see :func:`hash_state`)."""
-        return hash_state(self.state_dict())
+        return hash_state(self.hash_view())
 
 
 __all__ = [
     "STATE_PROTOCOL_VERSION",
+    "CanonicalText",
     "StateError",
     "Stateful",
     "canonical_json",

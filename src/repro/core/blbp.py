@@ -287,6 +287,14 @@ class BLBP(IndirectBranchPredictor):
         they are recomputable, and excluding them makes a restored
         predictor hash identical to one that never suspended.
         """
+        return self._state(self.ibtb.state_dict())
+
+    def hash_view(self) -> Dict:
+        """:meth:`state_dict` with the IBTB's sets rendered from its flat
+        fields (:meth:`IndirectBTB.hash_view`)."""
+        return self._state(self.ibtb.hash_view())
+
+    def _state(self, ibtb: Dict) -> Dict:
         if self._ctx is not None:
             raise StateError(
                 "cannot snapshot BLBP between predict_target and train; "
@@ -299,7 +307,7 @@ class BLBP(IndirectBranchPredictor):
             "histories": self.histories.state_dict(),
             "threshold": self.threshold.state_dict(),
             "weights": self.weights.state_dict(),
-            "ibtb": self.ibtb.state_dict(),
+            "ibtb": ibtb,
             "stats": {
                 "predictions": self.stat_predictions,
                 "ibtb_probes": self.stat_ibtb_probes,

@@ -25,7 +25,14 @@ from array import array
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.hashing import mix_pc
-from repro.common.state import StateError, Stateful, check_state, require
+from repro.common.state import (
+    CanonicalText,
+    StateError,
+    Stateful,
+    canonical_json,
+    check_state,
+    require,
+)
 from repro.core.regions import RegionArray
 
 #: Tag of an empty way; valid partial tags are non-negative.
@@ -235,24 +242,51 @@ class IndirectBTB(Stateful):
         # that key them) are derived, so they are excluded.
         ways = self.num_ways
         columns = [field.tolist() for field in self._fields]
-        columns[0] = [None if tag == _EMPTY else tag for tag in columns[0]]
-        sets = []
-        for base in range(0, len(columns[0]), ways):
-            tags, regions, generations, offsets, rrpv = (
-                column[base : base + ways] for column in columns
-            )
-            sets.append({
-                "v": 1, "kind": "IBTBSet", "ways": ways, "tags": tags,
-                "regions": regions, "generations": generations,
-                "offsets": offsets,
-                "rrip": {"v": 1, "kind": "RRIPPolicy", "num_ways": ways,
-                         "rrpv_bits": self.rrpv_bits, "rrpv": rrpv},
-            })
+        return self._state([
+            self._set_state(*(column[base : base + ways] for column in columns))
+            for base in range(0, len(columns[0]), ways)
+        ])
+
+    def hash_view(self) -> Dict[str, Any]:
+        """:meth:`state_dict` with the sets as one
+        :class:`~repro.common.state.CanonicalText`, rendered from the
+        flat fields once per distinct set (a young IBTB's sets are
+        mostly identical and empty)."""
+        ways = self.num_ways
+        raw = [field.tobytes() for field in self._fields]
+        width = 8 * ways
+        rendered: Dict[tuple, str] = {}
+        texts = []
+        for start in range(0, len(raw[0]), width):
+            key = tuple(column[start : start + width] for column in raw)
+            text = rendered.get(key)
+            if text is None:
+                base = start // 8
+                text = rendered[key] = canonical_json(self._set_state(*(
+                    field[base : base + ways].tolist() for field in self._fields
+                )))
+            texts.append(text)
+        return self._state(CanonicalText(f"[{','.join(texts)}]"))
+
+    def _set_state(
+        self, tags: list, regions: list, generations: list, offsets: list,
+        rrpv: list,
+    ) -> Dict[str, Any]:
+        return {
+            "v": 1, "kind": "IBTBSet", "ways": self.num_ways,
+            "tags": [None if tag == _EMPTY else tag for tag in tags],
+            "regions": regions, "generations": generations,
+            "offsets": offsets,
+            "rrip": {"v": 1, "kind": "RRIPPolicy", "num_ways": self.num_ways,
+                     "rrpv_bits": self.rrpv_bits, "rrpv": rrpv},
+        }
+
+    def _state(self, sets: Any) -> Dict[str, Any]:
         return {
             "v": 1,
             "kind": "IndirectBTB",
             "num_sets": self.num_sets,
-            "num_ways": ways,
+            "num_ways": self.num_ways,
             "tag_bits": self.tag_bits,
             "rrpv_bits": self.rrpv_bits,
             "regions": self.regions.state_dict(),

@@ -88,6 +88,12 @@ class IndirectBranchPredictor(abc.ABC):
             f"{type(self).__name__} does not support snapshot/restore"
         )
 
+    def hash_view(self) -> Dict[str, Any]:
+        """What :meth:`state_hash` hashes: :meth:`state_dict`, or a view
+        of it that may carry :class:`~repro.common.state.CanonicalText`
+        (see :meth:`repro.common.state.Stateful.hash_view`)."""
+        return self.state_dict()
+
     def state_hash(self) -> str:
         """Canonical SHA-256 of :meth:`state_dict` (determinism checks)."""
-        return hash_state(self.state_dict())
+        return hash_state(self.hash_view())

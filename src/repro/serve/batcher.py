@@ -86,6 +86,7 @@ def drain_batch(
     fused_sessions = 0
     fused_groups = 0
     done = set()
+    stepped: List[PredictorSession] = []
     for key, group in fusable.items():
         if len(group) < 2:
             continue
@@ -105,6 +106,7 @@ def drain_batch(
             if not item.future.cancelled():
                 item.future.set_result(out)
             done.add(id(item))
+            stepped.append(item.session)
 
     for item in order:
         if id(item) in done:
@@ -117,8 +119,11 @@ def drain_batch(
             continue
         if not item.future.cancelled():
             item.future.set_result(out)
+        stepped.append(item.session)
 
     if metrics is not None:
+        for session in stepped:
+            metrics.record_step(session.predictor_key, *session.step_path)
         metrics.record_batch(
             events=sum(len(item.events) for item in items),
             sessions=len(per_session),

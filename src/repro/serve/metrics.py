@@ -14,6 +14,11 @@ Aggregates reported:
 * **batching** — batches drained, mean events and sessions per batch
   (batch occupancy), and how many session-steps went through the fused
   cross-session path;
+* **step paths** — session-steps on the compiled cores and on the
+  scalar calls, with the reason each scalar predictor key gave, so no
+  session swaps paths silently;
+* **close** — cumulative seconds spent finalizing sessions (the
+  ``state_hash`` each ``closed`` reply carries);
 * **per-session MPKI** — optionally included in a snapshot for every
   resident session (``stats`` with ``sessions: true``).
 """
@@ -48,6 +53,11 @@ class ServerMetrics:
         self.fused_sessions = 0
         self.fused_groups = 0
         self.protocol_errors = 0
+        # Step paths and close cost.
+        self.core_steps = 0
+        self.scalar_steps = 0
+        self.scalar_reasons: Dict[str, str] = {}
+        self.close_seconds = 0.0
         self._recent: Deque[Tuple[float, int]] = deque()
 
     # ------------------------------------------------------------------
@@ -69,6 +79,14 @@ class ServerMetrics:
         horizon = now - RATE_WINDOW_SECONDS
         while self._recent and self._recent[0][0] < horizon:
             self._recent.popleft()
+
+    def record_step(self, predictor_key: str, path: str, why: str) -> None:
+        """Account one session-step on ``path`` (``core`` or ``scalar``)."""
+        if path == "core":
+            self.core_steps += 1
+        else:
+            self.scalar_steps += 1
+            self.scalar_reasons.setdefault(predictor_key, why)
 
     # ------------------------------------------------------------------
     # Reporting
@@ -115,6 +133,12 @@ class ServerMetrics:
                     self.fused_sessions / self.batch_sessions, 4
                 ) if self.batch_sessions else 0.0,
             },
+            "steps": {
+                "core": self.core_steps,
+                "scalar": self.scalar_steps,
+                "scalar_reasons": dict(self.scalar_reasons),
+            },
+            "close_seconds": round(self.close_seconds, 6),
             "protocol_errors": self.protocol_errors,
         }
 

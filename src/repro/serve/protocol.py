@@ -119,7 +119,9 @@ def parse_event(raw: Any) -> Event:
         )
     pc, branch_type, taken, target, gap = raw
     _check_address("pc", pc)
-    if branch_type not in _BRANCH_TYPES:
+    if isinstance(branch_type, (list, dict)) or (
+        branch_type not in _BRANCH_TYPES
+    ):
         raise ProtocolError(f"unknown branch type {branch_type!r}")
     if not isinstance(taken, (bool, int)):
         raise ProtocolError(f"event taken must be a bool, got {taken!r}")
@@ -132,10 +134,31 @@ def parse_event(raw: Any) -> Event:
 
 
 def parse_events(raw: Any) -> List[Event]:
-    """Validate a full ``events`` payload (a non-empty array of events)."""
+    """Validate a full ``events`` payload (a non-empty array of events).
+
+    One pass: an entry that JSON decoding makes well-formed, exact-type
+    (int addresses, type and gap, bool ``taken``) is accepted inline;
+    any other goes to :func:`parse_event`, so every accepted value and
+    every error is the per-entry parser's.
+    """
     if not isinstance(raw, list) or not raw:
         raise ProtocolError("'events' must be a non-empty array")
-    return [parse_event(entry) for entry in raw]
+    events: List[Event] = []
+    append = events.append
+    for entry in raw:
+        if type(entry) is list and len(entry) == 5:
+            pc, branch_type, taken, target, gap = entry
+            if (
+                type(pc) is int and 0 <= pc < _ADDRESS_LIMIT
+                and type(branch_type) is int and branch_type in _BRANCH_TYPES
+                and type(taken) is bool
+                and type(target) is int and 0 <= target < _ADDRESS_LIMIT
+                and type(gap) is int and gap >= 0
+            ):
+                append((pc, branch_type, taken, target, gap))
+                continue
+        append(parse_event(entry))
+    return events
 
 
 def trace_events(trace) -> List[Event]:

@@ -32,6 +32,7 @@ import hashlib
 import json
 import re
 import signal
+import time
 import zlib
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
@@ -193,6 +194,7 @@ class SessionManager:
 
     def close(self, session_id: str) -> Dict[str, Any]:
         """Finalize a session; returns the ``closed`` payload."""
+        started = time.perf_counter()
         session = self.get(session_id)
         result = session.result()
         payload = {
@@ -217,6 +219,7 @@ class SessionManager:
         # checkpoint behind.
         self.store.delete(session_id)
         self.metrics.sessions_closed += 1
+        self.metrics.close_seconds += time.perf_counter() - started
         return payload
 
     # -- in-flight accounting (eviction safety) -------------------------
@@ -339,7 +342,18 @@ class PredictionServer:
     # -- lifecycle ------------------------------------------------------
 
     async def start(self) -> int:
-        """Bind and start serving; returns the actual port."""
+        """Bind and start serving; returns the actual port.
+
+        The compiled replay cores are resolved first, before the server
+        listens: with a warm cache that is one file check and a
+        ``dlopen``, and a cache without a library for the current C
+        sources (a new host, an edited core) compiles it here, once,
+        instead of inside the first BLBP or ITTAGE step, where the
+        compile would hold the event loop and every connection on it.
+        """
+        from repro.sim import native
+
+        native.available()
         self._server = await asyncio.start_server(
             self._handle_connection,
             self.host,
@@ -568,10 +582,8 @@ class PredictionServer:
             "t": "out",
             "session": session_id,
             "events": session.cursor,
-            "out": [
-                list(entry) if entry is not None else None
-                for entry in outputs
-            ],
+            # Tuples encode as JSON arrays.
+            "out": outputs,
         }
 
     async def _run_close(self, session_id: str) -> Dict[str, Any]:

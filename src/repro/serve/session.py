@@ -2,24 +2,36 @@
 
 A :class:`PredictorSession` is the serve-side incarnation of one
 ``simulate(predictor, trace)`` call, unrolled into an event-at-a-time
-state machine.  :func:`step_sessions_fused` is the one per-event loop:
-it issues each predictor the *exact* call sequence the engine's
-per-record loop (``_replay_span_many``, which ``simulate`` runs with one
-lane) would — conditional hook, predict/train/retire for indirects, RAS
-traffic for calls and returns, warmup accounting — so a session fed a
-trace's events, in order, finishes with predictions, metrics, and a
-final ``state_hash`` bit-identical to :func:`repro.sim.engine.simulate`
-on that trace.  The equivalence suite asserts exactly that.
+state machine.  :func:`step_sessions_fused` is the one step function,
+and each session's predictor sees exactly what one lane of the engine's
+``_replay_span_many`` (which ``simulate`` runs with one lane) would, so
+a session fed a trace's events, in order, finishes with predictions,
+metrics, and a final ``state_hash`` bit-identical to
+:func:`repro.sim.engine.simulate` on that trace.  The equivalence suite
+asserts exactly that.
+
+A session steps on one of two paths, decided at its first step
+(:attr:`PredictorSession.step_path`):
+
+* **core** — a BLBP or ITTAGE predictor the compiled cores accept
+  replays each message in one core call over the message's columns
+  (:func:`repro.sim.kernel.replay_blbp`,
+  :func:`repro.sim.kernel_ittage.replay_ittage`), and Python keeps the
+  RAS, the warmup countdown, the counters and the outputs.  Each call
+  pays a fixed marshalling cost, so this beats the scalar calls from
+  about 6 events per message and loses below that (``docs/serving.md``
+  tabulates the step cost by message size);
+* **scalar** — every other predictor gets the per-event call sequence:
+  conditional hook, predict/train/retire for indirects, with the RAS
+  traffic and warmup accounting alongside.
 
 When many sessions have the *same* pending event run (many clients
-streaming the same workload), the loop pays the per-event decode and
-type dispatch once for the whole group while each session keeps its own
-RAS and accumulators.  A solo session
+streaming the same workload), they step as one group: BLBP sessions
+share one multi-lane core call, and the scalar loop pays the per-event
+decode and type dispatch once for all of its sessions, while each
+session keeps its own RAS and accumulators.  A solo session
 (:meth:`PredictorSession.step_events`) steps as a group of one, so fused
 and solo stepping are the same code and bit-identical by construction.
-There is no columnar shortcut: a serve message is far shorter than the
-run length at which packing it into a trace for the columnar kernels
-pays off.
 
 Because all mutable state (predictor, RAS, accumulators, cursor) rides
 the snapshot protocol, a session can be *suspended* at any event
@@ -36,6 +48,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.blbp import BLBP
+from repro.predictors.ittage import ITTAGE
 from repro.registry import RegistryError, make_indirect
 from repro.sim.checkpoint import SimulationCheckpoint
 from repro.sim.metrics import SimulationResult
@@ -54,6 +68,10 @@ SESSION_CHECKPOINT_KIND = "ServeSessionCheckpoint"
 #: One per-event output: ``None`` for events that carry no prediction
 #: (conditionals, direct branches), else ``(prediction-or-None, correct)``.
 StepOutput = Optional[Tuple[Optional[int], int]]
+
+
+#: A session stepping in a group, with the output list it appends to.
+_Lane = Tuple["PredictorSession", List[StepOutput]]
 
 
 class SessionError(ValueError):
@@ -94,6 +112,7 @@ class PredictorSession:
         self.conditionals = 0
         #: Sum of per-event instruction gaps (for MPKI denominators).
         self.instruction_gaps = 0
+        self._path: Optional[Tuple[str, str]] = None
 
     # ------------------------------------------------------------------
     # Stepping
@@ -107,6 +126,18 @@ class PredictorSession:
         A solo session steps as a fused group of one.
         """
         return step_sessions_fused([self], events)[0]
+
+    @property
+    def step_path(self) -> Tuple[str, str]:
+        """How this session steps: ``("core", <kernel>)`` on its
+        predictor's compiled core, or ``("scalar", <reason>)``.
+
+        Decided once, at the first look (the first step), which is when
+        the kernels are imported.
+        """
+        if self._path is None:
+            self._path = _step_path(self.predictor)
+        return self._path
 
     # ------------------------------------------------------------------
     # Results and state
@@ -233,26 +264,127 @@ class PredictorSession:
         )
 
 
+def _step_path(predictor: object) -> Tuple[str, str]:
+    """``("core", <kernel>)`` for a BLBP or ITTAGE the compiled cores
+    accept, else ``("scalar", <reason>)``."""
+    from repro.sim.kernel import columnar_support
+
+    supported, reason = columnar_support(predictor)
+    if not supported:
+        return "scalar", reason
+    if type(predictor) not in (BLBP, ITTAGE):
+        return "scalar", (
+            f"serve steps {type(predictor).__name__} on the scalar calls: "
+            f"its core replays a whole trace through the derived plane and "
+            f"the shared precompute, not one message's columns"
+        )
+    return "core", reason
+
+
 def step_sessions_fused(
     sessions: Sequence[PredictorSession],
     events: Sequence[Tuple[int, int, bool, int, int]],
 ) -> List[List[StepOutput]]:
     """Step every session through the same event run in one fused pass.
 
-    The cross-session counterpart of the engine's ``_replay_span_many``:
-    the per-event costs that do not depend on the session — tuple
-    unpacking and branch-type dispatch — are paid once per event instead
-    of once per (session, event).  Each session still keeps its own RAS,
-    warmup countdown, and accumulators, and receives exactly the calls
-    one lane of ``_replay_span_many`` would issue, so the outputs and
-    final session states do not depend on the group it steps in.
+    The cross-session counterpart of the engine's ``_replay_span_many``.
+    Sessions on the compiled cores (:attr:`PredictorSession.step_path`)
+    replay the run's columns in one core call per session; BLBP sessions
+    share one multi-lane call.  The rest step through the per-event loop,
+    which pays tuple unpacking and branch-type dispatch once per event
+    for all of them.  Each session still keeps its own RAS, warmup
+    countdown and accumulators, and its predictor sees exactly what one
+    lane of ``_replay_span_many`` would, so the outputs and final
+    session states do not depend on the group it steps in.
 
     Returns one output list (aligned with ``events``) per session.
     """
-    count = len(sessions)
-    outputs: List[List[StepOutput]] = [[] for _ in range(count)]
-    if not count:
+    outputs: List[List[StepOutput]] = [[] for _ in sessions]
+    if not events:
         return outputs
+    core: List[_Lane] = []
+    scalar: List[_Lane] = []
+    for session, out in zip(sessions, outputs):
+        path = session.step_path[0]
+        (core if path == "core" else scalar).append((session, out))
+    if core:
+        _step_on_cores(core, events)
+    if scalar:
+        _step_scalar(scalar, events)
+    return outputs
+
+
+def _step_on_cores(
+    lanes: List[_Lane], events: Sequence[Tuple[int, int, bool, int, int]]
+) -> None:
+    """Replay the run on each session's core, then account it in Python:
+    the RAS, the warmup countdown, the counters and the outputs."""
+    from repro.sim.kernel import event_columns, replay_blbp
+    from repro.sim.kernel_ittage import replay_ittage
+
+    columns = event_columns(events)
+    blbp = [session for session, _ in lanes
+            if type(session.predictor) is BLBP]
+    replayed = {}
+    if blbp:
+        replayed = dict(zip(blbp, replay_blbp(
+            [session.predictor for session in blbp], columns
+        )))
+    # What the accounting reads, once for the whole group: every
+    # non-conditional event with its position in the run.
+    branches = [
+        (index, pc, branch_type, target)
+        for index, (pc, branch_type, _, target, _) in enumerate(events)
+        if branch_type != _COND
+    ]
+    records = len(events)
+    gaps = sum(event[4] for event in events)
+    for session, out in lanes:
+        predictions, valid = (
+            replayed[session] if session in replayed
+            else replay_ittage(session.predictor, columns)
+        )
+        predicted = [
+            prediction if made else None
+            for prediction, made in zip(predictions.tolist(), valid.tolist())
+        ]
+        out.extend([None] * records)
+        ras = session.ras
+        skip = session.skip
+        branch = 0
+        for index, pc, branch_type, target in branches:
+            if branch_type == _INDIRECT_JUMP or branch_type == _INDIRECT_CALL:
+                prediction = predicted[branch]
+                branch += 1
+                correct = 1 if prediction == target else 0
+                if index >= skip:
+                    session.indirect += 1
+                    if not correct:
+                        session.mispredictions += 1
+                if branch_type == _INDIRECT_CALL:
+                    ras.push(pc + 4)
+                out[index] = (prediction, correct)
+            elif branch_type == _RETURN:
+                ras_prediction = ras.predict()
+                ras.pop()
+                correct = 1 if ras_prediction == target else 0
+                if index >= skip:
+                    session.returns += 1
+                    if not correct:
+                        session.return_mispredictions += 1
+                out[index] = (ras_prediction, correct)
+            elif branch_type == _DIRECT_CALL:
+                ras.push(pc + 4)
+        session.cursor += records
+        session.instruction_gaps += gaps
+        session.conditionals += columns.conditionals
+        session.skip = skip - records if skip > records else 0
+
+
+def _step_scalar(
+    lanes: List[_Lane], events: Sequence[Tuple[int, int, bool, int, int]]
+) -> None:
+    """The per-event loop: each predictor gets the scalar call sequence."""
     engines = [
         (
             session,
@@ -261,9 +393,9 @@ def step_sessions_fused(
             session.predictor.on_conditional,
             session.predictor.on_retired,
             session.ras,
-            outputs[slot],
+            out,
         )
-        for slot, session in enumerate(sessions)
+        for session, out in lanes
     ]
     for pc, branch_type, taken, target, gap in events:
         if branch_type == _COND:
@@ -320,7 +452,6 @@ def step_sessions_fused(
                     ras.push(pc + 4)
                 on_retired(pc, branch_type, target)
                 out.append(None)
-    return outputs
 
 
 __all__ = [

@@ -16,7 +16,11 @@ registers, probes and fills the IBTB with its region array, and runs
 the weight/θ recurrence; the IBTB's flat fields and the region array
 live in ``array('q')`` buffers the core writes directly.
 A solo run is a one-lane call, and every BLBP lane of a fused group
-goes into one multi-lane call.  Without the compiled cores,
+goes into one multi-lane call.  :func:`replay_blbp` (and
+:func:`repro.sim.kernel_ittage.replay_ittage`) do the marshalling once
+for both callers: they take a :class:`ReplayColumns` run — a trace's
+columns in a campaign, one message's in ``repro serve`` — and return
+the per-indirect out-arrays.  Without the compiled cores,
 :func:`columnar_support` reports why and callers run the scalar oracle
 instead.
 
@@ -41,7 +45,7 @@ from __future__ import annotations
 import ctypes
 from array import array
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +57,16 @@ from repro.predictors.vpc import VPCPredictor
 from repro.sim import native
 from repro.sim.metrics import SimulationResult
 from repro.trace.derived import DerivedPlane, compute_derived
+from repro.trace.record import BranchType
 from repro.trace.stream import Trace
+
+_CONDITIONAL = int(BranchType.CONDITIONAL)
+_INDIRECT_JUMP = int(BranchType.INDIRECT_JUMP)
+_INDIRECT_CALL = int(BranchType.INDIRECT_CALL)
+
+#: One replayed lane's per-indirect out-arrays: the predicted target
+#: (u64) and whether a prediction was made (u8; 0 means ``None``).
+LaneOutput = Tuple[np.ndarray, np.ndarray]
 
 #: Exact predictor types with a columnar kernel, and the kernel's name.
 #: The kernels replicate each type's architectural state transitions;
@@ -275,43 +288,82 @@ def _validated_derived(
 # ----------------------------------------------------------------------
 
 
-def trace_columns(trace: Trace) -> Tuple[int, int, int, int]:
-    """Addresses of the record columns the whole-lane cores walk:
-    types (u8), PCs (u64), taken flags (one byte each) and targets."""
-    return (
-        trace.types.ctypes.data,
-        trace.pcs.ctypes.data,
-        trace.takens.ctypes.data,
-        trace.targets.ctypes.data,
+def buffer_address(buffer) -> int:
+    """Address of a buffer handed to a core: an :class:`array.array`,
+    or a writable C-contiguous numpy array (a read-only one raises
+    ``TypeError``).  A serve message pays this per
+    buffer and call, and it costs a fraction of
+    ``ndarray.ctypes.data``."""
+    if isinstance(buffer, array):
+        return buffer.buffer_info()[0]
+    return ctypes.addressof(ctypes.c_char.from_buffer(buffer))
+
+
+class ReplayColumns(NamedTuple):
+    """A run of records as a whole-lane core walks it: the addresses of
+    its type (u8), PC (u64), taken (one byte each) and target (u64)
+    columns, with the counts its write-back needs.  ``buffers`` keeps
+    the columns alive while the addresses are in use."""
+
+    records: int
+    addresses: Tuple[int, int, int, int]
+    conditionals: int
+    indirects: int
+    buffers: tuple
+
+
+def trace_columns(trace: Trace, derived: DerivedPlane) -> ReplayColumns:
+    """A trace's columns, counted by its derived plane."""
+    columns = (trace.types, trace.pcs, trace.takens, trace.targets)
+    return ReplayColumns(
+        len(trace), tuple(column.ctypes.data for column in columns),
+        derived.conditionals, len(derived.indirect_idx), columns,
+    )
+
+
+def event_columns(
+    events: Sequence[Tuple[int, int, bool, int, int]],
+) -> ReplayColumns:
+    """A non-empty run of serve events ``(pc, type, taken, target,
+    gap)`` as columns.
+
+    Built as :class:`array.array` buffers, whose address costs a
+    fraction of a numpy array's: this runs once per serve message.
+    """
+    pcs, types, takens, targets, _ = zip(*events)
+    columns = (
+        array("B", types), array("Q", pcs), array("B", takens),
+        array("Q", targets),
+    )
+    return ReplayColumns(
+        len(events), tuple(buffer_address(column) for column in columns),
+        types.count(_CONDITIONAL),
+        types.count(_INDIRECT_JUMP) + types.count(_INDIRECT_CALL),
+        columns,
     )
 
 
 def history_buffers(
     history: GlobalHistoryRegister,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[array, array, array]:
     """A history register as the cores read it: the ``(start, end,
     width)`` span and current value of every fold, and the unmasked
     register (pending bits included) as little-endian words, sized for
     the core to write it back."""
     words = (history._capacity + 1024 + 63) // 64 + 1
-    spans = np.asarray(
-        [entry[1:4] for entry in history._fold_batch], dtype=np.int64
-    ).reshape(-1, 3)
-    folds = np.asarray(
-        [fold.fold for fold in history._folds], dtype=np.uint64
-    )
-    ghist = np.frombuffer(
-        bytearray(history._ghist.to_bytes(8 * words, "little")),
-        dtype=np.uint64,
-    )
+    spans = array("q", [
+        value for entry in history._fold_batch for value in entry[1:4]
+    ])
+    folds = array("Q", [fold.fold for fold in history._folds])
+    ghist = array("Q", history._ghist.to_bytes(8 * words, "little"))
     return spans, folds, ghist
 
 
 def restore_history(
     history: GlobalHistoryRegister,
     pending: int,
-    folds: np.ndarray,
-    ghist: np.ndarray,
+    folds: array,
+    ghist: array,
     pushed: int,
 ) -> None:
     """Write a replayed register back: the unmasked bits, the pending
@@ -324,6 +376,14 @@ def restore_history(
     history._pending = pending
     for fold, value in zip(history._folds, folds.tolist()):
         fold.fold = value
+
+
+def lane_output(predictions: array, valid: array) -> LaneOutput:
+    """A core's per-indirect out-buffers as numpy arrays (no copy)."""
+    return (
+        np.frombuffer(predictions, dtype=np.uint64),
+        np.frombuffer(valid, dtype=np.uint8),
+    )
 
 
 def lane_result(
@@ -414,13 +474,9 @@ class _BLBPLane(ctypes.Structure):
     ]
 
 
-def _address(buffer: array) -> int:
-    return buffer.buffer_info()[0]
-
-
-def _prepare_blbp(predictor: BLBP, trace: Trace, branches: int) -> dict:
+def _prepare_blbp(predictor: BLBP, columns: ReplayColumns) -> dict:
     """One lane's state as ``blbp_replay_many`` reads and writes it over
-    ``trace``: the predictor's own buffers where it keeps them flat,
+    ``columns``: the predictor's own buffers where it keeps them flat,
     copies of the rest for :func:`_finish_blbp` to write back."""
     config = predictor.config
     histories = predictor.histories
@@ -434,21 +490,20 @@ def _prepare_blbp(predictor: BLBP, trace: Trace, branches: int) -> dict:
             predictor.weights.weights
         )
     spans, folds, ghist = history_buffers(histories)
+    # The copies are array.array buffers (see buffer_address).
     copies = {
         "spans": spans,
         "folds": folds,
         "ghist": ghist,
-        "local": np.asarray(histories._local._table, dtype=np.uint64),
+        "local": array("Q", histories._local._table),
         "lut": np.ascontiguousarray(transfer._lut, dtype=np.int32),
         # The scalar path's per-bit threshold updates run on lists,
         # which index faster than any buffer; the core gets copies.
-        "theta": np.asarray(threshold._theta, dtype=np.int64),
-        "counter": np.asarray(threshold._counter, dtype=np.int64),
-        "region_counters": np.asarray(
-            [regions._clock, regions.evictions], dtype=np.int64
-        ),
-        "predictions": np.zeros(branches, dtype=np.uint64),
-        "valid": np.zeros(branches, dtype=np.uint8),
+        "theta": array("q", threshold._theta),
+        "counter": array("q", threshold._counter),
+        "region_counters": array("q", (regions._clock, regions.evictions)),
+        "predictions": array("Q", bytes(8 * columns.indirects)),
+        "valid": array("B", bytes(columns.indirects)),
     }
     lane = _BLBPLane(
         bits=config.num_target_bits,
@@ -474,37 +529,37 @@ def _prepare_blbp(predictor: BLBP, trace: Trace, branches: int) -> dict:
         region_entries=regions.num_entries,
         region_offset_bits=regions.offset_bits,
         trained=0,
-        fold_spans=spans.ctypes.data,
-        folds=folds.ctypes.data,
-        ghist=ghist.ctypes.data,
-        local=copies["local"].ctypes.data,
+        fold_spans=buffer_address(spans),
+        folds=buffer_address(folds),
+        ghist=buffer_address(ghist),
+        local=buffer_address(copies["local"]),
         lut=copies["lut"].ctypes.data,
-        weights=predictor.weights.weights.ctypes.data,
-        theta=copies["theta"].ctypes.data,
-        counter=copies["counter"].ctypes.data,
-        ibtb_tags=_address(ibtb._tags),
-        ibtb_regions=_address(ibtb._regions),
-        ibtb_generations=_address(ibtb._generations),
-        ibtb_offsets=_address(ibtb._offsets),
-        ibtb_rrpv=_address(ibtb._rrpv),
-        region_high=_address(regions._high_bits),
-        region_generation=_address(regions._generation),
-        region_stamp=_address(regions._stamps),
-        region_counters=copies["region_counters"].ctypes.data,
-        predictions=copies["predictions"].ctypes.data,
-        valid=copies["valid"].ctypes.data,
+        weights=buffer_address(predictor.weights.weights),
+        theta=buffer_address(copies["theta"]),
+        counter=buffer_address(copies["counter"]),
+        ibtb_tags=buffer_address(ibtb._tags),
+        ibtb_regions=buffer_address(ibtb._regions),
+        ibtb_generations=buffer_address(ibtb._generations),
+        ibtb_offsets=buffer_address(ibtb._offsets),
+        ibtb_rrpv=buffer_address(ibtb._rrpv),
+        region_high=buffer_address(regions._high_bits),
+        region_generation=buffer_address(regions._generation),
+        region_stamp=buffer_address(regions._stamps),
+        region_counters=buffer_address(copies["region_counters"]),
+        predictions=buffer_address(copies["predictions"]),
+        valid=buffer_address(copies["valid"]),
     )
-    return {"predictor": predictor, "trace": trace, "lane": lane, **copies}
+    return {"predictor": predictor, "columns": columns, "lane": lane, **copies}
 
 
 def _replay_blbp_group(preps: List[dict]) -> None:
-    """Replay every prepared BLBP lane over their one trace in one call
-    into ``blbp_replay_many``; a solo run is a one-lane group."""
-    trace = preps[0]["trace"]
+    """Replay every prepared BLBP lane over their one run of columns in
+    one call into ``blbp_replay_many``; a solo run is a one-lane group."""
+    columns = preps[0]["columns"]
     lanes = (_BLBPLane * len(preps))(*(prep["lane"] for prep in preps))
     status = native.load("blbp_replay_many")(
-        len(preps), ctypes.addressof(lanes), len(trace),
-        *trace_columns(trace),
+        len(preps), ctypes.addressof(lanes), columns.records,
+        *columns.addresses,
     )
     if status:
         raise MemoryError("blbp_replay_many: out of memory")
@@ -513,7 +568,7 @@ def _replay_blbp_group(preps: List[dict]) -> None:
         prep["lane"] = lane
 
 
-def _finish_blbp(prep: dict, derived: DerivedPlane) -> None:
+def _finish_blbp(prep: dict) -> None:
     """Write back the state the core replayed in copies, and the
     hot-path counters."""
     predictor = prep["predictor"]
@@ -524,7 +579,7 @@ def _finish_blbp(prep: dict, derived: DerivedPlane) -> None:
     predictor.threshold._counter = prep["counter"].tolist()
     restore_history(
         histories, lane.pending, prep["folds"], prep["ghist"],
-        derived.conditionals,
+        prep["columns"].conditionals,
     )
     ibtb = predictor.ibtb
     ibtb.regions._clock, ibtb.regions.evictions = (
@@ -535,6 +590,22 @@ def _finish_blbp(prep: dict, derived: DerivedPlane) -> None:
     predictor.stat_predictions += branches
     predictor.stat_ibtb_probes += branches
     predictor.stat_trained_bits += lane.trained
+
+
+def replay_blbp(
+    predictors: Sequence[BLBP], columns: ReplayColumns
+) -> List[LaneOutput]:
+    """Replay BLBP lanes over one run of columns in one
+    ``blbp_replay_many`` call and write each predictor's state back.
+
+    Returns each lane's per-indirect ``(predictions, valid)``.  Campaigns
+    pass a trace's columns, serve a message's.
+    """
+    preps = [_prepare_blbp(predictor, columns) for predictor in predictors]
+    _replay_blbp_group(preps)
+    for prep in preps:
+        _finish_blbp(prep)
+    return [lane_output(prep["predictions"], prep["valid"]) for prep in preps]
 
 
 # ----------------------------------------------------------------------
@@ -597,34 +668,29 @@ def simulate_columnar_many(
             )
 
     results: List[Optional[SimulationResult]] = [None] * count
-    branches = len(derived.indirect_idx)
+    columns = trace_columns(trace, derived)
+
+    def finish(position: int, output: LaneOutput) -> None:
+        results[position] = lane_result(
+            predictors[position], trace, derived, *output, warmup_records,
+            collect_per_pc, sinks[position],
+        )
+
     blbp = [
         position for position, predictor in enumerate(predictors)
         if type(predictor) is BLBP
     ]
     if blbp:
-        preps = [_prepare_blbp(predictors[position], trace, branches)
-                 for position in blbp]
-        _replay_blbp_group(preps)
-        for position, prep in zip(blbp, preps):
-            _finish_blbp(prep, derived)
-            results[position] = lane_result(
-                prep["predictor"], trace, derived, prep["predictions"],
-                prep["valid"], warmup_records, collect_per_pc,
-                sinks[position],
-            )
+        outputs = replay_blbp([predictors[p] for p in blbp], columns)
+        for position, output in zip(blbp, outputs):
+            finish(position, output)
 
-    from repro.sim.kernel_ittage import simulate_columnar_ittage
+    from repro.sim.kernel_ittage import replay_ittage
     from repro.sim.kernel_vpc import simulate_columnar_vpc
 
     for position, predictor in enumerate(predictors):
         if type(predictor) is ITTAGE:
-            results[position] = simulate_columnar_ittage(
-                predictor, trace, derived,
-                warmup_records=warmup_records,
-                collect_per_pc=collect_per_pc,
-                prediction_sink=sinks[position],
-            )
+            finish(position, replay_ittage(predictor, columns))
         elif type(predictor) is VPCPredictor:
             results[position] = simulate_columnar_vpc(
                 predictor,

@@ -1,11 +1,11 @@
 """Columnar replay kernel for :class:`~repro.predictors.ittage.ITTAGE`.
 
 The whole replay runs in the compiled ``ittage_replay`` core
-(:mod:`repro.sim.native`), which walks the trace's columns in
-retirement order: every record shifts its history bits (a conditional
-its outcome, an indirect branch its hashed-target bits, any other
-branch a constant ``1``) and PC bits into the history and path
-registers, whose index, tag and tag2 folds it keeps per record exactly
+(:mod:`repro.sim.native`), which walks a run of record columns (a
+trace's, or one serve message's) in retirement order: every record
+shifts its history bits (a conditional its outcome, an indirect branch
+its hashed-target bits, any other branch a constant ``1``) and PC bits
+into the history and path registers, whose index, tag and tag2 folds it keeps per record exactly
 as the lazily flushed :class:`~repro.common.hashing.GlobalHistoryRegister`
 does; every indirect branch then hashes its table indices and tags and
 runs provider/altpred selection, the confidence and usefulness
@@ -20,21 +20,18 @@ so the RNG stream is shared bit-for-bit with the scalar path.
 from __future__ import annotations
 
 import ctypes
-from typing import Dict, Optional
-
-import numpy as np
+from array import array
 
 from repro.predictors.ittage import ITTAGE
 from repro.sim import native
 from repro.sim.kernel import (
+    LaneOutput,
+    ReplayColumns,
+    buffer_address,
     history_buffers,
-    lane_result,
+    lane_output,
     restore_history,
-    trace_columns,
 )
-from repro.sim.metrics import SimulationResult
-from repro.trace.derived import DerivedPlane
-from repro.trace.stream import Trace
 
 
 class _ITTAGEState(ctypes.Structure):
@@ -58,27 +55,22 @@ class _ITTAGEState(ctypes.Structure):
     ]
 
 
-def simulate_columnar_ittage(
-    predictor: ITTAGE,
-    trace: Trace,
-    derived: DerivedPlane,
-    warmup_records: int = 0,
-    collect_per_pc: bool = False,
-    prediction_sink: Optional[Dict[str, np.ndarray]] = None,
-) -> SimulationResult:
-    """Columnar ITTAGE replay, bit-identical to the scalar engine.
+def replay_ittage(predictor: ITTAGE, columns: ReplayColumns) -> LaneOutput:
+    """Replay ITTAGE over one run of columns in one ``ittage_replay``
+    call and write its state back; returns the per-indirect
+    ``(predictions, valid)``.
 
-    Called through :func:`repro.sim.kernel.simulate_columnar_many`,
-    which validates support and the derived plane; see that function
-    for the caller contract.
+    Campaigns call this through
+    :func:`repro.sim.kernel.simulate_columnar_many`, which validates
+    support; serve calls it per message.
     """
     cfg = predictor.config
     history = predictor._history
-    branches = len(derived.indirect_idx)
+    branches = columns.indirects
     spans, folds, ghist = history_buffers(history)
-    tag_bits = np.asarray(cfg.tag_bits, dtype=np.int64)
-    predictions = np.zeros(branches, dtype=np.uint64)
-    valid = np.zeros(branches, dtype=np.uint8)
+    tag_bits = array("q", cfg.tag_bits)
+    predictions = array("Q", bytes(8 * branches))
+    valid = array("B", bytes(branches))
     fields = predictor._fields
     state = _ITTAGEState(
         num_tagged=cfg.num_tagged,
@@ -97,36 +89,34 @@ def simulate_columnar_ittage(
         use_alt=predictor._use_alt,
         updates=predictor._updates,
         path=predictor._path,
-        tag_bits=tag_bits.ctypes.data,
-        fold_spans=spans.ctypes.data,
-        folds=folds.ctypes.data,
-        ghist=ghist.ctypes.data,
-        tags=fields["tags"].ctypes.data,
-        targets=fields["targets"].ctypes.data,
-        ctr=fields["ctr"].ctypes.data,
-        useful=fields["useful"].ctypes.data,
-        valid=fields["valid"].ctypes.data,
-        base_targets=predictor._base_targets.ctypes.data,
-        base_ctr=predictor._base_ctr.ctypes.data,
-        base_valid=predictor._base_valid.ctypes.data,
-        predictions=predictions.ctypes.data,
-        valid_out=valid.ctypes.data,
+        tag_bits=buffer_address(tag_bits),
+        fold_spans=buffer_address(spans),
+        folds=buffer_address(folds),
+        ghist=buffer_address(ghist),
+        tags=buffer_address(fields["tags"]),
+        targets=buffer_address(fields["targets"]),
+        ctr=buffer_address(fields["ctr"]),
+        useful=buffer_address(fields["useful"]),
+        valid=buffer_address(fields["valid"]),
+        base_targets=buffer_address(predictor._base_targets),
+        base_ctr=buffer_address(predictor._base_ctr),
+        base_valid=buffer_address(predictor._base_valid),
+        predictions=buffer_address(predictions),
+        valid_out=buffer_address(valid),
     )
+    records = columns.records
     status = native.load("ittage_replay")(
-        len(trace), *trace_columns(trace), ctypes.addressof(state),
+        records, *columns.addresses, ctypes.addressof(state),
         native.RNG_CALLBACK(predictor._rng.random),
     )
     if status:
         raise MemoryError("ittage_replay: out of memory")
 
-    pushed = len(trace) + (cfg.target_bits_per_indirect - 1) * branches
+    pushed = records + (cfg.target_bits_per_indirect - 1) * branches
     restore_history(history, state.pending, folds, ghist, pushed)
     predictor._ring_head = (predictor._ring_head + pushed) % history._capacity
     predictor._use_alt = state.use_alt
     predictor._updates = state.updates
     predictor._path = state.path
     predictor._ctx = None
-    return lane_result(
-        predictor, trace, derived, predictions, valid, warmup_records,
-        collect_per_pc, prediction_sink,
-    )
+    return lane_output(predictions, valid)

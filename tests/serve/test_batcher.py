@@ -9,24 +9,28 @@ import asyncio
 
 import pytest
 
+from repro.registry import make_indirect
 from repro.serve.batcher import MicroBatcher, _BatchItem, drain_batch
 from repro.serve.metrics import ServerMetrics
 from repro.serve.protocol import trace_events
 from repro.serve.session import PredictorSession
+from repro.sim.engine import simulate
 from repro.workloads.vdispatch import VirtualDispatchSpec
 
 
+def _trace(seed=31, num_records=80):
+    return VirtualDispatchSpec(
+        name=f"serve-batch-{seed}",
+        seed=seed,
+        num_records=num_records,
+        num_sites=4,
+        num_types=4,
+        filler_conditionals=3,
+    ).generate()
+
+
 def _events(seed=31, num_records=80):
-    return trace_events(
-        VirtualDispatchSpec(
-            name=f"serve-batch-{seed}",
-            seed=seed,
-            num_records=num_records,
-            num_sites=4,
-            num_types=4,
-            filler_conditionals=3,
-        ).generate()
-    )
+    return trace_events(_trace(seed, num_records))
 
 
 def _item(loop, session, events):
@@ -105,6 +109,51 @@ class TestDrainBatch:
         metrics = ServerMetrics()
         drain_batch([], metrics)
         assert metrics.batches == 0
+
+
+def _drain_kinds(kinds, trace):
+    """One batch of one session per kind over ``trace``; the sessions
+    and the batch's metrics."""
+    metrics = ServerMetrics()
+    sessions = [PredictorSession(f"s-{kind}", kind) for kind in kinds]
+
+    async def run():
+        loop = asyncio.get_running_loop()
+        events = trace_events(trace)
+        items = [_item(loop, session, events) for session in sessions]
+        drain_batch(items, metrics)
+        for item in items:
+            item.future.result()
+
+    asyncio.run(run())
+    return sessions, metrics
+
+
+class TestStepPathMetrics:
+    """A session's path is never swapped silently: stats count the
+    steps on each path and name why each scalar key is scalar."""
+
+    def test_core_and_scalar_steps_are_counted(self, compiled_cores):
+        _, metrics = _drain_kinds(["BLBP", "ITTAGE", "VPC", "BTB"], _trace())
+        steps = metrics.as_dict()["steps"]
+        assert (steps["core"], steps["scalar"]) == (2, 2)
+        assert sorted(steps["scalar_reasons"]) == ["BTB", "VPC"]
+        assert "derived plane" in steps["scalar_reasons"]["VPC"]
+
+    def test_failed_build_steps_scalar_and_names_the_build(
+        self, failed_build
+    ):
+        trace = _trace(37)
+        sessions, metrics = _drain_kinds(["BLBP", "ITTAGE"], trace)
+        steps = metrics.as_dict()["steps"]
+        assert (steps["core"], steps["scalar"]) == (0, 2)
+        for kind, session in zip(["BLBP", "ITTAGE"], sessions):
+            assert session.step_path[0] == "scalar"
+            assert failed_build in steps["scalar_reasons"][kind]
+            reference = make_indirect(kind)
+            result = simulate(reference, trace)
+            assert session.mispredictions == result.indirect_mispredictions
+            assert session.state_hash() == reference.state_hash()
 
 
 class TestMicroBatcher:

@@ -10,6 +10,8 @@ import asyncio
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.registry import make_indirect
 from repro.serve import protocol
@@ -92,6 +94,68 @@ class TestEventValidation:
             protocol.require_session_id({"session": 17})
         with pytest.raises(ProtocolError):
             protocol.require_session_id({"session": "x" * 257})
+
+
+#: Field values around every bound the per-entry parser checks, in
+#: every JSON-decodable type and a few that only a direct caller passes.
+_FIELDS = st.one_of(
+    st.sampled_from([
+        0, 1, 4, 5, 6, -1, -(2**63), 2**63, 2**64 - 1, 2**64, 2**70,
+        True, False, 0.0, 1.0, 2.5, None, "1", [], {},
+    ]),
+    st.integers(min_value=-(2**66), max_value=2**66),
+)
+_ENTRIES = st.one_of(
+    st.lists(_FIELDS, min_size=5, max_size=5),
+    st.lists(_FIELDS, min_size=5, max_size=5).map(tuple),
+    st.lists(_FIELDS, min_size=0, max_size=7),
+    st.tuples(
+        st.integers(0, 2**64 - 1), st.integers(0, 5), st.booleans(),
+        st.integers(0, 2**64 - 1), st.integers(0, 2**20),
+    ).map(list),
+    st.sampled_from([None, 3, "event", {"pc": 1}]),
+)
+
+
+def _typed(events):
+    return [tuple((type(value), value) for value in event) for event in events]
+
+
+class TestParseEventsDifferential:
+    """``parse_events`` accepts inline what the per-entry parser would,
+    and hands everything else to it: same values, types and errors."""
+
+    @given(st.lists(_ENTRIES, min_size=1, max_size=8))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_per_entry_parser(self, raw):
+        try:
+            expected = [protocol.parse_event(entry) for entry in raw]
+        except ProtocolError as exc:
+            with pytest.raises(ProtocolError) as caught:
+                protocol.parse_events(raw)
+            assert str(caught.value) == str(exc)
+        else:
+            assert _typed(protocol.parse_events(raw)) == _typed(expected)
+
+    def test_int_taken_and_bool_types_are_normalized(self):
+        raw = [[1, 3, 1, 2, 0], [1, True, False, 2, 0], [1, 0, 7, 2, 3]]
+        assert _typed(protocol.parse_events(raw)) == _typed([
+            (1, 3, True, 2, 0), (1, 1, False, 2, 0), (1, 0, True, 2, 3),
+        ])
+
+    def test_first_bad_entry_names_the_error(self):
+        raw = [[1, 3, True, 2, 0], [2**64, 3, True, 2, 0], [1, 9, True, 2, 0]]
+        with pytest.raises(ProtocolError, match="pc must be an int"):
+            protocol.parse_events(raw)
+        with pytest.raises(ProtocolError, match="gap must be a non-negative"):
+            protocol.parse_events([[1, 3, True, 2, -4]])
+
+    @pytest.mark.parametrize("branch_type", [[], {}, [3]])
+    def test_unhashable_branch_type_is_a_protocol_error(self, branch_type):
+        """A list or object branch type is refused like any unknown one
+        (it used to escape as a ``TypeError`` and end the connection)."""
+        with pytest.raises(ProtocolError, match="unknown branch type"):
+            protocol.parse_events([[1, branch_type, True, 2, 0]])
 
 
 class TestAddressBounds:

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.registry import make_indirect
+from repro.serve import batcher
 from repro.serve.client import ServeClient, drive_load
 from repro.serve.protocol import trace_events
 from repro.serve.server import (
@@ -21,6 +22,7 @@ from repro.serve.server import (
     SessionStore,
 )
 from repro.serve.session import PredictorSession, SessionError
+from repro.sim import native
 from repro.sim.engine import simulate
 from repro.workloads.vdispatch import VirtualDispatchSpec
 
@@ -132,6 +134,68 @@ class TestLockstepProtocol:
             assert stats["max_resident"] == server.manager.max_resident
 
         asyncio.run(_with_server(tmp_path, scenario))
+
+    def test_stats_report_step_paths_and_close_time(self, tmp_path):
+        async def scenario(server, port):
+            client = await ServeClient.connect("127.0.0.1", port)
+            try:
+                events = trace_events(_trace())[:40]
+                for key in ("BLBP", "BTB"):
+                    await client.open(key, key)
+                    await client.events(key, events)
+                    await client.close_session(key)
+                stats = await client.stats()
+            finally:
+                await client.aclose()
+            steps = stats["steps"]
+            assert steps["core"] + steps["scalar"] == 2
+            assert "BTB" in steps["scalar_reasons"]
+            assert "no columnar kernel" in steps["scalar_reasons"]["BTB"]
+            assert stats["close_seconds"] > 0
+
+        asyncio.run(_with_server(tmp_path, scenario))
+
+
+class TestCoreBuild:
+    def test_cores_build_at_start_not_inside_a_drain(
+        self, tmp_path, fresh_loader, monkeypatch
+    ):
+        """A process that has not resolved the compiled cores yet
+        resolves them (and on a cold cache compiles them) when the
+        server starts, before it listens; never inside ``drain_batch``,
+        which runs on the event loop."""
+        builds = []
+        draining = []
+        real_build = native._build
+        real_drain = batcher.drain_batch
+
+        def build():
+            builds.append("in a drain" if draining else "at start")
+            return real_build()
+
+        def drain(items, metrics=None):
+            draining.append(True)
+            try:
+                return real_drain(items, metrics)
+            finally:
+                draining.pop()
+
+        monkeypatch.setattr(native, "_build", build)
+        monkeypatch.setattr(batcher, "drain_batch", drain)
+
+        async def scenario(server, port):
+            assert builds == ["at start"]
+            client = await ServeClient.connect("127.0.0.1", port)
+            try:
+                for key in ("BLBP", "ITTAGE"):
+                    await client.open(key, key)
+                    await client.events(key, trace_events(_trace())[:40])
+                    await client.close_session(key)
+            finally:
+                await client.aclose()
+
+        asyncio.run(_with_server(tmp_path, scenario))
+        assert builds == ["at start"]
 
 
 class TestEvictionAndRestart:

@@ -1,5 +1,7 @@
-"""What a serve child imports: it steps sessions on the scalar path, so
-it never loads the columnar kernels or their compiled cores."""
+"""What importing the serve layer loads: neither the columnar kernels
+nor their compiled cores.  The server resolves the cores when it
+starts, before it listens, and imports the kernels at the first BLBP or
+ITTAGE step, so importing it pays for neither."""
 
 import subprocess
 import sys

@@ -6,8 +6,9 @@ The whole serve subsystem rests on one guarantee: a
 session at *any* event boundary (checkpoint → JSON → rehydrate) does not
 perturb that.  These tests pin the guarantee directly, for several
 registered predictor kinds, with the suspend point chosen by hypothesis.
-Solo and fused stepping run the same loop; the chunk-size matrix pins
-both against ``simulate`` on a mixed call/return stream.
+Solo and fused stepping run the same code; the chunk-size matrix pins
+both against ``simulate`` on a mixed call/return stream, and checks that
+BLBP and ITTAGE sessions stepped on their compiled cores.
 """
 
 import functools
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.registry import make_indirect
+from repro.serve import session as session_module
 from repro.serve.protocol import trace_events
 from repro.serve.session import (
     SESSION_CHECKPOINT_KIND,
@@ -28,6 +30,7 @@ from repro.serve.session import (
     SessionError,
     step_sessions_fused,
 )
+from repro.sim import kernel, kernel_ittage, native
 from repro.sim.engine import simulate
 from repro.trace.record import BranchType
 from repro.trace.stream import Trace
@@ -282,8 +285,37 @@ def _mixed_reference(kind: str, warmup: int, ras_depth: int):
     return result, predictor.state_hash()
 
 
+#: Kinds serve steps on their compiled cores, when those can be built.
+CORE_KINDS = ("BLBP", "ITTAGE")
+
+
+@pytest.fixture
+def core_calls(monkeypatch):
+    """Count the predictors each core replay receives, per call."""
+    calls = {"BLBP": [], "ITTAGE": []}
+    replay_blbp = kernel.replay_blbp
+    replay_ittage = kernel_ittage.replay_ittage
+
+    def spy_blbp(predictors, columns):
+        calls["BLBP"].append(len(predictors))
+        return replay_blbp(predictors, columns)
+
+    def spy_ittage(predictor, columns):
+        calls["ITTAGE"].append(1)
+        return replay_ittage(predictor, columns)
+
+    monkeypatch.setattr(kernel, "replay_blbp", spy_blbp)
+    monkeypatch.setattr(kernel_ittage, "replay_ittage", spy_ittage)
+    return calls
+
+
+def _messages(chunk: int) -> int:
+    return -(-len(_MIXED) // chunk)
+
+
 class TestChunkMatrix:
-    """Solo and fused stepping match ``simulate`` at every chunk size."""
+    """Solo and fused stepping match ``simulate`` at every chunk size,
+    BLBP and ITTAGE on their cores."""
 
     #: The fused group: the solo configuration, a cold one, and one with
     #: a different RAS depth, all stepping the same messages.
@@ -303,10 +335,12 @@ class TestChunkMatrix:
 
     @pytest.mark.parametrize("chunk", [1, 13, 64, 300, 2000])
     @pytest.mark.parametrize("kind", ["BLBP", "ITTAGE", "VPC", "BTB"])
-    def test_solo_and_fused_match_simulate(self, kind, chunk):
+    def test_solo_and_fused_match_simulate(self, kind, chunk, core_calls):
+        on_core = kind in CORE_KINDS and native.available()
         solo = PredictorSession("solo", kind, warmup_records=_WARMUP)
         (solo_out,) = self._stream([solo], chunk)
         _assert_matches_result(solo, *_mixed_reference(kind, _WARMUP, 32))
+        assert (solo.step_path[0] == "core") == on_core
         group = [
             PredictorSession(f"fused-{slot}", kind, warmup, depth)
             for slot, (warmup, depth) in enumerate(self._GROUP)
@@ -319,6 +353,68 @@ class TestChunkMatrix:
             )
             assert session.cursor == len(_MIXED)
             assert session.skip == 0
+        # One core call per message: a BLBP group shares one multi-lane
+        # call, each ITTAGE session makes its own.
+        messages = _messages(chunk)
+        expected = {"BLBP": [], "ITTAGE": []}
+        if on_core and kind == "BLBP":
+            expected["BLBP"] = [1] * messages + [3] * messages
+        elif on_core:
+            expected["ITTAGE"] = [1] * (4 * messages)
+        assert core_calls == expected
+
+    @pytest.mark.parametrize("chunk", [1, 13, 64, 300, 2000])
+    def test_mixed_group_matches_simulate(self, chunk, core_calls):
+        """BLBP, ITTAGE and BTB sessions fused on identical messages each
+        match ``simulate``; the core sessions step on their cores."""
+        members = [
+            ("BLBP", _WARMUP, 32), ("ITTAGE", 0, 32), ("BTB", _WARMUP, 32),
+            ("BLBP", 0, 16), ("ITTAGE", _WARMUP, 32), ("BTB", 0, 16),
+        ]
+        group = [
+            PredictorSession(f"mixed-{slot}", kind, warmup, depth)
+            for slot, (kind, warmup, depth) in enumerate(members)
+        ]
+        self._stream(group, chunk)
+        for session, (kind, warmup, depth) in zip(group, members):
+            _assert_matches_result(
+                session, *_mixed_reference(kind, warmup, depth)
+            )
+        if native.available():
+            messages = _messages(chunk)
+            assert core_calls == {
+                "BLBP": [2] * messages, "ITTAGE": [1] * (2 * messages),
+            }
+            assert [s.step_path[0] for s in group] == [
+                "core", "core", "scalar", "core", "core", "scalar",
+            ]
+
+
+class TestStepPath:
+    def test_cores_steps_blbp_and_ittage(self, compiled_cores):
+        for kind in CORE_KINDS:
+            session = PredictorSession("p", kind)
+            path, kernel_name = session.step_path
+            assert path == "core"
+            assert kind in kernel_name
+
+    def test_vpc_and_btb_step_scalar_with_a_reason(self, compiled_cores):
+        path, reason = PredictorSession("v", "VPC").step_path
+        assert path == "scalar"
+        assert "derived plane" in reason
+        path, reason = PredictorSession("b", "BTB").step_path
+        assert path == "scalar"
+        assert "has no columnar kernel" in reason
+
+    def test_path_is_decided_once(self, compiled_cores, monkeypatch):
+        session = PredictorSession("once", "BLBP")
+        session.step_events(_MIXED[:20])
+        monkeypatch.setattr(
+            session_module, "_step_path",
+            lambda predictor: pytest.fail("path decided twice"),
+        )
+        session.step_events(_MIXED[20:40])
+        assert session.step_path[0] == "core"
 
 
 class TestValidation:
