@@ -50,13 +50,13 @@ from repro.experiments.configs import format_budget_details, format_table2
 from repro.predictors import IndirectBranchPredictor
 from repro.registry import INDIRECT_PREDICTORS, make_indirect
 from repro.sim import (
-    ColumnarUnsupportedError,
     SimCounters,
     aggregate_profiles,
     format_counters,
     format_mpki_table,
     run_campaign,
 )
+from repro.sim.engine import BACKENDS
 from repro.trace.record import BranchType
 from repro.trace.stats import compute_stats
 from repro.trace.stream import write_trace
@@ -675,12 +675,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (default: REPRO_JOBS env var, else 1)",
     )
     simulate.add_argument(
-        "--backend", choices=("scalar", "columnar", "columnar-strict"),
+        "--backend", choices=BACKENDS,
         default=os.environ.get("REPRO_BACKEND", "scalar"),
-        help="simulation backend: per-record scalar loop or batched "
-             "columnar kernels, results identical; columnar warns and "
-             "falls back to scalar for unsupported predictors, "
-             "columnar-strict errors instead "
+        help="simulation backend: per-record scalar loop or compiled "
+             "columnar cores, results identical; columnar warns for "
+             "every predictor or feature it runs scalar (make that an "
+             "error with python -W error::RuntimeWarning) "
              "(default: REPRO_BACKEND env var, else scalar)",
     )
     simulate.add_argument(
@@ -765,10 +765,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (default: REPRO_JOBS env var, else 1)",
     )
     search.add_argument(
-        "--backend", choices=("scalar", "columnar", "columnar-strict"),
+        "--backend", choices=BACKENDS,
         default=os.environ.get("REPRO_BACKEND", "scalar"),
-        help="simulation backend for candidate scoring; columnar-strict "
-             "errors on any candidate the kernels cannot replay "
+        help="simulation backend for candidate scoring; columnar warns "
+             "for any candidate it runs scalar "
              "(default: REPRO_BACKEND env var, else scalar)",
     )
     search.add_argument(
@@ -908,11 +908,6 @@ def main(argv: List[str] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ColumnarUnsupportedError as exc:
-        # --backend columnar-strict refused to fall back; surface the
-        # kernel's actionable reason instead of a traceback.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except _TraceLoadError as exc:
         print(exc, file=sys.stderr)
         return 1

@@ -213,14 +213,6 @@ class IndirectBTB(Stateful):
         )
         return self.num_sets * self.num_ways * entry_bits
 
-    def content_key(self) -> Tuple[str, bytes]:
-        """A key equal exactly when :meth:`state_dict` is: the geometry
-        and region state, plus the fields' raw buffers (no JSON)."""
-        return repr((
-            self.num_sets, self.num_ways, self.tag_bits, self.rrpv_bits,
-            self.regions.state_dict(),
-        )), b"".join(self._fields)
-
     def _restore_flat(self, flat: tuple) -> None:
         """Write validated flat fields and a region snapshot back in
         place (the hierarchical IBTB shares the regions)."""

@@ -165,10 +165,9 @@ def run_campaign_parallel(
             byte-identical journals; ``None`` reads ``REPRO_NODES``
             (see :func:`repro.dist.resolve_pool`), else runs ``jobs``
             local workers.
-        backend: simulation backend for every cell ("scalar",
-            "columnar", or "columnar-strict", see
-            :data:`repro.sim.engine.BACKENDS`); results and journal
-            bytes are identical whichever backend runs.
+        backend: simulation backend for every cell ("scalar" or
+            "columnar", see :data:`repro.sim.engine.BACKENDS`); results
+            and journal bytes are identical whichever backend runs.
 
     Returns:
         A :class:`CampaignResult` identical to the serial runner's.

@@ -17,7 +17,6 @@ from repro.sim.checkpoint import (
 )
 from repro.sim.counters import SimCounters, aggregate_profiles, format_counters
 from repro.sim.engine import (
-    ColumnarUnsupportedError,
     SampledSimulationResult,
     simulate,
     simulate_conditional,
@@ -31,7 +30,6 @@ from repro.sim.runner import PredictorFactory, ProgressCallback, run_campaign
 from repro.sim.report import format_campaign, format_mpki_table
 
 __all__ = [
-    "ColumnarUnsupportedError",
     "simulate",
     "simulate_conditional",
     "simulate_many",

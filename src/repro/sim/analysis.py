@@ -16,7 +16,9 @@ These tools answer that:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.predictors.base import IndirectBranchPredictor
 from repro.sim.engine import simulate
@@ -115,39 +117,36 @@ def per_branch_breakdown(
     trace: Trace,
     top: Optional[int] = None,
 ) -> List[BranchReport]:
-    """Per-static-branch misprediction report, worst offenders first."""
-    pcs = trace.pcs.tolist()
-    types = trace.types.tolist()
-    takens = trace.takens.tolist()
-    targets = trace.targets.tolist()
+    """Per-static-branch misprediction report, worst offenders first.
 
-    executions: Dict[int, int] = {}
-    misses: Dict[int, int] = {}
-    seen_targets: Dict[int, set] = {}
-    for index in range(len(pcs)):
-        branch_type = types[index]
-        pc = pcs[index]
-        if branch_type == _COND:
-            predictor.on_conditional(pc, takens[index])
-            continue
-        target = targets[index]
-        if branch_type in _INDIRECT:
-            prediction = predictor.predict_target(pc)
-            executions[pc] = executions.get(pc, 0) + 1
-            if prediction != target:
-                misses[pc] = misses.get(pc, 0) + 1
-            seen_targets.setdefault(pc, set()).add(target)
-            predictor.train(pc, target)
-        predictor.on_retired(pc, branch_type, target)
-
+    The misses are :func:`simulate`'s per-PC tally; executions and
+    distinct targets come from the trace's indirect columns.  Ties keep
+    first-execution order.
+    """
+    misses = simulate(
+        predictor, trace, collect_per_pc=True
+    ).mispredictions_by_pc
+    indirect = trace.indirect_mask()
+    pcs = trace.pcs[indirect]
+    targets = trace.targets[indirect]
+    unique, first, executions = np.unique(
+        pcs, return_index=True, return_counts=True
+    )
+    pairs = np.unique(np.stack((pcs, targets)), axis=1)
+    distinct = np.unique(pairs[0], return_counts=True)[1]
     reports = [
         BranchReport(
             pc=pc,
             executions=count,
             mispredictions=misses.get(pc, 0),
-            distinct_targets=len(seen_targets[pc]),
+            distinct_targets=targets_seen,
         )
-        for pc, count in executions.items()
+        for _, pc, count, targets_seen in sorted(
+            zip(
+                first.tolist(), unique.tolist(), executions.tolist(),
+                distinct.tolist(),
+            )
+        )
     ]
     reports.sort(key=lambda report: report.mispredictions, reverse=True)
     return reports[:top] if top is not None else reports

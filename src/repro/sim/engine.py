@@ -42,21 +42,13 @@ from repro.trace.record import BranchType
 from repro.trace.stream import Trace
 
 #: Recognized simulation backends.  "scalar" is the per-record Python
-#: loop below; "columnar" dispatches eligible cells to the batch tensor
-#: kernels in :mod:`repro.sim.kernel` (bit-identical results) and falls
-#: back to the scalar loop otherwise — warning when the fallback is due
-#: to an unsupported predictor; "columnar-strict" refuses to fall back
-#: and raises :class:`ColumnarUnsupportedError` carrying the reason.
-BACKENDS: Tuple[str, ...] = ("scalar", "columnar", "columnar-strict")
-
-
-class ColumnarUnsupportedError(RuntimeError):
-    """``backend="columnar-strict"`` could not use the columnar kernels.
-
-    The message carries the :func:`repro.sim.kernel.columnar_support`
-    reason (which predictor type, and what to do about it) or names the
-    engine feature the kernels do not cover.
-    """
+#: loop below; "columnar" replays each lane the compiled cores in
+#: :mod:`repro.sim.kernel` support (bit-identical results) and hands
+#: every other lane to the scalar loop, naming why in one
+#: ``RuntimeWarning`` per call.  A caller that needs the cores or an
+#: error turns that warning into one with
+#: ``warnings.simplefilter("error", RuntimeWarning)``.
+BACKENDS: Tuple[str, ...] = ("scalar", "columnar")
 
 
 def _check_backend(backend: str) -> None:
@@ -154,19 +146,15 @@ def simulate(
             push/pop replay (bit-identical results; the RAS is a pure
             function of the trace).  Ignored when checkpointing or
             resuming, because those paths must snapshot real RAS state.
-        backend: "scalar" (the per-record loop), "columnar" (the
-            batch tensor kernels in :mod:`repro.sim.kernel`), or
-            "columnar-strict".  The columnar backend produces
-            bit-identical results and final predictor state; it falls
-            back to the scalar loop for predictors it does not support
-            (with a ``RuntimeWarning`` naming the reason; on a host
-            where the compiled replay cores cannot be built, that is
-            every predictor) and, silently, for features it does not
-            cover (checkpointing, resume, profiling counters).
-            "columnar-strict" never falls back —
-            it raises :class:`ColumnarUnsupportedError` instead, for
-            callers that need the kernel's throughput or an explicit
-            failure.
+        backend: "scalar" (the per-record loop) or "columnar" (the
+            compiled replay cores behind :mod:`repro.sim.kernel`).  The
+            columnar backend produces bit-identical results and final
+            predictor state; it runs the scalar loop instead, with one
+            ``RuntimeWarning`` naming the reason, for a predictor it
+            does not support (on a host where the compiled replay cores
+            cannot be built, that is every predictor) and for the
+            features the cores do not cover (checkpointing, resume,
+            profiling counters).
     """
     sinks: List[Callable[[SimulationCheckpoint], None]] = []
     if checkpoint_path is not None:
@@ -273,7 +261,9 @@ def simulate_sampled(
             when omitted.
         ras_depth, collect_per_pc, backend: forwarded to
             :func:`simulate` per region (the columnar backend
-            accelerates sampled spans exactly as it does full runs).
+            accelerates sampled spans exactly as it does full runs; a
+            region that checkpoints or resumes runs scalar, with the
+            engine's warning).
         checkpoint_dir: when given, each region's post-warm-up state is
             cached as a PR 4 :class:`SimulationCheckpoint` in a
             content-addressed file; later calls with the same trace
@@ -350,6 +340,7 @@ def simulate_sampled(
                     warmup_records=region.warmup,
                     collect_per_pc=collect_per_pc,
                     resume_from=cached,
+                    backend=backend,
                 )
                 warm_hits += 1
         if result is None:
@@ -373,6 +364,7 @@ def simulate_sampled(
                     collect_per_pc=collect_per_pc,
                     checkpoint_every=region.warmup,
                     on_checkpoint=keep_warm_boundary,
+                    backend=backend,
                 )
             else:
                 result = simulate(
@@ -533,16 +525,15 @@ def simulate_many(
             ``checkpoint_paths``; each snapshot is loadable by
             :func:`simulate` for an unfused per-cell resume.
         checkpoint_paths: one path (or ``None``) per predictor.
-        backend: "scalar", "columnar", or "columnar-strict".  Under
-            "columnar", predictors the kernels support run as one fused
-            columnar group (:func:`repro.sim.kernel.simulate_columnar_many`
-            — one shared precompute pass, compatible BLBP lanes
+        backend: "scalar" or "columnar".  Under "columnar", predictors
+            the kernels support run as one fused columnar group
+            (:func:`repro.sim.kernel.simulate_columnar_many` — one
+            shared precompute pass, compatible BLBP lanes
             lane-parallel) and the rest run through the fused scalar
-            loop, with a ``RuntimeWarning`` naming why; the merged
-            results and final states are bit-identical to an all-scalar
-            pass.  Ignored while checkpointing.  "columnar-strict"
-            raises :class:`ColumnarUnsupportedError` instead of falling
-            back (unsupported predictor or checkpointing).
+            loop; the merged results and final states are bit-identical
+            to an all-scalar pass.  Checkpointing runs every lane
+            scalar.  Either fallback issues the one ``RuntimeWarning``
+            described under :func:`simulate`.
     """
     predictors = list(predictors)
     if checkpoint_paths is None:
@@ -603,24 +594,19 @@ def _simulate_lanes(
         # Snapshots and resumes carry the live RAS, which the plane's
         # precomputed return outcomes cannot stand in for.
         derived = None
-    if derived is not None and not derived.matches(trace, ras_depth):
-        raise ValueError(
-            f"derived plane is for {derived.trace_name!r} "
-            f"({derived.records} records, ras_depth={derived.ras_depth}), "
-            f"not {trace.name!r} ({len(trace)} records, "
-            f"ras_depth={ras_depth})"
-        )
+    if derived is not None:
+        derived.check(trace, ras_depth)
     if not predictors:
         return []
 
     results: List[Optional[SimulationResult]] = [None] * len(predictors)
-    if backend != "scalar":
+    if backend == "columnar":
         # Imported here: the scalar paths (a serve child, say) never
         # load the kernels or build the compiled cores.
         from repro.sim import kernel
 
         blockers = [
-            feature
+            f"the columnar kernels do not cover {feature}"
             for feature, active in (
                 ("checkpointing (checkpoint_every)", checkpoint_every),
                 ("resume (resume_from)", resume_from is not None),
@@ -629,21 +615,13 @@ def _simulate_lanes(
             if active
         ]
         support = [kernel.columnar_support(p) for p in predictors]
-        unsupported = [reason for ok, reason in support if not ok]
-        if backend == "columnar-strict":
-            if blockers:
-                raise ColumnarUnsupportedError(
-                    "columnar-strict cannot cover " + ", ".join(blockers)
-                    + "; use backend='columnar' (scalar fallback) or "
-                    "backend='scalar' for these features"
-                )
-            if unsupported:
-                raise ColumnarUnsupportedError(unsupported[0])
-        elif unsupported:
+        reasons = blockers + [reason for ok, reason in support if not ok]
+        if reasons:
+            # Every lane the scalar loop replays below is named here.
             warnings.warn(
                 "columnar backend falling back to the fused scalar "
                 "loop for some predictors: "
-                + "; ".join(sorted(set(unsupported))),
+                + "; ".join(sorted(set(reasons))),
                 RuntimeWarning,
                 stacklevel=3,
             )

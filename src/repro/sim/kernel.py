@@ -84,12 +84,11 @@ def columnar_support(predictor: object) -> Tuple[bool, str]:
 
     Returns ``(True, "<kernel name>")`` for supported predictors and
     ``(False, "<actionable reason>")`` otherwise — the reason string is
-    what ``--backend columnar-strict`` errors and fallback warnings
-    surface, so it names both the offending type (or the missing
-    compiled cores) and the remedy.  This is the one place that
-    decides: every columnar replay runs through the compiled cores in
-    :mod:`repro.sim.native`, so a host that cannot build them runs the
-    scalar oracle instead.
+    what the engine's fallback warning surfaces, so it names both the
+    offending type (or the missing compiled cores) and the remedy.
+    This is the one place that decides: every columnar replay runs
+    through the compiled cores in :mod:`repro.sim.native`, so a host
+    that cannot build them runs the scalar oracle instead.
     """
     kind = type(predictor)
     blocker = _BLOCKERS.get(kind, lambda _: None)(predictor)
@@ -266,21 +265,6 @@ def shared_precompute(
     while len(_SHARED_CACHE) > _SHARED_CAPACITY:
         _SHARED_CACHE.popitem(last=False)
     return entry
-
-
-def _validated_derived(
-    trace: Trace, ras_depth: int, derived: Optional[DerivedPlane]
-) -> DerivedPlane:
-    if derived is None:
-        return compute_derived(trace, ras_depth)
-    if not derived.matches(trace, ras_depth):
-        raise ValueError(
-            f"derived plane is for {derived.trace_name!r} "
-            f"({derived.records} records, ras_depth={derived.ras_depth}), "
-            f"not {trace.name!r} ({len(trace)} records, "
-            f"ras_depth={ras_depth})"
-        )
-    return derived
 
 
 # ----------------------------------------------------------------------
@@ -655,7 +639,10 @@ def simulate_columnar_many(
         supported, reason = columnar_support(predictor)
         if not supported:
             raise TypeError(reason)
-    derived = _validated_derived(trace, ras_depth, derived)
+    if derived is None:
+        derived = compute_derived(trace, ras_depth)
+    else:
+        derived.check(trace, ras_depth)
     count = len(predictors)
     if prediction_sinks is None:
         sinks: List[Optional[Dict[str, np.ndarray]]] = [None] * count

@@ -100,6 +100,16 @@ class DerivedPlane:
             and self.ras_depth == ras_depth
         )
 
+    def check(self, trace: Trace, ras_depth: int) -> None:
+        """Raise ``ValueError`` unless this plane :meth:`matches`."""
+        if not self.matches(trace, ras_depth):
+            raise ValueError(
+                f"derived plane is for {self.trace_name!r} "
+                f"({self.records} records, ras_depth={self.ras_depth}), "
+                f"not {trace.name!r} ({len(trace)} records, "
+                f"ras_depth={ras_depth})"
+            )
+
     def return_predictions(self) -> List[Optional[int]]:
         """Per-return RAS predictions, in trace order (``None`` = empty RAS)."""
         preds = self.return_preds.tolist()

@@ -1,13 +1,9 @@
 """Model-based properties of the flat IBTB storage.
 
-* SRRIP parity: the IBTB's inline SRRIP-HP over each set's slice picks
-  the same victims and leaves the same RRPV vectors as one
-  :class:`RRIPPolicy` per set driving a plain per-way model.
-* Content key: ``content_key()`` is equal exactly when ``state_dict()``
-  is, and survives a ``load_state`` restore.
+SRRIP parity: the IBTB's inline SRRIP-HP over each set's slice picks the
+same victims and leaves the same RRPV vectors as one
+:class:`RRIPPolicy` per set driving a plain per-way model.
 """
-
-import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,52 +87,3 @@ class TestSRRIPParity:
                 if entry is not None and entry[0] == tag
             }
             assert stored == expected
-
-
-def _driven(geometry, ops):
-    num_sets, num_ways, rrpv_bits = geometry
-    ibtb = IndirectBTB(num_sets=num_sets, num_ways=num_ways,
-                       rrpv_bits=rrpv_bits)
-    for kind, pc, operand in ops:
-        if kind == "ensure":
-            ibtb.ensure(pc, operand)
-        else:
-            ibtb.touch(pc, operand % num_ways)
-    return ibtb
-
-
-class TestContentKey:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        geometry=geometries,
-        first=operations,
-        second=operations,
-        same=st.booleans(),
-        cut=st.integers(min_value=0, max_value=80),
-    )
-    def test_key_equal_exactly_when_state_equal(
-        self, geometry, first, second, same, cut
-    ):
-        # ``same`` biases toward equal states: one stream and a prefix
-        # of it, which are equal whenever the tail changes nothing.
-        a = _driven(geometry, first)
-        b = _driven(geometry, first[:cut] if same else second)
-        assert (a.content_key() == b.content_key()) == (
-            a.state_dict() == b.state_dict()
-        )
-
-    @settings(max_examples=60, deadline=None)
-    @given(geometry=geometries, ops=operations)
-    def test_restored_ibtb_keeps_its_source_key(self, geometry, ops):
-        source = _driven(geometry, ops)
-        num_sets, num_ways, rrpv_bits = geometry
-        restored = IndirectBTB(num_sets=num_sets, num_ways=num_ways,
-                               rrpv_bits=rrpv_bits)
-        restored.load_state(json.loads(json.dumps(source.state_dict())))
-        assert restored.content_key() == source.content_key()
-
-    def test_geometry_is_part_of_the_key(self):
-        assert (
-            IndirectBTB(num_sets=2, num_ways=4).content_key()
-            != IndirectBTB(num_sets=4, num_ways=2).content_key()
-        )

@@ -4,6 +4,8 @@ import pytest
 
 from repro.core import BLBP
 from repro.predictors import BranchTargetBuffer, ITTAGE
+from repro.registry import make_indirect
+from repro.sim import simulate
 from repro.sim.analysis import (
     format_branch_reports,
     format_learning_curve,
@@ -11,6 +13,8 @@ from repro.sim.analysis import (
     per_branch_breakdown,
     steady_state_mpki,
 )
+from repro.trace.record import BranchRecord, BranchType
+from repro.trace.stream import Trace
 from repro.workloads import VirtualDispatchSpec
 
 
@@ -72,6 +76,18 @@ class TestPerBranchBreakdown:
         assert worst.distinct_targets > 1
         assert worst.miss_rate > 0.3
 
+    def test_ties_keep_first_execution_order(self):
+        records = [
+            BranchRecord(pc, BranchType.INDIRECT_JUMP, True, target)
+            for pc, target in [(0x5000, 0x9000), (0x4000, 0x9100)] * 3
+        ]
+        reports = per_branch_breakdown(
+            BranchTargetBuffer(), Trace.from_records("ties", records)
+        )
+        assert [(r.pc, r.mispredictions) for r in reports] == [
+            (0x5000, 1), (0x4000, 1),
+        ]
+
     def test_format(self, trace):
         rendered = format_branch_reports(
             per_branch_breakdown(BranchTargetBuffer(), trace, top=3)
@@ -87,3 +103,44 @@ class TestSteadyState:
     def test_bad_fraction_rejected(self, trace):
         with pytest.raises(ValueError):
             steady_state_mpki(ITTAGE, trace, warmup_fraction=1.0)
+
+
+@pytest.fixture(params=["BLBP", "ITTAGE", "VPC", "BTB"])
+def predictor_name(request):
+    return request.param
+
+
+class TestPinnedToSimulate:
+    """The analysis tools count what :func:`simulate` counts, on a trace
+    with calls and returns."""
+
+    def test_breakdown_misses_are_the_engine_tally(
+        self, callret_trace, predictor_name
+    ):
+        result = simulate(
+            make_indirect(predictor_name), callret_trace, collect_per_pc=True
+        )
+        reports = per_branch_breakdown(
+            make_indirect(predictor_name), callret_trace
+        )
+        assert {
+            report.pc: report.mispredictions
+            for report in reports if report.mispredictions
+        } == result.mispredictions_by_pc
+        assert sum(report.executions for report in reports) == (
+            result.indirect_branches
+        )
+
+    def test_curve_misses_sum_to_the_engine_count(
+        self, callret_trace, predictor_name
+    ):
+        window = 150
+        result = simulate(make_indirect(predictor_name), callret_trace)
+        curve = learning_curve(
+            make_indirect(predictor_name), callret_trace, window=window
+        )
+        sizes = [window] * len(curve.rates)
+        sizes[-1] = result.indirect_branches - window * (len(sizes) - 1)
+        assert sum(
+            round(rate * size) for rate, size in zip(curve.rates, sizes)
+        ) == result.indirect_mispredictions

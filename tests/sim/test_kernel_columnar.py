@@ -20,7 +20,8 @@ the fused entry point:
   of a heterogeneous fused group (identical BLBP twins, differing BLBP
   geometries and feature toggles, ITTAGE, VPC) the exact results and
   final state a solo run produces — called directly and through
-  ``simulate_many(backend="columnar-strict")`` — and must hand every
+  ``simulate_many(backend="columnar")`` with fallback warnings made
+  errors, so the cores provably ran — and must hand every
   BLBP lane to one multi-lane call;
 * the six ablation BLBP lanes must match scalar with the IBTB replayed
   in place — not a single ``IndirectBTB.state_hash``, ``load_state`` or
@@ -39,6 +40,7 @@ the fused entry point:
 from __future__ import annotations
 
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -405,7 +407,9 @@ class TestCompiledMPPLockstep:
         for name in ("predict", "update", "train_weights"):
             monkeypatch.setattr(MultiperspectivePerceptron, name, forbidden)
         columnar = _small_vpc()
-        simulate(columnar, trace, backend="columnar-strict")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            simulate(columnar, trace, backend="columnar")
         assert columnar.state_hash() == expected
 
 
@@ -441,9 +445,11 @@ def _assert_fused_matches_solo(seed, count, engine, warm):
         for predictor in solo
     ]
     if engine:
-        fused_results = simulate_many(
-            fused, trace, collect_per_pc=True, backend="columnar-strict"
-        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fused_results = simulate_many(
+                fused, trace, collect_per_pc=True, backend="columnar"
+            )
     else:
         fused_results = simulate_columnar_many(
             fused, trace, collect_per_pc=True
@@ -688,7 +694,7 @@ class TestColumnarSupport:
     def test_hierarchical_ibtb_runs_scalar(self):
         """The hierarchical IBTB (section 6 future work) has no kernel:
         the reason names the configuration, the columnar backend warns
-        and runs the scalar oracle, and strict mode refuses."""
+        and runs the scalar oracle, and the kernel itself refuses."""
         hierarchical = lambda: BLBP(  # noqa: E731
             BLBPConfig(use_hierarchical_ibtb=True)
         )

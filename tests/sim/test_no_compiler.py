@@ -3,14 +3,16 @@
 Every columnar replay runs through :mod:`repro.sim.native`, so when the
 build fails :func:`repro.sim.kernel.columnar_support` is the one place
 that says so: it returns ``False`` with the build's failure reason, and
-the existing fallback paths take over — ``columnar`` warns and runs the
-scalar oracle (same results, same final state), ``columnar-strict``
-raises, and serve sessions keep stepping scalar.
+the existing fallback paths take over — ``columnar`` issues one warning
+naming the reason and runs the scalar oracle (same results, same final
+state), the warnings filter turns that warning into an error, and serve
+sessions keep stepping scalar.
 """
 
 from __future__ import annotations
 
 import random
+import warnings
 
 import pytest
 
@@ -20,7 +22,7 @@ from repro.predictors.vpc import VPCConfig, VPCPredictor
 from repro.serve.protocol import trace_events
 from repro.serve.session import PredictorSession
 from repro.sim import kernel, native
-from repro.sim.engine import ColumnarUnsupportedError, simulate, simulate_many
+from repro.sim.engine import simulate, simulate_many
 from repro.trace.record import BranchRecord, BranchType
 from repro.trace.stream import Trace
 
@@ -80,18 +82,25 @@ class TestFailedBuild:
     def test_simulate_many_warns_and_matches_scalar(self):
         trace = _trace(2)
         fused, solo = _roster(), _roster()
-        with pytest.warns(RuntimeWarning, match="unavailable: cc exited"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             results = simulate_many(fused, trace, backend="columnar")
+        [warning] = caught
+        assert warning.category is RuntimeWarning
+        assert "unavailable: cc exited" in str(warning.message)
+        for predictor in fused:
+            assert type(predictor).__name__ in str(warning.message)
         assert results == [simulate(p, trace) for p in solo]
         for lane, reference in zip(fused, solo):
             assert lane.state_hash() == reference.state_hash()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_strict_raises_with_the_reason(self):
         trace = _trace(3)
-        with pytest.raises(ColumnarUnsupportedError, match="cc exited"):
-            simulate(BLBP(), trace, backend="columnar-strict")
-        with pytest.raises(ColumnarUnsupportedError, match="cc exited"):
-            simulate_many(_roster(), trace, backend="columnar-strict")
+        with pytest.raises(RuntimeWarning, match="cc exited"):
+            simulate(BLBP(), trace, backend="columnar")
+        with pytest.raises(RuntimeWarning, match="cc exited"):
+            simulate_many(_roster(), trace, backend="columnar")
 
     def test_kernel_refuses_directly(self):
         with pytest.raises(TypeError, match="cc exited"):

@@ -155,3 +155,21 @@ class TestWarmupCheckpoints:
             max_regions=3, warmup_intervals=0, checkpoint_dir=tmp_path,
         )
         assert list(tmp_path.glob("*.ckpt.json")) == []
+
+    def test_columnar_keeps_its_backend(self, vdispatch_trace, tmp_path):
+        """``backend="columnar"`` reaches every region call: the cold
+        pass (checkpointing) and the warm resume run scalar and say so,
+        and the estimate equals the scalar backend's."""
+        kwargs = dict(
+            interval_records=500, max_regions=3, warmup_intervals=1,
+        )
+        scalar = simulate_sampled(ITTAGE, vdispatch_trace, **kwargs)
+        for run, reason in (("cold", "checkpointing"), ("warm", "resume")):
+            with pytest.warns(RuntimeWarning, match=reason):
+                columnar = simulate_sampled(
+                    ITTAGE, vdispatch_trace, backend="columnar",
+                    checkpoint_dir=tmp_path, **kwargs,
+                )
+            assert columnar.estimated_mpki == scalar.estimated_mpki, run
+            assert columnar.region_mpki == scalar.region_mpki, run
+        assert columnar.warm_checkpoint_hits > 0

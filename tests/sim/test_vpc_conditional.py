@@ -6,8 +6,8 @@ and it implements exactly
 conditional — TAGE, or an MPP subclass that may override what the core
 mirrors — has no columnar kernel: :func:`repro.sim.kernel.columnar_support`
 names the conditional's type, ``columnar`` warns and runs the scalar
-oracle (same results, same final state), ``columnar-strict`` raises, and
-serve sessions keep stepping scalar.
+oracle (same results, same final state), the warnings filter turns that
+warning into an error, and serve sessions keep stepping scalar.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.predictors.vpc import VPCConfig, VPCPredictor
 from repro.serve.protocol import trace_events
 from repro.serve.session import PredictorSession
 from repro.sim import kernel
-from repro.sim.engine import ColumnarUnsupportedError, simulate, simulate_many
+from repro.sim.engine import simulate, simulate_many
 from repro.trace.record import BranchRecord, BranchType
 from repro.trace.stream import Trace
 
@@ -101,18 +101,15 @@ def test_simulate_many_warns_and_matches_scalar(conditional_type):
         assert lane.state_hash() == reference.state_hash()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_strict_raises(conditional_type):
     trace = _trace(3)
-    with pytest.raises(
-        ColumnarUnsupportedError, match=conditional_type.__name__
-    ):
-        simulate(_vpc(conditional_type), trace, backend="columnar-strict")
-    with pytest.raises(
-        ColumnarUnsupportedError, match=conditional_type.__name__
-    ):
+    with pytest.raises(RuntimeWarning, match=conditional_type.__name__):
+        simulate(_vpc(conditional_type), trace, backend="columnar")
+    with pytest.raises(RuntimeWarning, match=conditional_type.__name__):
         simulate_many(
             [_vpc(conditional_type), VPCPredictor()], trace,
-            backend="columnar-strict",
+            backend="columnar",
         )
 
 
