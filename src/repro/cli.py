@@ -206,6 +206,17 @@ def _parse_predictors(raw: str) -> Dict[str, Callable[[], IndirectBranchPredicto
     return factories
 
 
+def _backend(name: str) -> str:
+    """``--backend`` type: argparse also runs it on the ``REPRO_BACKEND``
+    default, which ``choices`` alone leaves unchecked."""
+    if name not in BACKENDS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from "
+            f"{', '.join(map(repr, BACKENDS))})"
+        )
+    return name
+
+
 def _format_plan_summary(summary: Dict[str, int], label: str) -> str:
     """Human-readable ``--dry-run`` rendering of a plan summary."""
     spill = summary["estimated_spill_bytes"]
@@ -675,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (default: REPRO_JOBS env var, else 1)",
     )
     simulate.add_argument(
-        "--backend", choices=BACKENDS,
+        "--backend", type=_backend, choices=BACKENDS,
         default=os.environ.get("REPRO_BACKEND", "scalar"),
         help="simulation backend: per-record scalar loop or compiled "
              "columnar cores, results identical; columnar warns for "
@@ -765,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (default: REPRO_JOBS env var, else 1)",
     )
     search.add_argument(
-        "--backend", choices=BACKENDS,
+        "--backend", type=_backend, choices=BACKENDS,
         default=os.environ.get("REPRO_BACKEND", "scalar"),
         help="simulation backend for candidate scoring; columnar warns "
              "for any candidate it runs scalar "
@@ -911,6 +922,14 @@ def main(argv: List[str] = None) -> int:
     except _TraceLoadError as exc:
         print(exc, file=sys.stderr)
         return 1
+    except Exception as exc:
+        # Under ``python -W error::RuntimeWarning`` a columnar fallback
+        # raises; a campaign pool re-raises it as a failed cell's cause.
+        warning = exc if isinstance(exc, RuntimeWarning) else exc.__cause__
+        if not isinstance(warning, RuntimeWarning):
+            raise
+        print(f"error: {warning}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

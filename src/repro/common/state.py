@@ -30,10 +30,8 @@ old snapshots unreadable; adding a predictor or a field to a *new*
 from __future__ import annotations
 
 import base64
-import dataclasses
 import hashlib
 import json
-import weakref
 from typing import Any, Dict, List
 
 import numpy as np
@@ -175,28 +173,16 @@ def hash_state(state: Dict[str, Any]) -> str:
     return digest.hexdigest()
 
 
-#: Fingerprints of live frozen configs, keyed by object identity: two
-#: configs that compare equal can still serialize differently (``1``
-#: and ``1.0``), so a value-keyed cache could return the wrong digest.
-_FINGERPRINTS: Dict[int, str] = {}
-
-
 def dataclass_fingerprint(config: Any) -> str:
     """Stable hash of a (frozen) configuration dataclass.
 
     Predictor snapshots embed this so ``load_state`` can reject a
     snapshot taken under a different configuration instead of silently
-    loading geometry-compatible but semantically different state.  A
-    frozen config is hashed once and its digest kept while it lives, so
-    repeated ``state_dict`` and ``state_hash`` calls skip the work.
+    loading geometry-compatible but semantically different state.
     """
-    fingerprint = _FINGERPRINTS.get(id(config))
-    if fingerprint is None:
-        fingerprint = hash_state(dataclasses.asdict(config))
-        if config.__dataclass_params__.frozen:
-            _FINGERPRINTS[id(config)] = fingerprint
-            weakref.finalize(config, _FINGERPRINTS.pop, id(config), None)
-    return fingerprint
+    import dataclasses
+
+    return hash_state(dataclasses.asdict(config))
 
 
 def check_state(state: Any, kind: str) -> Dict[str, Any]:

@@ -18,6 +18,7 @@ Robustness ladder, roughly in the order things go wrong in practice:
 * a cell raises → bounded retry with linear backoff (slept on the
   failing runner's thread; the retry goes to the front of the queue),
   then :class:`CellFailedError` (the journal keeps everything done);
+  a ``Warning`` raised as an error fails at once, since it recurs;
 * a cell hangs → a per-cell wall-clock deadline enforced via
   ``SIGALRM`` on the thread running the cell (a worker's main thread,
   or the caller's), surfacing as :class:`CellTimeout` and entering the
@@ -588,20 +589,25 @@ class _Scheduler:
         failure: _UnitFailed,
     ) -> List[Tuple[ExecutionUnit, int]]:
         cells = _member_cells(unit)
+        predictor = "+".join(spec.predictor_name for spec in cells)
         message = str(failure)
+        # A warning raised as an error (``python -W error::RuntimeWarning``
+        # turns the columnar fallback into one) recurs on every attempt,
+        # so it fails the campaign at once: no retry, no unfusing.
+        retryable = not isinstance(failure.__cause__, Warning)
         with self.lock:
-            if attempt <= self.retries:
+            if retryable and attempt <= self.retries:
                 self.state.retries += 1
                 self.state.emit(
                     CELL_RETRY,
                     trace=unit.trace_name,
-                    predictor="+".join(spec.predictor_name for spec in cells),
+                    predictor=predictor,
                     index=cells[0].index,
                     attempt=attempt,
                     group=group,
                     message=message,
                 )
-            elif group:
+            elif retryable and group:
                 # The group exhausted its shared budget: each member
                 # re-runs solo with its own budget, for precise failure
                 # attribution.
@@ -616,12 +622,17 @@ class _Scheduler:
                 return [(spec, 1) for spec in cells]
             else:
                 self.state.emit(
-                    CELL_FAILED, unit,
+                    CELL_FAILED,
+                    trace=unit.trace_name,
+                    predictor=predictor,
+                    index=cells[0].index,
                     attempt=attempt,
                     message=message,
                 )
                 cause = failure.__cause__ or RuntimeError(message)
-                raise CellFailedError(unit.key, attempt, cause) from cause
+                raise CellFailedError(
+                    (unit.trace_name, predictor), attempt, cause
+                ) from cause
         time.sleep(self.backoff * attempt)
         return [(unit, attempt + 1)]
 

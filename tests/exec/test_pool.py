@@ -45,6 +45,14 @@ def _flaky_factory(marker_path, failures):
     return BranchTargetBuffer()
 
 
+def _counted_warning_factory(marker_path):
+    """Raise a ``RuntimeWarning`` (as a warnings filter set to ``error``
+    would), logging each construction attempt to ``marker_path``."""
+    with open(marker_path, "a") as handle:
+        handle.write("attempt\n")
+    raise RuntimeWarning("columnar backend falling back")
+
+
 def _slow_factory(delay):
     time.sleep(delay)
     return BranchTargetBuffer()
@@ -229,6 +237,29 @@ class TestFailureLadder:
         assert len(sink.of_kind("cell_retry")) == 1
         assert len(sink.of_kind("cell_failed")) == 1
         assert sink.of_kind("fallback") == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("fuse", [False, True])
+    def test_warning_as_error_fails_without_retry(self, tiny_trace, tmp_path,
+                                                  jobs, fuse):
+        """A warning raised as an error recurs on every attempt: the
+        campaign fails on the first, solo or fused, with no retry and no
+        unfusing, and the warning is the failure's cause."""
+        marker = tmp_path / "attempts"
+        factories = {
+            "BTB": BranchTargetBuffer,
+            "warns": functools.partial(_counted_warning_factory, str(marker)),
+        }
+        plan = plan_campaign([tiny_trace], factories, cache_dir=tmp_path)
+        sink = CollectingSink()
+        with pytest.raises(CellFailedError, match="1 attempt") as failed:
+            execute_plan(plan, jobs=jobs, fuse=fuse, events=sink, retries=2,
+                         backoff=0.01)
+        assert isinstance(failed.value.__cause__, RuntimeWarning)
+        assert marker.read_text().count("attempt") == 1
+        assert sink.of_kind("cell_retry") == []
+        assert sink.of_kind("fallback") == []
+        assert len(sink.of_kind("cell_failed")) == 1
 
     def test_retry_keeps_serial_journal_order(self, tiny_trace,
                                               vdispatch_trace, tmp_path):

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import warnings
+
 import pytest
 
 from repro.cli import PREDICTOR_REGISTRY, build_parser, main
@@ -83,6 +85,42 @@ class TestCommands:
         assert main(["budgets"]) == 0
         out = capsys.readouterr().out
         assert "BLBP" in out and "paper KB" in out
+
+
+class TestBackendFlag:
+    @pytest.mark.parametrize("command", ["simulate", "search"])
+    def test_env_default_is_checked_at_parsing(self, monkeypatch, capsys,
+                                               command):
+        monkeypatch.setenv("REPRO_BACKEND", "columnar-strict")
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args([command])
+        assert exited.value.code == 2
+        assert "invalid choice: 'columnar-strict'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [
+        ["--no-fuse"],
+        ["--resume", "{journal}"],
+        ["--jobs", "2", "--resume", "{journal}"],
+    ], ids=["serial", "pool", "pool-jobs2"])
+    def test_fallback_as_error_exits_2_with_the_reason(self, tmp_path,
+                                                        capsys, extra):
+        """Under ``-W error::RuntimeWarning`` a columnar fallback ends the
+        run with ``error: <reason>`` and exit code 2, on the first attempt
+        (the pool does not retry it)."""
+        path = str(tmp_path / "trace.bin")
+        journal = str(tmp_path / "campaign.jsonl")
+        main(["generate", "SHORT-SERVER-2", "--out", path, "--scale", "0.2"])
+        capsys.readouterr()
+        argv = ["simulate", "--predictors", "BTB,ITTAGE", "--traces", path,
+                "--backend", "columnar"]
+        argv += [arg.format(journal=journal) for arg in extra]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert ("error: columnar backend falling back to the fused scalar "
+                "loop for some predictors: BranchTargetBuffer") in err
+        assert "attempt" not in err
 
 
 class TestProfileFlag:
