@@ -28,6 +28,7 @@ same ladder every pool shares.
 
 from __future__ import annotations
 
+import builtins
 import dataclasses
 import os
 import shlex
@@ -181,6 +182,16 @@ class LocalPool(Pool):
 # -- coordinator-side node handle -------------------------------------
 
 
+def _warning(raised: Sequence[str]) -> Warning:
+    """A worker's ``[class name, text]`` warning, rebuilt: the builtin
+    warning class of that name, else :class:`Warning`."""
+    name, text = raised
+    kind = getattr(builtins, str(name), Warning)
+    if not (isinstance(kind, type) and issubclass(kind, Warning)):
+        kind = Warning
+    return kind(str(text))
+
+
 class _NodeClient(_Runner):
     """The coordinator's handle for one worker node, and its runner."""
 
@@ -316,7 +327,14 @@ class _NodeClient(_Runner):
             elif tag == "unit_done":
                 return outcomes
             elif tag == "unit_failed":
-                raise _UnitFailed(str(message.get("message", "unit failed")))
+                failure = _UnitFailed(
+                    str(message.get("message", "unit failed"))
+                )
+                if "warning" in message:
+                    # A warning raised as an error: the scheduler fails
+                    # the unit at once, as it does for a local runner.
+                    raise failure from _warning(message["warning"])
+                raise failure
             elif tag == "error":
                 raise _UnitFailed(str(message.get("error", "node error")))
             else:
@@ -526,8 +544,11 @@ class NodePool(_RemotePool):
         env: Dict[str, str],
         store_dir: Optional[Union[str, Path]],
     ) -> _NodeClient:
-        command = [
-            python, "-m", "repro.dist.worker",
+        # The caller's warning filters travel with it, so ``python -W
+        # error::RuntimeWarning`` fails a node's columnar fallback too.
+        command = [python, *(f"-W{option}" for option in sys.warnoptions)]
+        command += [
+            "-m", "repro.dist.worker",
             "--port", "0", "--node", f"node{index}",
         ]
         if store_dir is not None:
@@ -537,7 +558,6 @@ class NodePool(_RemotePool):
         process = subprocess.Popen(
             command,
             stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
             env=env,
             text=True,
         )

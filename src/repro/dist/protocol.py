@@ -30,7 +30,8 @@ Worker → coordinator responses:
   {...}, "duration": s}`` per member cell (in member order), then
   ``{"t": "unit_done", "cells": n}``, all in one write; or
   ``{"t": "unit_failed", "message": m}`` when the unit raised (the
-  coordinator owns retries).
+  coordinator owns retries), with ``"warning": [class name, text]``
+  when what it raised was a warning turned into an error.
 * ``{"t": "stats", ...}`` / ``{"t": "bye"}`` / ``{"t": "error", ...}``;
   a malformed request line (not JSON, no ``"t"`` tag, over the line
   cap) is answered with ``error`` and the worker keeps serving.

@@ -269,7 +269,10 @@ class DistWorker:
         except BaseException as exc:  # noqa: BLE001 - coordinator retries
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
-            self._send({"t": "unit_failed", "message": repr(exc)})
+            failed = {"t": "unit_failed", "message": repr(exc)}
+            if isinstance(exc, Warning):
+                failed["warning"] = [type(exc).__name__, str(exc)]
+            self._send(failed)
             return
         self.units_run += 1
         self.cells_run += len(outcomes)

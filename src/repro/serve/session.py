@@ -10,26 +10,30 @@ metrics, and a final ``state_hash`` bit-identical to
 :func:`repro.sim.engine.simulate` on that trace.  The equivalence suite
 asserts exactly that.
 
-A session steps on one of two paths, decided at its first step
+A step has two phases.  First the session's predictor predicts every
+indirect of the message, on one of two paths decided at its first step
 (:attr:`PredictorSession.step_path`):
 
 * **core** — a BLBP or ITTAGE predictor the compiled cores accept
-  replays each message in one core call over the message's columns
+  replays the message in one core call over its columns
   (:func:`repro.sim.kernel.replay_blbp`,
-  :func:`repro.sim.kernel_ittage.replay_ittage`), and Python keeps the
-  RAS, the warmup countdown, the counters and the outputs.  Each call
-  pays a fixed marshalling cost, so this beats the scalar calls from
-  about 6 events per message and loses below that (``docs/serving.md``
+  :func:`repro.sim.kernel_ittage.replay_ittage`).  Each call pays a
+  fixed marshalling cost, so this beats the scalar calls from about 6
+  events per message and loses below that (``docs/serving.md``
   tabulates the step cost by message size);
-* **scalar** — every other predictor gets the per-event call sequence:
-  conditional hook, predict/train/retire for indirects, with the RAS
-  traffic and warmup accounting alongside.
+* **scalar** — every other predictor runs the engine's predictions-only
+  driver (:func:`repro.sim.engine.replay_predictions`): the conditional
+  hook, then predict/train/retire for indirects, per event.
+
+Then one accounting pass applies the retirement rule to those
+predictions, whichever path made them: the RAS, the warmup countdown,
+the counters, the cursor and the per-event outputs.
 
 When many sessions have the *same* pending event run (many clients
 streaming the same workload), they step as one group: BLBP sessions
-share one multi-lane core call, and the scalar loop pays the per-event
-decode and type dispatch once for all of its sessions, while each
-session keeps its own RAS and accumulators.  A solo session
+share one multi-lane core call, and the scalar driver pays the
+per-event decode and type dispatch once for all of its sessions, while
+each session keeps its own RAS and accumulators.  A solo session
 (:meth:`PredictorSession.step_events`) steps as a group of one, so fused
 and solo stepping are the same code and bit-identical by construction.
 
@@ -46,12 +50,14 @@ a corrupted or mismatched checkpoint is refused, never silently loaded.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.blbp import BLBP
 from repro.predictors.ittage import ITTAGE
 from repro.registry import RegistryError, make_indirect
 from repro.sim.checkpoint import SimulationCheckpoint
+from repro.sim.engine import replay_predictions
 from repro.sim.metrics import SimulationResult
 from repro.sim.ras import ReturnAddressStack
 from repro.trace.record import BranchType
@@ -68,10 +74,6 @@ SESSION_CHECKPOINT_KIND = "ServeSessionCheckpoint"
 #: One per-event output: ``None`` for events that carry no prediction
 #: (conditionals, direct branches), else ``(prediction-or-None, correct)``.
 StepOutput = Optional[Tuple[Optional[int], int]]
-
-
-#: A session stepping in a group, with the output list it appends to.
-_Lane = Tuple["PredictorSession", List[StepOutput]]
 
 
 class SessionError(ValueError):
@@ -287,171 +289,117 @@ def step_sessions_fused(
 ) -> List[List[StepOutput]]:
     """Step every session through the same event run in one fused pass.
 
-    The cross-session counterpart of the engine's ``_replay_span_many``.
-    Sessions on the compiled cores (:attr:`PredictorSession.step_path`)
-    replay the run's columns in one core call per session; BLBP sessions
-    share one multi-lane call.  The rest step through the per-event loop,
-    which pays tuple unpacking and branch-type dispatch once per event
-    for all of them.  Each session still keeps its own RAS, warmup
-    countdown and accumulators, and its predictor sees exactly what one
-    lane of ``_replay_span_many`` would, so the outputs and final
-    session states do not depend on the group it steps in.
+    Two phases.  First each predictor predicts every indirect of the
+    run: sessions on the compiled cores (:attr:`PredictorSession.step_path`)
+    in one core call per session, BLBP sessions sharing one multi-lane
+    call, and the rest in one pass of the engine's predictions-only
+    driver (:func:`repro.sim.engine.replay_predictions`), which pays the
+    per-event decode and dispatch once for all of them.  Then
+    :func:`_retire` applies the retirement rule to each session's
+    predictions: its own RAS, warmup countdown, counters and outputs.
+    Each predictor sees exactly what one lane of the engine's
+    ``_replay_span_many`` would, so the outputs and final session states
+    do not depend on the group it steps in or the path it takes.
 
     Returns one output list (aligned with ``events``) per session.
     """
-    outputs: List[List[StepOutput]] = [[] for _ in sessions]
     if not events:
-        return outputs
-    core: List[_Lane] = []
-    scalar: List[_Lane] = []
-    for session, out in zip(sessions, outputs):
-        path = session.step_path[0]
-        (core if path == "core" else scalar).append((session, out))
+        return [[] for _ in sessions]
+    pcs, types, takens, targets, gaps = zip(*events)
+    predicted: List[List[Optional[int]]] = [[] for _ in sessions]
+    core: List[int] = []
+    scalar: List[int] = []
+    for slot, session in enumerate(sessions):
+        (core if session.step_path[0] == "core" else scalar).append(slot)
     if core:
-        _step_on_cores(core, events)
-    if scalar:
-        _step_scalar(scalar, events)
-    return outputs
+        from repro.sim.kernel import event_columns, replay_blbp
+        from repro.sim.kernel_ittage import replay_ittage
 
-
-def _step_on_cores(
-    lanes: List[_Lane], events: Sequence[Tuple[int, int, bool, int, int]]
-) -> None:
-    """Replay the run on each session's core, then account it in Python:
-    the RAS, the warmup countdown, the counters and the outputs."""
-    from repro.sim.kernel import event_columns, replay_blbp
-    from repro.sim.kernel_ittage import replay_ittage
-
-    columns = event_columns(events)
-    blbp = [session for session, _ in lanes
-            if type(session.predictor) is BLBP]
-    replayed = {}
-    if blbp:
+        columns = event_columns(pcs, types, takens, targets)
+        blbp = [slot for slot in core
+                if type(sessions[slot].predictor) is BLBP]
         replayed = dict(zip(blbp, replay_blbp(
-            [session.predictor for session in blbp], columns
-        )))
+            [sessions[slot].predictor for slot in blbp], columns
+        ))) if blbp else {}
+        for slot in core:
+            predictions, valid = (
+                replayed[slot] if slot in replayed
+                else replay_ittage(sessions[slot].predictor, columns)
+            )
+            predicted[slot] = [
+                prediction if made else None
+                for prediction, made in zip(
+                    predictions.tolist(), valid.tolist()
+                )
+            ]
+    if scalar:
+        for slot, lane in zip(scalar, replay_predictions(
+            [sessions[slot].predictor for slot in scalar],
+            pcs, types, takens, targets,
+        )):
+            predicted[slot] = lane
     # What the accounting reads, once for the whole group: every
     # non-conditional event with its position in the run.
     branches = [
         (index, pc, branch_type, target)
-        for index, (pc, branch_type, _, target, _) in enumerate(events)
+        for index, pc, branch_type, target in zip(count(), pcs, types, targets)
         if branch_type != _COND
     ]
-    records = len(events)
-    gaps = sum(event[4] for event in events)
-    for session, out in lanes:
-        predictions, valid = (
-            replayed[session] if session in replayed
-            else replay_ittage(session.predictor, columns)
-        )
-        predicted = [
-            prediction if made else None
-            for prediction, made in zip(predictions.tolist(), valid.tolist())
-        ]
-        out.extend([None] * records)
-        ras = session.ras
-        skip = session.skip
-        branch = 0
-        for index, pc, branch_type, target in branches:
-            if branch_type == _INDIRECT_JUMP or branch_type == _INDIRECT_CALL:
-                prediction = predicted[branch]
-                branch += 1
-                correct = 1 if prediction == target else 0
-                if index >= skip:
-                    session.indirect += 1
-                    if not correct:
-                        session.mispredictions += 1
-                if branch_type == _INDIRECT_CALL:
-                    ras.push(pc + 4)
-                out[index] = (prediction, correct)
-            elif branch_type == _RETURN:
-                ras_prediction = ras.predict()
-                ras.pop()
-                correct = 1 if ras_prediction == target else 0
-                if index >= skip:
-                    session.returns += 1
-                    if not correct:
-                        session.return_mispredictions += 1
-                out[index] = (ras_prediction, correct)
-            elif branch_type == _DIRECT_CALL:
-                ras.push(pc + 4)
-        session.cursor += records
-        session.instruction_gaps += gaps
-        session.conditionals += columns.conditionals
-        session.skip = skip - records if skip > records else 0
-
-
-def _step_scalar(
-    lanes: List[_Lane], events: Sequence[Tuple[int, int, bool, int, int]]
-) -> None:
-    """The per-event loop: each predictor gets the scalar call sequence."""
-    engines = [
-        (
-            session,
-            session.predictor.predict_target,
-            session.predictor.train,
-            session.predictor.on_conditional,
-            session.predictor.on_retired,
-            session.ras,
-            out,
-        )
-        for session, out in lanes
+    run = (len(events), sum(gaps), types.count(_COND))
+    return [
+        _retire(session, lane, branches, *run)
+        for session, lane in zip(sessions, predicted)
     ]
-    for pc, branch_type, taken, target, gap in events:
-        if branch_type == _COND:
-            for session, _, _, on_conditional, _, _, out in engines:
-                session.cursor += 1
-                session.instruction_gaps += gap
-                on_conditional(pc, taken)
-                session.conditionals += 1
-                if session.skip:
-                    session.skip -= 1
-                out.append(None)
-        elif branch_type == _INDIRECT_JUMP or branch_type == _INDIRECT_CALL:
-            for session, predict_target, train, _, on_retired, ras, out in engines:
-                session.cursor += 1
-                session.instruction_gaps += gap
-                counted = not session.skip
-                if session.skip:
-                    session.skip -= 1
-                prediction = predict_target(pc)
-                correct = 1 if prediction == target else 0
-                if counted:
-                    session.indirect += 1
-                    if not correct:
-                        session.mispredictions += 1
-                train(pc, target)
-                on_retired(pc, branch_type, target)
-                if branch_type == _INDIRECT_CALL:
-                    ras.push(pc + 4)
-                out.append((prediction, correct))
+
+
+def _retire(
+    session: PredictorSession,
+    predicted: List[Optional[int]],
+    branches: List[Tuple[int, int, int, int]],
+    records: int,
+    gaps: int,
+    conditionals: int,
+) -> List[StepOutput]:
+    """Account one stepped run to ``session``: the retirement rule.
+
+    ``predicted`` holds the session predictor's per-indirect
+    predictions; ``branches`` the run's non-conditional events as
+    ``(index, pc, type, target)``.  Scores the indirects, replays the
+    RAS for calls and returns, counts outside the warmup, advances the
+    cursor, and returns one output per event.
+    """
+    out: List[StepOutput] = [None] * records
+    ras = session.ras
+    skip = session.skip
+    branch = 0
+    for index, pc, branch_type, target in branches:
+        if branch_type == _INDIRECT_JUMP or branch_type == _INDIRECT_CALL:
+            prediction = predicted[branch]
+            branch += 1
+            correct = 1 if prediction == target else 0
+            if index >= skip:
+                session.indirect += 1
+                if not correct:
+                    session.mispredictions += 1
+            if branch_type == _INDIRECT_CALL:
+                ras.push(pc + 4)
+            out[index] = (prediction, correct)
         elif branch_type == _RETURN:
-            for session, _, _, _, on_retired, ras, out in engines:
-                session.cursor += 1
-                session.instruction_gaps += gap
-                counted = not session.skip
-                if session.skip:
-                    session.skip -= 1
-                ras_prediction = ras.predict()
-                ras.pop()
-                correct = 1 if ras_prediction == target else 0
-                if counted:
-                    session.returns += 1
-                    if not correct:
-                        session.return_mispredictions += 1
-                on_retired(pc, branch_type, target)
-                out.append((ras_prediction, correct))
-        else:  # direct call / direct jump
-            push = branch_type == _DIRECT_CALL
-            for session, _, _, _, on_retired, ras, out in engines:
-                session.cursor += 1
-                session.instruction_gaps += gap
-                if session.skip:
-                    session.skip -= 1
-                if push:
-                    ras.push(pc + 4)
-                on_retired(pc, branch_type, target)
-                out.append(None)
+            ras_prediction = ras.predict()
+            ras.pop()
+            correct = 1 if ras_prediction == target else 0
+            if index >= skip:
+                session.returns += 1
+                if not correct:
+                    session.return_mispredictions += 1
+            out[index] = (ras_prediction, correct)
+        elif branch_type == _DIRECT_CALL:
+            ras.push(pc + 4)
+    session.cursor += records
+    session.instruction_gaps += gaps
+    session.conditionals += conditionals
+    session.skip = skip - records if skip > records else 0
+    return out
 
 
 __all__ = [

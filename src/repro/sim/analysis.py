@@ -21,12 +21,8 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from repro.predictors.base import IndirectBranchPredictor
-from repro.sim.engine import simulate
-from repro.trace.record import BranchType
+from repro.sim.engine import replay_predictions, simulate
 from repro.trace.stream import Trace
-
-_COND = int(BranchType.CONDITIONAL)
-_INDIRECT = (int(BranchType.INDIRECT_JUMP), int(BranchType.INDIRECT_CALL))
 
 
 @dataclass
@@ -59,42 +55,31 @@ def learning_curve(
     trace: Trace,
     window: int = 200,
 ) -> LearningCurve:
-    """Drive ``predictor`` over ``trace``, recording windowed miss rates."""
+    """Drive ``predictor`` over ``trace``, recording windowed miss rates.
+
+    The predictions come from the engine's predictions-only driver, so
+    the predictor sees :func:`simulate`'s call sequence; the last window
+    may be short.
+    """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    pcs = trace.pcs.tolist()
-    types = trace.types.tolist()
-    takens = trace.takens.tolist()
-    targets = trace.targets.tolist()
-
-    rates: List[float] = []
-    window_count = 0
-    window_misses = 0
-    for index in range(len(pcs)):
-        branch_type = types[index]
-        pc = pcs[index]
-        if branch_type == _COND:
-            predictor.on_conditional(pc, takens[index])
-            continue
-        target = targets[index]
-        if branch_type in _INDIRECT:
-            prediction = predictor.predict_target(pc)
-            window_count += 1
-            if prediction != target:
-                window_misses += 1
-            predictor.train(pc, target)
-            if window_count == window:
-                rates.append(window_misses / window)
-                window_count = 0
-                window_misses = 0
-        predictor.on_retired(pc, branch_type, target)
-    if window_count:
-        rates.append(window_misses / window_count)
+    [predictions] = replay_predictions(
+        [predictor], trace.pcs.tolist(), trace.types.tolist(),
+        trace.takens.tolist(), trace.targets.tolist(),
+    )
+    targets = trace.targets[trace.indirect_mask()].tolist()
+    missed = [
+        prediction != target
+        for prediction, target in zip(predictions, targets)
+    ]
+    windows = (
+        missed[start:start + window] for start in range(0, len(missed), window)
+    )
     return LearningCurve(
         trace_name=trace.name,
         predictor_name=predictor.name,
         window=window,
-        rates=rates,
+        rates=[sum(misses) / len(misses) for misses in windows],
     )
 
 

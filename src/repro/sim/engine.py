@@ -420,18 +420,18 @@ def _replay_span_many(
 ) -> Tuple[int, int, int, int, int]:
     """The per-record retirement loop: one pass over the columns, N lanes.
 
-    Every scalar replay, solo or fused, runs through here.  Per-branch
-    work that is predictor-independent — scalar extraction, type
-    dispatch, RAS traffic, warmup accounting — happens once; only the
-    predict/train/retire calls multiply by N.  ``engines`` carries one
-    ``(predict_target, train, on_retired-or-None)`` tuple per predictor;
-    ``cond_hooks``/``retire_hooks`` hold only the bound hooks that
-    actually override the base no-ops, so baseline predictors pay
-    nothing for histories they do not keep.  ``mispredictions`` and
-    ``by_pc`` are per-predictor and mutated in place; each predictor's
-    own call sequence does not depend on which other lanes share the
-    pass, so per-predictor state evolution is bit-identical to unfused
-    runs.  Counters stay plain locals and come back as a tuple, so a
+    Every scalar replay of a trace, solo or fused, runs through here.
+    Per-branch work that is predictor-independent — scalar extraction,
+    type dispatch, RAS traffic, warmup accounting — happens once; only
+    the predict/train/retire calls multiply by N.  ``engines``,
+    ``cond_hooks`` and ``retire_hooks`` come from :func:`_lane_calls`,
+    which :func:`replay_predictions` (the predictions-only driver that
+    serve and :func:`repro.sim.analysis.learning_curve` run) shares, so
+    both give each predictor the same call sequence.  ``mispredictions``
+    and ``by_pc`` are per-predictor and mutated in place; each
+    predictor's own call sequence does not depend on which other lanes
+    share the pass, so per-predictor state evolution is bit-identical to
+    unfused runs.  Counters stay plain locals and come back as a tuple, so a
     span boundary costs nothing inside the loop.
     """
     for pc, branch_type, taken, target in zip(pcs, types, takens, targets):
@@ -481,6 +481,72 @@ def _replay_span_many(
             for hook in retire_hooks:
                 hook(pc, branch_type, target)
     return skip, indirect, returns, return_mispredictions, conditionals
+
+
+def _lane_calls(lanes: Sequence[IndirectBranchPredictor]) -> Tuple[
+    List[Callable], List[Callable],
+    List[Tuple[Callable, Callable, Optional[Callable]]],
+]:
+    """The calls a replay makes for each lane: the conditional hooks,
+    the retire hooks and one ``(predict_target, train,
+    on_retired-or-None)`` per lane.
+
+    Only hooks that override the base no-ops are kept, so baseline
+    predictors pay nothing for histories they do not keep.
+    """
+    base_conditional = IndirectBranchPredictor.on_conditional
+    base_retired = IndirectBranchPredictor.on_retired
+    cond_hooks = [
+        p.on_conditional
+        for p in lanes
+        if type(p).on_conditional is not base_conditional
+    ]
+    engines = [
+        (
+            p.predict_target,
+            p.train,
+            p.on_retired if type(p).on_retired is not base_retired else None,
+        )
+        for p in lanes
+    ]
+    retire_hooks = [hook for _, _, hook in engines if hook is not None]
+    return cond_hooks, retire_hooks, engines
+
+
+def replay_predictions(
+    predictors: Sequence[IndirectBranchPredictor],
+    pcs: Sequence[int],
+    types: Sequence[int],
+    takens: Sequence[bool],
+    targets: Sequence[int],
+) -> List[List[Optional[int]]]:
+    """Replay a run of records through ``predictors``; return each
+    lane's per-indirect predictions, in order.
+
+    Each predictor gets the engine's call sequence — the conditional
+    hook; predict, train and retire for indirects; retire for the rest —
+    so its state evolves exactly as in :func:`simulate`.  Nothing is
+    counted and no RAS is kept: callers score the predictions against
+    the run's indirect targets themselves.  Serve's scalar step and
+    :func:`repro.sim.analysis.learning_curve` run on this.
+    """
+    cond_hooks, retire_hooks, engines = _lane_calls(predictors)
+    predictions: List[List[Optional[int]]] = [[] for _ in engines]
+    lanes = [(*calls, out.append) for calls, out in zip(engines, predictions)]
+    for pc, branch_type, taken, target in zip(pcs, types, takens, targets):
+        if branch_type == _COND:
+            for hook in cond_hooks:
+                hook(pc, taken)
+        elif branch_type == _INDIRECT_JUMP or branch_type == _INDIRECT_CALL:
+            for predict_target, train, on_retired, emit in lanes:
+                emit(predict_target(pc))
+                train(pc, target)
+                if on_retired is not None:
+                    on_retired(pc, branch_type, target)
+        else:
+            for hook in retire_hooks:
+                hook(pc, branch_type, target)
+    return predictions
 
 
 def simulate_many(
@@ -701,24 +767,7 @@ def _replay_lanes(
     cursor and every accumulator before replay; ``counters`` profiles
     the pass.
     """
-    base_conditional = IndirectBranchPredictor.on_conditional
-    base_retired = IndirectBranchPredictor.on_retired
-    cond_hooks = [
-        p.on_conditional
-        for p in lanes
-        if type(p).on_conditional is not base_conditional
-    ]
-    retire_hooks = [
-        p.on_retired for p in lanes if type(p).on_retired is not base_retired
-    ]
-    engines = [
-        (
-            p.predict_target,
-            p.train,
-            p.on_retired if type(p).on_retired is not base_retired else None,
-        )
-        for p in lanes
-    ]
+    cond_hooks, retire_hooks, engines = _lane_calls(lanes)
     cell: Optional[SimCounters] = None
     if counters is not None:
         # Timers wrap the hot callables only on this branch, so the

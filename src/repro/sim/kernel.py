@@ -306,21 +306,23 @@ def trace_columns(trace: Trace, derived: DerivedPlane) -> ReplayColumns:
 
 
 def event_columns(
-    events: Sequence[Tuple[int, int, bool, int, int]],
+    pcs: Sequence[int],
+    types: Sequence[int],
+    takens: Sequence[bool],
+    targets: Sequence[int],
 ) -> ReplayColumns:
-    """A non-empty run of serve events ``(pc, type, taken, target,
-    gap)`` as columns.
+    """A non-empty run of serve events, already split into its PC,
+    type, taken and target columns, as the cores read it.
 
     Built as :class:`array.array` buffers, whose address costs a
     fraction of a numpy array's: this runs once per serve message.
     """
-    pcs, types, takens, targets, _ = zip(*events)
     columns = (
         array("B", types), array("Q", pcs), array("B", takens),
         array("Q", targets),
     )
     return ReplayColumns(
-        len(events), tuple(buffer_address(column) for column in columns),
+        len(types), tuple(buffer_address(column) for column in columns),
         types.count(_CONDITIONAL),
         types.count(_INDIRECT_JUMP) + types.count(_INDIRECT_CALL),
         columns,

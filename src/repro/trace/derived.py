@@ -11,8 +11,6 @@ cell are pure functions of the trace alone:
   PCs and targets — the only records most predictors score on.
 * **Conditional-outcome bitstream.**  The taken/not-taken sequence,
   packed 8 outcomes per byte.
-* **Per-PC grouping.**  CSR-style ordinal lists per static indirect
-  branch, for diagnostics and per-PC analyses.
 
 :func:`compute_derived` builds all of this once; :func:`write_derived` /
 :func:`read_derived` cache it on disk next to the spill (``RPDERIV1``, the
@@ -32,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -64,9 +62,6 @@ _COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("return_preds", "<u8"),
     ("return_pred_valid", "u1"),
     ("return_ok", "u1"),
-    ("pc_unique", "<u8"),
-    ("pc_offsets", "<i8"),
-    ("pc_order", "<i8"),
 )
 
 
@@ -88,9 +83,6 @@ class DerivedPlane:
     return_preds: np.ndarray
     return_pred_valid: np.ndarray
     return_ok: np.ndarray
-    pc_unique: np.ndarray
-    pc_offsets: np.ndarray
-    pc_order: np.ndarray
 
     def matches(self, trace: Trace, ras_depth: int) -> bool:
         """Cheap identity check before the plane substitutes for replay."""
@@ -119,15 +111,6 @@ class DerivedPlane:
     def conditional_outcomes(self) -> np.ndarray:
         """The taken/not-taken bitstream, unpacked to a bool array."""
         return np.unpackbits(self.cond_bits, count=self.conditionals).astype(bool)
-
-    def pc_groups(self) -> Dict[int, np.ndarray]:
-        """Ordinals into ``indirect_idx`` grouped per static indirect PC."""
-        groups = {}
-        for i, pc in enumerate(self.pc_unique.tolist()):
-            lo = int(self.pc_offsets[i])
-            hi = int(self.pc_offsets[i + 1])
-            groups[pc] = self.pc_order[lo:hi]
-        return groups
 
 
 def compute_derived(
@@ -180,16 +163,6 @@ def compute_derived(
                 stack.pop(0)
             stack.append(pc + 4)
 
-    # CSR grouping of indirect ordinals by static PC.
-    order = np.argsort(indirect_pcs, kind="stable").astype(np.int64)
-    sorted_pcs = indirect_pcs[order]
-    if len(sorted_pcs):
-        pc_unique, starts = np.unique(sorted_pcs, return_index=True)
-        pc_offsets = np.append(starts, len(sorted_pcs)).astype(np.int64)
-    else:
-        pc_unique = np.empty(0, dtype=np.uint64)
-        pc_offsets = np.zeros(1, dtype=np.int64)
-
     if content_hash is None:
         content_hash = trace_content_hash(trace)
     return DerivedPlane(
@@ -207,9 +180,6 @@ def compute_derived(
         return_preds=preds,
         return_pred_valid=valid,
         return_ok=ok,
-        pc_unique=np.ascontiguousarray(pc_unique, dtype=np.uint64),
-        pc_offsets=pc_offsets,
-        pc_order=order,
     )
 
 

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import subprocess
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -79,32 +82,24 @@ def compiled_cores() -> None:
         pytest.skip(f"compiled replay cores unavailable: {reason}")
 
 
-@pytest.fixture
-def fresh_loader(monkeypatch) -> None:
-    """A pristine compiled-core loader state; monkeypatch restores the
-    real one afterwards."""
+def _reset_loader(monkeypatch) -> None:
     monkeypatch.setattr(native, "_lib", None)
     monkeypatch.setattr(native, "_attempted", False)
     monkeypatch.setattr(native, "_fns", {})
     monkeypatch.setattr(native, "_failure", None)
 
 
-@pytest.fixture
-def failed_build(fresh_loader, monkeypatch, tmp_path) -> str:
-    """A loader whose next build finds ``cc`` but fails to compile.
-
-    ``cc`` is a stub on a private ``PATH`` and ``subprocess.run`` is
-    replaced, so nothing is compiled.  Returns the reason the loader
-    must report.
-    """
-    bin_dir = tmp_path / "bin"
+def _fail_next_build(monkeypatch, directory: Path) -> str:
+    """Make the loader's next build find ``cc`` but fail to compile;
+    returns the reason the loader must report."""
+    bin_dir = directory / "bin"
     bin_dir.mkdir()
     compiler = bin_dir / "cc"
     compiler.write_text("#!/bin/sh\nexit 1\n")
     compiler.chmod(0o755)
     monkeypatch.setenv("PATH", str(bin_dir))
     monkeypatch.delenv("CC", raising=False)
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(directory / "cache"))
     stderr = b"replay.c:3:1: error: unknown type name 'int64_t'\nmore\n"
 
     def failing_run(cmd, capture_output=True, timeout=None):
@@ -115,3 +110,39 @@ def failed_build(fresh_loader, monkeypatch, tmp_path) -> str:
         "cc exited with status 1: "
         "replay.c:3:1: error: unknown type name 'int64_t'"
     )
+
+
+@pytest.fixture
+def fresh_loader(monkeypatch) -> None:
+    """A pristine compiled-core loader state; monkeypatch restores the
+    real one afterwards."""
+    _reset_loader(monkeypatch)
+
+
+@pytest.fixture
+def failed_build(fresh_loader, monkeypatch, tmp_path) -> str:
+    """A loader whose next build finds ``cc`` but fails to compile.
+
+    ``cc`` is a stub on a private ``PATH`` and ``subprocess.run`` is
+    replaced, so nothing is compiled.  Returns the reason the loader
+    must report.
+    """
+    return _fail_next_build(monkeypatch, tmp_path)
+
+
+@pytest.fixture(scope="session")
+def failing_build(tmp_path_factory):
+    """A context manager that does what ``failed_build`` does and puts
+    the real loader back on exit, for a test that needs sessions on
+    both step paths (and for hypothesis tests, which cannot take
+    function-scoped fixtures).  It yields the reason."""
+
+    @contextmanager
+    def failing() -> Iterator[str]:
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _reset_loader(monkeypatch)
+            yield _fail_next_build(
+                monkeypatch, tmp_path_factory.mktemp("failed-build")
+            )
+
+    return failing

@@ -390,6 +390,55 @@ class TestChunkMatrix:
             ]
 
 
+class TestPathsAgree:
+    """A session on its core and the same session forced scalar give the
+    same outputs and state, and both equal ``simulate``: the accounting
+    pass is one, whichever path predicted."""
+
+    @given(
+        kind=st.sampled_from(CORE_KINDS),
+        seed=st.integers(min_value=0, max_value=10_000),
+        length=st.integers(min_value=1, max_value=300),
+        cuts=st.lists(st.integers(min_value=1, max_value=299), max_size=6),
+        warmup=st.integers(min_value=0, max_value=350),
+        ras_depth=st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_core_and_forced_scalar_match(
+        self, failing_build, kind, seed, length, cuts, warmup, ras_depth
+    ):
+        events = _mixed_events(seed, length)
+        core = PredictorSession("s", kind, warmup, ras_depth)
+        # Without the compiled cores both sessions step scalar, and only
+        # the comparison with ``simulate`` is left.
+        assert (core.step_path[0] == "core") == native.available()
+        forced = PredictorSession("s", kind, warmup, ras_depth)
+        with failing_build() as reason:
+            path, why = forced.step_path
+        assert path == "scalar" and reason in why
+
+        bounds = [0, *sorted({cut for cut in cuts if cut < length}), length]
+        outputs = {core: [], forced: []}
+        for start, stop in zip(bounds, bounds[1:]):
+            for session, out in outputs.items():
+                out.extend(session.step_events(events[start:stop]))
+        assert outputs[core] == outputs[forced]
+        assert len(outputs[core]) == length
+        assert core.result() == forced.result()
+        assert core.state_hash() == forced.state_hash()
+        for session in (core, forced):
+            assert session.cursor == length
+            assert session.skip == max(warmup - length, 0)
+
+        reference = make_indirect(kind)
+        result = simulate(
+            reference, _events_trace("paths", events),
+            ras_depth=ras_depth, warmup_records=warmup,
+        )
+        for session in (core, forced):
+            _assert_matches_result(session, result, reference.state_hash())
+
+
 class TestStepPath:
     def test_cores_steps_blbp_and_ittage(self, compiled_cores):
         for kind in CORE_KINDS:

@@ -1,5 +1,6 @@
 """Tests for the post-hoc analysis tools."""
 
+import numpy as np
 import pytest
 
 from repro.core import BLBP
@@ -13,6 +14,7 @@ from repro.sim.analysis import (
     per_branch_breakdown,
     steady_state_mpki,
 )
+from repro.sim.kernel import simulate_columnar_many
 from repro.trace.record import BranchRecord, BranchType
 from repro.trace.stream import Trace
 from repro.workloads import VirtualDispatchSpec
@@ -144,3 +146,26 @@ class TestPinnedToSimulate:
         assert sum(
             round(rate * size) for rate, size in zip(curve.rates, sizes)
         ) == result.indirect_mispredictions
+
+    @pytest.mark.parametrize("name", ["BLBP", "ITTAGE", "VPC"])
+    def test_curve_windows_are_the_cores_windows(
+        self, compiled_cores, callret_trace, name
+    ):
+        """Per window, the curve's misses are those of the compiled
+        core's own per-branch predictions, so the driver makes the
+        call sequence the cores replay."""
+        window = 150
+        sink = {}
+        simulate_columnar_many(
+            [make_indirect(name)], callret_trace, prediction_sinks=[sink]
+        )
+        targets = callret_trace.targets[sink["indirect_idx"]]
+        missed = ~sink["valid"] | (sink["predictions"] != targets)
+        windows = [
+            missed[start:start + window]
+            for start in range(0, len(missed), window)
+        ]
+        curve = learning_curve(make_indirect(name), callret_trace, window)
+        assert curve.rates == [
+            np.count_nonzero(misses) / len(misses) for misses in windows
+        ]

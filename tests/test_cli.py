@@ -1,9 +1,14 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import PREDICTOR_REGISTRY, build_parser, main
 
 
@@ -121,6 +126,28 @@ class TestBackendFlag:
         assert ("error: columnar backend falling back to the fused scalar "
                 "loop for some predictors: BranchTargetBuffer") in err
         assert "attempt" not in err
+
+    def test_fallback_as_error_on_nodes_exits_2(self, tmp_path, capsys):
+        """``--nodes`` workers run under the caller's ``-W`` options, and
+        a node's fallback raised as an error fails the run on the first
+        attempt, as a local runner's does."""
+        path = str(tmp_path / "trace.bin")
+        main(["generate", "SHORT-SERVER-2", "--out", path, "--scale", "0.2"])
+        capsys.readouterr()
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        run = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro",
+             "simulate", "--predictors", "BTB,ITTAGE", "--traces", path,
+             "--backend", "columnar", "--nodes", "2",
+             "--resume", str(tmp_path / "campaign.jsonl")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert run.returncode == 2, run.stderr
+        assert ("error: columnar backend falling back to the fused scalar "
+                "loop for some predictors: BranchTargetBuffer") in run.stderr
+        assert "attempt" not in run.stderr
 
 
 class TestProfileFlag:

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.ras import ReturnAddressStack
+from repro.trace import derived as derived_module
 from repro.trace.derived import (
     cached_derived,
     compute_derived,
@@ -129,20 +130,11 @@ class TestDerivedStructure:
         assert plane.conditionals == len(expected)
         assert np.array_equal(plane.conditional_outcomes(), expected)
 
-    def test_pc_groups_partition_indirects(self, switchcase_trace):
-        plane = compute_derived(switchcase_trace, 32)
-        groups = plane.pc_groups()
-        ordinals = np.sort(np.concatenate(list(groups.values())))
-        assert np.array_equal(ordinals, np.arange(len(plane.indirect_idx)))
-        for pc, members in groups.items():
-            assert all(int(plane.indirect_pcs[m]) == pc for m in members)
-
     def test_empty_trace(self):
         plane = compute_derived(Trace.from_records("empty", []), 32)
         assert plane.records == 0
         assert plane.conditionals == 0
         assert len(plane.indirect_idx) == 0
-        assert plane.pc_groups() == {}
 
     def test_bad_ras_depth_rejected(self, tiny_trace):
         with pytest.raises(ValueError):
@@ -162,9 +154,27 @@ class TestDiskCache:
         for column in (
             "indirect_idx", "indirect_pcs", "indirect_targets", "cond_idx",
             "cond_bits", "return_idx", "return_preds", "return_pred_valid",
-            "return_ok", "pc_unique", "pc_offsets", "pc_order",
+            "return_ok",
         ):
             assert np.array_equal(getattr(loaded, column), getattr(plane, column))
+
+    def test_extra_columns_are_ignored(self, callret_trace, tmp_path,
+                                       monkeypatch):
+        """A plane file with columns this version no longer reads (older
+        planes carried a per-PC grouping) still attaches."""
+        plane = compute_derived(callret_trace, 32)
+        plane.pc_order = np.argsort(plane.indirect_pcs, kind="stable")
+        monkeypatch.setattr(
+            derived_module, "_COLUMNS",
+            derived_module._COLUMNS + (("pc_order", "<i8"),),
+        )
+        path = tmp_path / "old.plane"
+        write_derived(plane, path)
+        monkeypatch.undo()
+        loaded = read_derived(path)
+        assert not hasattr(loaded, "pc_order")
+        assert np.array_equal(loaded.return_ok, plane.return_ok)
+        assert np.array_equal(loaded.indirect_pcs, plane.indirect_pcs)
 
     def test_load_or_compute_writes_then_reuses(self, callret_trace, tmp_path):
         spill = tmp_path / "t.trace"

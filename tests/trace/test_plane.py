@@ -32,7 +32,7 @@ MINI_TRACE_SHA256 = (
     "aad92a9e953f8c165b8cba23b65d870ea7bcec93297f93c4b6df2d73ef86c8dd"
 )
 MINI_PLANE_SHA256 = (
-    "ededd1160046b29c70d1a732411a18c3f0628cbd95346f24f7bbf1cb3234a5b5"
+    "0290e706b705590c6466f6a37c71788df255f91a51170d7164628093698c1f5a"
 )
 
 
