@@ -4,11 +4,11 @@ A :class:`PredictorSession` is the serve-side incarnation of one
 ``simulate(predictor, trace)`` call, unrolled into an event-at-a-time
 state machine.  :func:`step_sessions_fused` is the one step function,
 and each session's predictor sees exactly what one lane of the engine's
-``_replay_span_many`` (which ``simulate`` runs with one lane) would, so
-a session fed a trace's events, in order, finishes with predictions,
-metrics, and a final ``state_hash`` bit-identical to
-:func:`repro.sim.engine.simulate` on that trace.  The equivalence suite
-asserts exactly that.
+predictions-only driver (:func:`repro.sim.engine.replay_predictions`,
+which ``simulate`` runs its scalar lanes on) would, so a session fed a
+trace's events, in order, finishes with predictions, metrics, and a
+final ``state_hash`` bit-identical to :func:`repro.sim.engine.simulate`
+on that trace.  The equivalence suite asserts exactly that.
 
 A step has two phases.  First the session's predictor predicts every
 indirect of the message, on one of two paths decided at its first step
@@ -22,12 +22,15 @@ indirect of the message, on one of two paths decided at its first step
   events per message and loses below that (``docs/serving.md``
   tabulates the step cost by message size);
 * **scalar** — every other predictor runs the engine's predictions-only
-  driver (:func:`repro.sim.engine.replay_predictions`): the conditional
-  hook, then predict/train/retire for indirects, per event.
+  driver: the conditional hook, then predict/train/retire for
+  indirects, per event.
 
-Then one accounting pass applies the retirement rule to those
-predictions, whichever path made them: the RAS, the warmup countdown,
-the counters, the cursor and the per-event outputs.
+Then the engine's live-RAS span scorer,
+:func:`repro.sim.retire.retire_span`, applies the retirement rule to
+those predictions, whichever path made them: the session's RAS, its
+warmup countdown, its counters and cursor (one
+:class:`~repro.sim.retire.Retirement` state per session), and the
+per-event outputs.
 
 When many sessions have the *same* pending event run (many clients
 streaming the same workload), they step as one group: BLBP sessions
@@ -41,11 +44,13 @@ Because all mutable state (predictor, RAS, accumulators, cursor) rides
 the snapshot protocol, a session can be *suspended* at any event
 boundary: :meth:`checkpoint` freezes it into the same
 :class:`~repro.sim.checkpoint.SimulationCheckpoint` document the batch
-engine uses, wrapped in a ``ServeSessionCheckpoint`` envelope that also
-records the registry key and the predictor's ``state_hash`` at suspend
-time.  :meth:`PredictorSession.from_checkpoint` rebuilds the session in
-any process and verifies the restored predictor hashes identically —
-a corrupted or mismatched checkpoint is refused, never silently loaded.
+engine uses, built and restored by the same retirement state, wrapped
+in a ``ServeSessionCheckpoint`` envelope that also records the registry
+key and the predictor's ``state_hash`` at suspend time.
+:meth:`PredictorSession.from_checkpoint` rebuilds the session in any
+process and verifies the restored predictor hashes identically — a
+corrupted or mismatched checkpoint (another predictor's, a negative
+count) is refused, never silently loaded.
 """
 
 from __future__ import annotations
@@ -59,21 +64,13 @@ from repro.registry import RegistryError, make_indirect
 from repro.sim.checkpoint import SimulationCheckpoint
 from repro.sim.engine import replay_predictions
 from repro.sim.metrics import SimulationResult
-from repro.sim.ras import ReturnAddressStack
+from repro.sim.retire import Retirement, StepOutput, retire_span
 from repro.trace.record import BranchType
 
 _COND = int(BranchType.CONDITIONAL)
-_DIRECT_CALL = int(BranchType.DIRECT_CALL)
-_INDIRECT_JUMP = int(BranchType.INDIRECT_JUMP)
-_INDIRECT_CALL = int(BranchType.INDIRECT_CALL)
-_RETURN = int(BranchType.RETURN)
 
 #: Envelope kind of a serve-layer session checkpoint file.
 SESSION_CHECKPOINT_KIND = "ServeSessionCheckpoint"
-
-#: One per-event output: ``None`` for events that carry no prediction
-#: (conditionals, direct branches), else ``(prediction-or-None, correct)``.
-StepOutput = Optional[Tuple[Optional[int], int]]
 
 
 class SessionError(ValueError):
@@ -102,16 +99,9 @@ class PredictorSession:
         self.predictor_key = predictor_key
         self.warmup_records = warmup_records
         self.ras_depth = ras_depth
-        self.ras = ReturnAddressStack(ras_depth)
-        #: Events consumed so far (the stream cursor).
-        self.cursor = 0
-        #: Remaining warmup events whose mispredictions are not counted.
-        self.skip = warmup_records
-        self.indirect = 0
-        self.mispredictions = 0
-        self.returns = 0
-        self.return_mispredictions = 0
-        self.conditionals = 0
+        #: The RAS, the stream cursor, the warmup countdown and the
+        #: counts: a one-lane replay's retirement state.
+        self.retired = Retirement(1, ras_depth, warmup_records)
         #: Sum of per-event instruction gaps (for MPKI denominators).
         self.instruction_gaps = 0
         self._path: Optional[Tuple[str, str]] = None
@@ -146,21 +136,29 @@ class PredictorSession:
     # ------------------------------------------------------------------
 
     @property
+    def cursor(self) -> int:
+        """Events consumed so far (the stream cursor)."""
+        return self.retired.cursor
+
+    @property
+    def skip(self) -> int:
+        """Remaining warmup events whose outcomes are not counted."""
+        return self.retired.skip
+
+    @property
+    def mispredictions(self) -> int:
+        """Indirect mispredictions counted so far."""
+        return self.retired.mispredictions[0]
+
+    @property
     def total_instructions(self) -> int:
         """All instructions represented by the stream so far."""
         return self.instruction_gaps + self.cursor
 
     def result(self) -> SimulationResult:
         """The session's metrics in the batch engine's result shape."""
-        return SimulationResult(
-            trace_name=self.session_id,
-            predictor_name=self.predictor.name,
-            total_instructions=self.total_instructions,
-            indirect_branches=self.indirect,
-            indirect_mispredictions=self.mispredictions,
-            return_branches=self.returns,
-            return_mispredictions=self.return_mispredictions,
-            conditional_branches=self.conditionals,
+        return self.retired.result(
+            0, self.session_id, self.predictor.name, self.total_instructions
         )
 
     def mpki(self) -> float:
@@ -185,20 +183,7 @@ class PredictorSession:
         RAS configuration, the gap accumulator, and the predictor's
         ``state_hash`` at suspend time.
         """
-        inner = SimulationCheckpoint(
-            trace_name=self.session_id,
-            predictor_name=self.predictor.name,
-            cursor=self.cursor,
-            skip=self.skip,
-            indirect=self.indirect,
-            mispredictions=self.mispredictions,
-            returns=self.returns,
-            return_mispredictions=self.return_mispredictions,
-            conditionals=self.conditionals,
-            by_pc={},
-            ras=self.ras.state_dict(),
-            predictor=self.predictor.state_dict(),
-        )
+        inner = self.retired.checkpoint(0, self.session_id, self.predictor)
         return {
             "v": 1,
             "kind": SESSION_CHECKPOINT_KIND,
@@ -236,19 +221,18 @@ class PredictorSession:
             inner = SimulationCheckpoint.from_state(state["checkpoint"])
             expected_hash = state["predictor_hash"]
             gaps = int(state["instruction_gaps"])
-            session.predictor.load_state(inner.predictor)
-            session.ras.load_state(inner.ras)
+            if gaps < 0:
+                raise SessionError(
+                    f"malformed session checkpoint: instruction_gaps must "
+                    f"be >= 0, got {gaps}"
+                )
+            session.retired.restore(
+                inner, session.session_id, session.predictor
+            )
         except SessionError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise SessionError(f"malformed session checkpoint: {exc}") from exc
-        session.cursor = inner.cursor
-        session.skip = inner.skip
-        session.indirect = inner.indirect
-        session.mispredictions = inner.mispredictions
-        session.returns = inner.returns
-        session.return_mispredictions = inner.return_mispredictions
-        session.conditionals = inner.conditionals
         session.instruction_gaps = gaps
         restored_hash = session.predictor.state_hash()
         if restored_hash != expected_hash:
@@ -295,11 +279,11 @@ def step_sessions_fused(
     call, and the rest in one pass of the engine's predictions-only
     driver (:func:`repro.sim.engine.replay_predictions`), which pays the
     per-event decode and dispatch once for all of them.  Then
-    :func:`_retire` applies the retirement rule to each session's
-    predictions: its own RAS, warmup countdown, counters and outputs.
-    Each predictor sees exactly what one lane of the engine's
-    ``_replay_span_many`` would, so the outputs and final session states
-    do not depend on the group it steps in or the path it takes.
+    :func:`repro.sim.retire.retire_span` retires the run into each
+    session's own retirement state.  Each predictor sees exactly what
+    one lane of the engine's driver would, so the outputs and final
+    session states do not depend on the group it steps in or the path
+    it takes.
 
     Returns one output list (aligned with ``events``) per session.
     """
@@ -338,68 +322,21 @@ def step_sessions_fused(
             pcs, types, takens, targets,
         )):
             predicted[slot] = lane
-    # What the accounting reads, once for the whole group: every
+    # What the retirement rule reads, once for the whole group: every
     # non-conditional event with its position in the run.
     branches = [
         (index, pc, branch_type, target)
         for index, pc, branch_type, target in zip(count(), pcs, types, targets)
         if branch_type != _COND
     ]
-    run = (len(events), sum(gaps), types.count(_COND))
-    return [
-        _retire(session, lane, branches, *run)
-        for session, lane in zip(sessions, predicted)
-    ]
-
-
-def _retire(
-    session: PredictorSession,
-    predicted: List[Optional[int]],
-    branches: List[Tuple[int, int, int, int]],
-    records: int,
-    gaps: int,
-    conditionals: int,
-) -> List[StepOutput]:
-    """Account one stepped run to ``session``: the retirement rule.
-
-    ``predicted`` holds the session predictor's per-indirect
-    predictions; ``branches`` the run's non-conditional events as
-    ``(index, pc, type, target)``.  Scores the indirects, replays the
-    RAS for calls and returns, counts outside the warmup, advances the
-    cursor, and returns one output per event.
-    """
-    out: List[StepOutput] = [None] * records
-    ras = session.ras
-    skip = session.skip
-    branch = 0
-    for index, pc, branch_type, target in branches:
-        if branch_type == _INDIRECT_JUMP or branch_type == _INDIRECT_CALL:
-            prediction = predicted[branch]
-            branch += 1
-            correct = 1 if prediction == target else 0
-            if index >= skip:
-                session.indirect += 1
-                if not correct:
-                    session.mispredictions += 1
-            if branch_type == _INDIRECT_CALL:
-                ras.push(pc + 4)
-            out[index] = (prediction, correct)
-        elif branch_type == _RETURN:
-            ras_prediction = ras.predict()
-            ras.pop()
-            correct = 1 if ras_prediction == target else 0
-            if index >= skip:
-                session.returns += 1
-                if not correct:
-                    session.return_mispredictions += 1
-            out[index] = (ras_prediction, correct)
-        elif branch_type == _DIRECT_CALL:
-            ras.push(pc + 4)
-    session.cursor += records
-    session.instruction_gaps += gaps
-    session.conditionals += conditionals
-    session.skip = skip - records if skip > records else 0
-    return out
+    records = len(events)
+    gaps = sum(gaps)
+    outputs = []
+    for session, lane in zip(sessions, predicted):
+        [out] = retire_span(session.retired, [lane], branches, records)
+        session.instruction_gaps += gaps
+        outputs.append(out)
+    return outputs
 
 
 __all__ = [

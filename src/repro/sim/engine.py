@@ -1,30 +1,35 @@
 """The simulation loop: predictors over one trace.
 
 :func:`simulate` (one predictor) and :func:`simulate_many` (a fused
-group) share one routine, which picks the backend, and one per-record
-loop, which mirrors the CBP infrastructure's discipline (§4.2):
+group) share one routine, which picks the backend.  Every replay
+predicts first and scores afterwards, with the CBP infrastructure's
+discipline (§4.2):
 
 * **conditional branches** feed the predictor's conditional-history
   hook (and, for VPC, the shared conditional predictor);
-* **indirect jumps and calls** are predicted, scored, trained, and then
+* **indirect jumps and calls** are predicted, trained, and then
   retired into the predictor's history;
-* **returns** are predicted by the return-address stack and excluded
-  from indirect MPKI;
-* **direct calls** push the RAS; direct jumps just retire.
+* **returns and direct branches** just retire.
 
-The loop works on plain Python scalars extracted from the trace columns
-once up front — constructing a record object per branch would dominate
-runtime at multi-million-record scale.
+Scalar lanes predict through one driver, :func:`replay_predictions`,
+which works on plain Python scalars extracted from the trace columns
+once up front (constructing a record object per branch would dominate
+runtime at multi-million-record scale); columnar lanes predict on the
+compiled cores of :mod:`repro.sim.kernel`.  Either way
+:mod:`repro.sim.retire` scores the predictions: the return-address
+stack takes the returns, which stay out of the indirect MPKI, and the
+warmup stays out of every count.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
+from operator import ne
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,13 +41,13 @@ from repro.sim.checkpoint import (
 )
 from repro.sim.counters import SimCounters
 from repro.sim.metrics import SimulationResult
-from repro.sim.ras import ReturnAddressStack
+from repro.sim.retire import Retirement, retire_span, score_plane
 from repro.trace.derived import DerivedPlane
 from repro.trace.record import BranchType
 from repro.trace.stream import Trace
 
-#: Recognized simulation backends.  "scalar" is the per-record Python
-#: loop below; "columnar" replays each lane the compiled cores in
+#: Recognized simulation backends.  "scalar" is the predictions-only
+#: driver below; "columnar" replays each lane the compiled cores in
 #: :mod:`repro.sim.kernel` support (bit-identical results) and hands
 #: every other lane to the scalar loop, naming why in one
 #: ``RuntimeWarning`` per call.  A caller that needs the cores or an
@@ -59,37 +64,8 @@ def _check_backend(backend: str) -> None:
 
 
 _COND = int(BranchType.CONDITIONAL)
-_DIRECT_JUMP = int(BranchType.DIRECT_JUMP)
-_DIRECT_CALL = int(BranchType.DIRECT_CALL)
 _INDIRECT_JUMP = int(BranchType.INDIRECT_JUMP)
 _INDIRECT_CALL = int(BranchType.INDIRECT_CALL)
-_RETURN = int(BranchType.RETURN)
-
-
-class _DerivedRAS:
-    """A RAS stand-in that replays precomputed per-return predictions.
-
-    The return-address stack is a pure function of the trace, so when a
-    :class:`~repro.trace.derived.DerivedPlane` is available the push/pop
-    replay can be skipped entirely: ``predict`` serves the precomputed
-    prediction for the next return and ``pop`` advances past it.  Drop-in
-    for :class:`ReturnAddressStack` inside the span loop.
-    """
-
-    __slots__ = ("_preds", "_cursor")
-
-    def __init__(self, predictions: List[Optional[int]]) -> None:
-        self._preds = predictions
-        self._cursor = 0
-
-    def predict(self) -> Optional[int]:
-        return self._preds[self._cursor]
-
-    def pop(self) -> None:
-        self._cursor += 1
-
-    def push(self, address: int) -> None:  # pragma: no cover - trivially empty
-        pass
 
 
 def simulate(
@@ -111,7 +87,7 @@ def simulate(
     This is :func:`simulate_many` with one lane: both go through the
     same routine, ``_simulate_lanes`` (argument checks, backend
     dispatch, derived-plane check, span/checkpoint loop), and the same
-    per-record loop.  ``counters``, ``resume_from`` and
+    driver and scorers.  ``counters``, ``resume_from`` and
     ``on_checkpoint`` are the inputs only a single lane takes.
 
     Args:
@@ -146,7 +122,7 @@ def simulate(
             push/pop replay (bit-identical results; the RAS is a pure
             function of the trace).  Ignored when checkpointing or
             resuming, because those paths must snapshot real RAS state.
-        backend: "scalar" (the per-record loop) or "columnar" (the
+        backend: "scalar" (the predictions-only driver) or "columnar" (the
             compiled replay cores behind :mod:`repro.sim.kernel`).  The
             columnar backend produces bit-identical results and final
             predictor state; it runs the scalar loop instead, with one
@@ -318,8 +294,9 @@ def simulate_sampled(
         )
         predictor = factory()
         predictor_name = predictor.name
-        result: Optional[SimulationResult] = None
-        checkpoint_path = None
+        resume_from: Optional[SimulationCheckpoint] = None
+        checkpoint_every = 0
+        on_checkpoint: Optional[Callable[[SimulationCheckpoint], None]] = None
         if checkpoint_dir is not None and region.warmup:
             checkpoint_path = _warm_checkpoint_path(
                 checkpoint_dir, trace_hash, region, predictor.state_hash()
@@ -333,22 +310,13 @@ def simulate_sampled(
             ):
                 # Warm-up restored, not replayed: the engine's resume
                 # machinery replays only the measured window.
-                result = simulate(
-                    predictor,
-                    sub,
-                    ras_depth=ras_depth,
-                    warmup_records=region.warmup,
-                    collect_per_pc=collect_per_pc,
-                    resume_from=cached,
-                    backend=backend,
-                )
+                resume_from = cached
                 warm_hits += 1
-        if result is None:
-            if checkpoint_path is not None:
+            else:
                 # Cold pass: capture the post-warm-up state through the
                 # checkpoint hook (fires at every warm-up-sized span;
                 # only the warm-boundary snapshot is kept).
-                def keep_warm_boundary(
+                def on_checkpoint(
                     snapshot: SimulationCheckpoint,
                     _path=checkpoint_path,
                     _warm=region.warmup,
@@ -356,25 +324,18 @@ def simulate_sampled(
                     if snapshot.cursor == _warm:
                         save_checkpoint(snapshot, _path)
 
-                result = simulate(
-                    predictor,
-                    sub,
-                    ras_depth=ras_depth,
-                    warmup_records=region.warmup,
-                    collect_per_pc=collect_per_pc,
-                    checkpoint_every=region.warmup,
-                    on_checkpoint=keep_warm_boundary,
-                    backend=backend,
-                )
-            else:
-                result = simulate(
-                    predictor,
-                    sub,
-                    ras_depth=ras_depth,
-                    warmup_records=region.warmup,
-                    collect_per_pc=collect_per_pc,
-                    backend=backend,
-                )
+                checkpoint_every = region.warmup
+        result = simulate(
+            predictor,
+            sub,
+            ras_depth=ras_depth,
+            warmup_records=region.warmup,
+            collect_per_pc=collect_per_pc,
+            checkpoint_every=checkpoint_every,
+            resume_from=resume_from,
+            on_checkpoint=on_checkpoint,
+            backend=backend,
+        )
         stop = region.start + region.length
         measured_instructions = (
             int(trace.gaps[region.start:stop].sum()) + region.length
@@ -400,96 +361,16 @@ def simulate_sampled(
     )
 
 
-def _replay_span_many(
-    pcs,
-    types,
-    takens,
-    targets,
-    engines,
-    cond_hooks,
-    retire_hooks,
-    ras,
-    collect_per_pc,
-    by_pc,
-    mispredictions,
-    skip,
-    indirect,
-    returns,
-    return_mispredictions,
-    conditionals,
-) -> Tuple[int, int, int, int, int]:
-    """The per-record retirement loop: one pass over the columns, N lanes.
-
-    Every scalar replay of a trace, solo or fused, runs through here.
-    Per-branch work that is predictor-independent — scalar extraction,
-    type dispatch, RAS traffic, warmup accounting — happens once; only
-    the predict/train/retire calls multiply by N.  ``engines``,
-    ``cond_hooks`` and ``retire_hooks`` come from :func:`_lane_calls`,
-    which :func:`replay_predictions` (the predictions-only driver that
-    serve and :func:`repro.sim.analysis.learning_curve` run) shares, so
-    both give each predictor the same call sequence.  ``mispredictions``
-    and ``by_pc`` are per-predictor and mutated in place; each
-    predictor's own call sequence does not depend on which other lanes
-    share the pass, so per-predictor state evolution is bit-identical to
-    unfused runs.  Counters stay plain locals and come back as a tuple, so a
-    span boundary costs nothing inside the loop.
-    """
-    for pc, branch_type, taken, target in zip(pcs, types, takens, targets):
-        if branch_type == _COND:
-            for hook in cond_hooks:
-                hook(pc, taken)
-            conditionals += 1
-            if skip:
-                skip -= 1
-            continue
-
-        counted = not skip
-        if skip:
-            skip -= 1
-
-        if branch_type == _INDIRECT_JUMP or branch_type == _INDIRECT_CALL:
-            if counted:
-                indirect += 1
-            slot = 0
-            for predict_target, train, on_retired in engines:
-                prediction: Optional[int] = predict_target(pc)
-                if counted and prediction != target:
-                    mispredictions[slot] += 1
-                    if collect_per_pc:
-                        cell = by_pc[slot]
-                        cell[pc] = cell.get(pc, 0) + 1
-                train(pc, target)
-                if on_retired is not None:
-                    on_retired(pc, branch_type, target)
-                slot += 1
-            if branch_type == _INDIRECT_CALL:
-                ras.push(pc + 4)
-        elif branch_type == _RETURN:
-            ras_prediction = ras.predict()
-            ras.pop()
-            if counted:
-                returns += 1
-                if ras_prediction != target:
-                    return_mispredictions += 1
-            for hook in retire_hooks:
-                hook(pc, branch_type, target)
-        elif branch_type == _DIRECT_CALL:
-            ras.push(pc + 4)
-            for hook in retire_hooks:
-                hook(pc, branch_type, target)
-        else:  # direct jump
-            for hook in retire_hooks:
-                hook(pc, branch_type, target)
-    return skip, indirect, returns, return_mispredictions, conditionals
-
-
-def _lane_calls(lanes: Sequence[IndirectBranchPredictor]) -> Tuple[
+#: What a replay calls for its lanes: the conditional hooks, the retire
+#: hooks and one ``(predict_target, train, on_retired-or-None)`` per lane.
+LaneCalls = Tuple[
     List[Callable], List[Callable],
     List[Tuple[Callable, Callable, Optional[Callable]]],
-]:
-    """The calls a replay makes for each lane: the conditional hooks,
-    the retire hooks and one ``(predict_target, train,
-    on_retired-or-None)`` per lane.
+]
+
+
+def _lane_calls(lanes: Sequence[IndirectBranchPredictor]) -> LaneCalls:
+    """The calls a replay makes for ``lanes``.
 
     Only hooks that override the base no-ops are kept, so baseline
     predictors pay nothing for histories they do not keep.
@@ -525,12 +406,24 @@ def replay_predictions(
 
     Each predictor gets the engine's call sequence — the conditional
     hook; predict, train and retire for indirects; retire for the rest —
-    so its state evolves exactly as in :func:`simulate`.  Nothing is
-    counted and no RAS is kept: callers score the predictions against
-    the run's indirect targets themselves.  Serve's scalar step and
-    :func:`repro.sim.analysis.learning_curve` run on this.
+    so its state evolves exactly as in :func:`simulate`, which predicts
+    its scalar lanes through here too.  Nothing is counted and no RAS is
+    kept: :mod:`repro.sim.retire` scores the predictions.  Serve's
+    scalar step and :func:`repro.sim.analysis.learning_curve` also run
+    on this.
     """
-    cond_hooks, retire_hooks, engines = _lane_calls(predictors)
+    return _predict(_lane_calls(predictors), pcs, types, takens, targets)
+
+
+def _predict(
+    calls: LaneCalls,
+    pcs: Sequence[int],
+    types: Sequence[int],
+    takens: Sequence[bool],
+    targets: Sequence[int],
+) -> List[List[Optional[int]]]:
+    """:func:`replay_predictions` over prepared (or profiled) calls."""
+    cond_hooks, retire_hooks, engines = calls
     predictions: List[List[Optional[int]]] = [[] for _ in engines]
     lanes = [(*calls, out.append) for calls, out in zip(engines, predictions)]
     for pc, branch_type, taken, target in zip(pcs, types, takens, targets):
@@ -564,15 +457,15 @@ def simulate_many(
 
     Produces, for each predictor, a result and final predictor state
     bit-identical to ``simulate(predictor, trace, ...)`` — :func:`simulate`
-    is this function with one lane, and the shared per-record loop issues
-    each predictor the same call sequence however many lanes it carries,
+    is this function with one lane, and the shared driver issues each
+    predictor the same call sequence however many lanes it carries,
     only sharing the per-branch costs that are predictor-independent
     (column decode, type dispatch, RAS replay, warmup accounting).
 
     When every scalar lane is *indirect-only* (overrides neither
     ``on_conditional`` nor ``on_retired``) and a ``derived`` plane is in
-    use, the loop skips non-indirect records entirely and walks only the
-    plane's indirect records.
+    use, the driver skips non-indirect records entirely and walks only
+    the plane's indirect records.
 
     Args:
         predictors: freshly constructed predictors (mutated in place).
@@ -760,12 +653,18 @@ def _replay_lanes(
     resume_from: Optional[SimulationCheckpoint],
     counters: Optional[SimCounters],
 ) -> List[SimulationResult]:
-    """Scalar replay: the span/checkpoint loop over the per-record loop.
+    """Scalar replay: the predictions-only driver, then the retirement
+    rule of :mod:`repro.sim.retire`.
 
-    ``derived``, already checked against the trace, replaces the live
-    RAS.  ``resume_from`` restores the first lane's state, the RAS, the
-    cursor and every accumulator before replay; ``counters`` profiles
-    the pass.
+    Over a plane (``derived``, already checked against the trace) the
+    lanes predict the whole trace in one pass, over the plane's indirect
+    records alone when no lane overrides a hook, and
+    :func:`~repro.sim.retire.score_plane` scores each lane.  Without
+    one, they predict a span at a time (``checkpoint_every`` records,
+    or the whole trace) and :func:`~repro.sim.retire.retire_span`
+    retires each span into one live-RAS state, which ``resume_from``
+    restores and each checkpoint snapshots.  ``counters`` profiles the
+    pass.
     """
     cond_hooks, retire_hooks, engines = _lane_calls(lanes)
     cell: Optional[SimCounters] = None
@@ -784,137 +683,83 @@ def _replay_lanes(
             )
             for predict_target, train, on_retired in engines
         ]
-
-    count = len(lanes)
+    calls = (cond_hooks, retire_hooks, engines)
     total = len(trace)
-    mispredictions = [0] * count
-    by_pc: List[Dict[int, int]] = [{} for _ in range(count)]
-    skip = warmup_records
-    cursor = indirect = returns = return_mispredictions = conditionals = 0
-    ras: object
-    indirect_only = derived is not None and not cond_hooks and not retire_hooks
-    if indirect_only:
-        # Every record these lanes act on is in the plane's indirect
-        # arrays, and the RAS and conditional tallies are pure functions
-        # of the plane, so the loop walks the indirect records alone,
-        # with ``skip`` set to the indirect records inside the warmup.
-        index = derived.indirect_idx
-        columns = (
-            derived.indirect_pcs.tolist(),
-            trace.types[index].tolist(),
-            trace.takens[index].tolist(),
-            derived.indirect_targets.tolist(),
-        )
-        skip = int(np.searchsorted(index, warmup_records))
-        ras = _DerivedRAS([])
-    else:
-        columns = trace.scalar_columns()
-        if derived is not None:
-            ras = _DerivedRAS(derived.return_predictions())
-        else:
-            ras = ReturnAddressStack(ras_depth)
-
-    if resume_from is not None:
-        predictor = lanes[0]
-        if resume_from.trace_name != trace.name:
-            raise ValueError(
-                f"checkpoint is for trace {resume_from.trace_name!r}, "
-                f"not {trace.name!r}"
-            )
-        if resume_from.predictor_name != predictor.name:
-            raise ValueError(
-                f"checkpoint is for predictor "
-                f"{resume_from.predictor_name!r}, not {predictor.name!r}"
-            )
-        if resume_from.cursor > total:
-            raise ValueError(
-                f"checkpoint cursor {resume_from.cursor} beyond trace "
-                f"length {total}"
-            )
-        predictor.load_state(resume_from.predictor)
-        ras.load_state(resume_from.ras)
-        cursor = resume_from.cursor
-        skip = resume_from.skip
-        indirect = resume_from.indirect
-        mispredictions[0] = resume_from.mispredictions
-        returns = resume_from.returns
-        return_mispredictions = resume_from.return_mispredictions
-        conditionals = resume_from.conditionals
-        by_pc[0] = dict(resume_from.by_pc)
-    started_at = cursor
+    started_at = 0
     loop_started = time.perf_counter()
 
-    end = len(columns[0])
-    span = checkpoint_every or end
-    while cursor < end:
-        upper = min(cursor + span, end)
-        if upper - cursor < end:
-            span_columns = [column[cursor:upper] for column in columns]
+    if derived is not None:
+        targets = derived.indirect_targets.tolist()
+        if cond_hooks or retire_hooks:
+            columns = trace.scalar_columns()
         else:
-            span_columns = columns  # the whole trace: no column copies
-        (
-            skip,
-            indirect,
-            returns,
-            return_mispredictions,
-            conditionals,
-        ) = _replay_span_many(
-            *span_columns,
-            engines, cond_hooks, retire_hooks,
-            ras, collect_per_pc, by_pc, mispredictions,
-            skip, indirect, returns, return_mispredictions, conditionals,
+            # Every record hookless lanes act on is in the plane's
+            # indirect columns.
+            index = derived.indirect_idx
+            columns = (
+                derived.indirect_pcs.tolist(),
+                trace.types[index].tolist(),
+                trace.takens[index].tolist(),
+                targets,
+            )
+        results = [
+            score_plane(
+                trace, derived, predictor.name,
+                np.fromiter(map(ne, predicted, targets), bool, len(targets)),
+                warmup_records, collect_per_pc,
+            )
+            for predictor, predicted in zip(lanes, _predict(calls, *columns))
+        ]
+    else:
+        state = Retirement(
+            len(lanes), ras_depth, warmup_records, collect_per_pc
         )
-        cursor = upper
-        if checkpoint_every and cursor < end:
-            ras_state = ras.state_dict()
-            for slot, predictor in enumerate(lanes):
-                if not sinks[slot]:
-                    continue
-                snapshot = SimulationCheckpoint(
-                    trace_name=trace.name,
-                    predictor_name=predictor.name,
-                    cursor=cursor,
-                    skip=skip,
-                    indirect=indirect,
-                    mispredictions=mispredictions[slot],
-                    returns=returns,
-                    return_mispredictions=return_mispredictions,
-                    conditionals=conditionals,
-                    by_pc=dict(by_pc[slot]),
-                    ras=ras_state,
-                    predictor=predictor.state_dict(),
+        if resume_from is not None:
+            if resume_from.cursor > total:
+                raise ValueError(
+                    f"checkpoint cursor {resume_from.cursor} beyond trace "
+                    f"length {total}"
                 )
-                for sink in sinks[slot]:
-                    sink(snapshot)
-    if indirect_only:
-        conditionals = derived.conditionals
-        counted = derived.return_idx >= warmup_records
-        returns = int(np.count_nonzero(counted))
-        return_mispredictions = int(
-            np.count_nonzero(counted & (derived.return_ok == 0))
-        )
+            state.restore(resume_from, trace.name, lanes[0])
+            started_at = state.cursor
+        columns = trace.scalar_columns()
+        # The records retire_span reads, found without a Python pass.
+        branch_idx = np.flatnonzero(trace.types != _COND)
+        span = checkpoint_every or total
+        while state.cursor < total:
+            lower = state.cursor
+            upper = min(lower + span, total)
+            first, last = np.searchsorted(branch_idx, (lower, upper))
+            at = branch_idx[first:last]
+            branches = list(zip(
+                (at - lower).tolist(), trace.pcs[at].tolist(),
+                trace.types[at].tolist(), trace.targets[at].tolist(),
+            ))
+            if upper - lower < total:
+                span_columns = [column[lower:upper] for column in columns]
+            else:
+                span_columns = columns  # the whole trace: no column copies
+            retire_span(
+                state, _predict(calls, *span_columns), branches, upper - lower
+            )
+            if checkpoint_every and state.cursor < total:
+                for slot, predictor in enumerate(lanes):
+                    if sinks[slot]:
+                        snapshot = state.checkpoint(slot, trace.name, predictor)
+                        for sink in sinks[slot]:
+                            sink(snapshot)
+        total_instructions = trace.total_instructions()
+        results = [
+            state.result(slot, trace.name, predictor.name, total_instructions)
+            for slot, predictor in enumerate(lanes)
+        ]
 
-    total_instructions = trace.total_instructions()
-    results = [
-        SimulationResult(
-            trace_name=trace.name,
-            predictor_name=predictor.name,
-            total_instructions=total_instructions,
-            indirect_branches=indirect,
-            indirect_mispredictions=mispredictions[slot],
-            return_branches=returns,
-            return_mispredictions=return_mispredictions,
-            conditional_branches=conditionals,
-            mispredictions_by_pc=by_pc[slot],
-        )
-        for slot, predictor in enumerate(lanes)
-    ]
     if cell is not None:
         cell.elapsed_seconds = time.perf_counter() - loop_started
         # Only the records this process actually replayed (a resumed
         # cell's profile measures its own work, not the whole trace).
         cell.records = total - started_at
-        cell.conditionals = conditionals
+        cell.conditionals = results[0].conditional_branches
         for predictor in lanes:
             cell.harvest(predictor)
         for result in results:

@@ -1,20 +1,24 @@
 """The columnar batch simulation kernel (``backend="columnar"``).
 
-The scalar engine retires branches one at a time through Python; the
+The scalar engine predicts branches one at a time through Python; the
 columnar kernels replay the same simulation as one compiled call per
 predictor over the trace's columns (:mod:`repro.sim.native`).  The
 result — predictor state, per-branch predictions, every counter — is
-bit-identical to the scalar loop (pinned by the equivalence suite over
+bit-identical to the scalar oracle (pinned by the equivalence suite over
 the full workload suite); only where the arithmetic runs changes.
 
 Each core is *whole-lane*: it walks the records in retirement order and
 updates the predictor's own buffers in place, so Python only marshals
-the state on the way in and out and counts the result.  For BLBP the
-``blbp_replay_many`` core folds the global-history intervals (pending
-bits and flushes included), shifts and hashes the local-history
-registers, probes and fills the IBTB with its region array, and runs
-the weight/θ recurrence; the IBTB's flat fields and the region array
-live in ``array('q')`` buffers the core writes directly.
+the state on the way in and out.  A core hands back each indirect's
+prediction, and :func:`repro.sim.retire.score_plane` scores every lane
+of :func:`simulate_columnar_many`, as it scores the engine's scalar
+lanes over a plane.
+
+For BLBP the ``blbp_replay_many`` core folds the global-history
+intervals (pending bits and flushes included), shifts and hashes the
+local-history registers, probes and fills the IBTB with its region
+array, and runs the weight/θ recurrence; the IBTB's flat fields and the
+region array live in ``array('q')`` buffers the core writes directly.
 A solo run is a one-lane call, and every BLBP lane of a fused group
 goes into one multi-lane call.  :func:`replay_blbp` (and
 :func:`repro.sim.kernel_ittage.replay_ittage`) do the marshalling once
@@ -56,6 +60,7 @@ from repro.predictors.ittage import ITTAGE
 from repro.predictors.vpc import VPCPredictor
 from repro.sim import native
 from repro.sim.metrics import SimulationResult
+from repro.sim.retire import score_plane
 from repro.trace.derived import DerivedPlane, compute_derived
 from repro.trace.record import BranchType
 from repro.trace.stream import Trace
@@ -372,63 +377,6 @@ def lane_output(predictions: array, valid: array) -> LaneOutput:
     )
 
 
-def lane_result(
-    predictor: object,
-    trace: Trace,
-    derived: DerivedPlane,
-    predictions: np.ndarray,
-    valid: np.ndarray,
-    warmup_records: int,
-    collect_per_pc: bool,
-    prediction_sink: Optional[Dict[str, np.ndarray]],
-) -> SimulationResult:
-    """A replayed lane's result, with the scalar loop's accounting."""
-    indirect_idx = np.asarray(derived.indirect_idx)
-    prediction_valid = valid.astype(bool)
-    if prediction_sink is not None:
-        prediction_sink["indirect_idx"] = indirect_idx.copy()
-        prediction_sink["valid"] = prediction_valid
-        prediction_sink["predictions"] = predictions
-
-    counted = indirect_idx >= warmup_records
-    mispredicted = counted & (
-        ~prediction_valid | (predictions != derived.indirect_targets)
-    )
-    by_pc: Dict[int, int] = {}
-    if collect_per_pc and mispredicted.any():
-        miss_pcs, miss_counts = np.unique(
-            derived.indirect_pcs[mispredicted], return_counts=True
-        )
-        by_pc = {
-            int(pc): int(count)
-            for pc, count in zip(miss_pcs.tolist(), miss_counts.tolist())
-        }
-
-    return_indices = np.asarray(derived.return_idx)
-    returns = 0
-    return_mispredictions = 0
-    if len(return_indices):
-        counted_returns = return_indices >= warmup_records
-        returns = int(np.count_nonzero(counted_returns))
-        return_mispredictions = int(
-            np.count_nonzero(
-                counted_returns & (np.asarray(derived.return_ok) == 0)
-            )
-        )
-
-    return SimulationResult(
-        trace_name=trace.name,
-        predictor_name=predictor.name,
-        total_instructions=trace.total_instructions(),
-        indirect_branches=int(np.count_nonzero(counted)),
-        indirect_mispredictions=int(np.count_nonzero(mispredicted)),
-        return_branches=returns,
-        return_mispredictions=return_mispredictions,
-        conditional_branches=derived.conditionals,
-        mispredictions_by_pc=by_pc,
-    )
-
-
 # ----------------------------------------------------------------------
 # The BLBP kernel
 # ----------------------------------------------------------------------
@@ -660,9 +608,17 @@ def simulate_columnar_many(
     columns = trace_columns(trace, derived)
 
     def finish(position: int, output: LaneOutput) -> None:
-        results[position] = lane_result(
-            predictors[position], trace, derived, *output, warmup_records,
-            collect_per_pc, sinks[position],
+        predictions, valid = output
+        made = valid.astype(bool)
+        sink = sinks[position]
+        if sink is not None:
+            sink["indirect_idx"] = np.asarray(derived.indirect_idx).copy()
+            sink["valid"] = made
+            sink["predictions"] = predictions
+        results[position] = score_plane(
+            trace, derived, predictors[position].name,
+            ~made | (predictions != derived.indirect_targets),
+            warmup_records, collect_per_pc,
         )
 
     blbp = [
@@ -675,19 +631,14 @@ def simulate_columnar_many(
             finish(position, output)
 
     from repro.sim.kernel_ittage import replay_ittage
-    from repro.sim.kernel_vpc import simulate_columnar_vpc
+    from repro.sim.kernel_vpc import replay_vpc
 
     for position, predictor in enumerate(predictors):
         if type(predictor) is ITTAGE:
             finish(position, replay_ittage(predictor, columns))
         elif type(predictor) is VPCPredictor:
-            results[position] = simulate_columnar_vpc(
-                predictor,
-                trace,
-                derived,
+            finish(position, replay_vpc(
+                predictor, trace, derived,
                 shared_precompute(trace, ras_depth, derived),
-                warmup_records=warmup_records,
-                collect_per_pc=collect_per_pc,
-                prediction_sink=sinks[position],
-            )
+            ))
     return results

@@ -24,7 +24,7 @@ conditional predictor has no kernel (see
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ from repro.common.hashing import mix_pc, stable_hash64
 from repro.cond.mpp import MultiperspectivePerceptron
 from repro.predictors.vpc import VPCPredictor
 from repro.sim import native
-from repro.sim.kernel import lane_result
-from repro.sim.metrics import SimulationResult
+from repro.sim.kernel import LaneOutput
 from repro.trace.derived import DerivedPlane
 from repro.trace.stream import Trace
 
@@ -265,24 +264,20 @@ def _replay(predictor: VPCPredictor, prep: dict) -> None:
 # ----------------------------------------------------------------------
 
 
-def simulate_columnar_vpc(
+def replay_vpc(
     predictor: VPCPredictor,
     trace: Trace,
     derived: DerivedPlane,
     shared,
-    warmup_records: int = 0,
-    collect_per_pc: bool = False,
-    prediction_sink: Optional[Dict[str, np.ndarray]] = None,
-) -> SimulationResult:
-    """Columnar VPC replay, bit-identical to the scalar engine.
+) -> LaneOutput:
+    """Replay ``predictor`` over ``trace``, bit-identical to the scalar
+    engine; return its per-indirect ``(predictions, valid)``.
 
     Called through :func:`repro.sim.kernel.simulate_columnar_many`,
-    which validates support and the derived plane and owns the shared
-    precompute; see that function for the caller contract.
+    which validates support and the derived plane, owns the shared
+    precompute and scores the lane; see that function for the caller
+    contract.
     """
     prep = _prepare(predictor, trace, derived, shared)
     _replay(predictor, prep)
-    return lane_result(
-        predictor, trace, derived, prep["predictions"], prep["valid"],
-        warmup_records, collect_per_pc, prediction_sink,
-    )
+    return prep["predictions"], prep["valid"]

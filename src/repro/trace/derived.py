@@ -102,12 +102,6 @@ class DerivedPlane:
                 f"ras_depth={ras_depth})"
             )
 
-    def return_predictions(self) -> List[Optional[int]]:
-        """Per-return RAS predictions, in trace order (``None`` = empty RAS)."""
-        preds = self.return_preds.tolist()
-        valid = self.return_pred_valid.tolist()
-        return [p if v else None for p, v in zip(preds, valid)]
-
     def conditional_outcomes(self) -> np.ndarray:
         """The taken/not-taken bitstream, unpacked to a bool array."""
         return np.unpackbits(self.cond_bits, count=self.conditionals).astype(bool)

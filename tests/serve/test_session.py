@@ -217,6 +217,14 @@ class TestSuspendResume:
         document["checkpoint"]["skip"] = -1
         with pytest.raises(SessionError, match="skip"):
             PredictorSession.from_checkpoint(document)
+        document = session.checkpoint()
+        document["instruction_gaps"] = -10**6
+        with pytest.raises(SessionError, match="instruction_gaps"):
+            PredictorSession.from_checkpoint(document)
+        document = session.checkpoint()
+        document["checkpoint"]["predictor_name"] = "ITTAGE"
+        with pytest.raises(SessionError, match="is for predictor 'ITTAGE'"):
+            PredictorSession.from_checkpoint(document)
 
     def test_rejects_out_of_range_ibtb_entry(self):
         session = PredictorSession("corrupt-ibtb", "BLBP")

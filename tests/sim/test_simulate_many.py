@@ -30,6 +30,10 @@ def _result_key(result):
     )
 
 
+def _by_pc_order(result):
+    return list(result.mispredictions_by_pc.items())
+
+
 @pytest.fixture(scope="module")
 def mixed_trace():
     from repro.workloads import CallReturnSpec, VirtualDispatchSpec
@@ -74,34 +78,74 @@ class TestSoloEquivalence:
             assert _result_key(result) == _result_key(solos[name]), name
 
     def test_derived_plane_matches_live_ras(self, mixed_trace):
+        # The plane scorer against the live-RAS span scorer.
         derived = compute_derived(mixed_trace, 32)
-        live = simulate_many(
-            [make_indirect(name) for name in NAMES], mixed_trace
-        )
-        planar = simulate_many(
-            [make_indirect(name) for name in NAMES], mixed_trace,
-            derived=derived,
-        )
-        for left, right in zip(live, planar):
-            assert _result_key(left) == _result_key(right)
+        for warmup in (0, 700):
+            live = simulate_many(
+                [make_indirect(name) for name in NAMES], mixed_trace,
+                warmup_records=warmup, collect_per_pc=True,
+            )
+            planar = simulate_many(
+                [make_indirect(name) for name in NAMES], mixed_trace,
+                derived=derived, warmup_records=warmup, collect_per_pc=True,
+            )
+            for left, right in zip(live, planar):
+                assert _result_key(left) == _result_key(right)
+                assert _by_pc_order(left) == _by_pc_order(right)
 
     def test_fast_path_matches_general_path(self, mixed_trace):
-        # BTB and 2bit-BTB override neither hook, so a pure group takes
-        # the indirect-only fast path; mixing in ITTAGE (which consumes
-        # conditional outcomes) forces the general path.  Fast-path
-        # members must be unaffected by their companions.
+        # BTB and 2bit-BTB override neither hook, so a pure group
+        # predicts over the plane's indirect records alone; mixing in
+        # ITTAGE (which consumes conditional outcomes) makes the group
+        # walk every record.  Fast-path members must be unaffected by
+        # their companions, and both must match the live-RAS span
+        # scorer.
         derived = compute_derived(mixed_trace, 32)
-        fast = simulate_many(
-            [make_indirect("BTB"), make_indirect("2bit-BTB")],
-            mixed_trace, derived=derived, warmup_records=100,
-        )
-        general = simulate_many(
-            [make_indirect("BTB"), make_indirect("2bit-BTB"),
-             make_indirect("ITTAGE")],
-            mixed_trace, derived=derived, warmup_records=100,
-        )
-        for left, right in zip(fast, general):
-            assert _result_key(left) == _result_key(right)
+        for warmup in (0, 100):
+            fast = simulate_many(
+                [make_indirect("BTB"), make_indirect("2bit-BTB")],
+                mixed_trace, derived=derived, warmup_records=warmup,
+                collect_per_pc=True,
+            )
+            general = simulate_many(
+                [make_indirect("BTB"), make_indirect("2bit-BTB"),
+                 make_indirect("ITTAGE")],
+                mixed_trace, derived=derived, warmup_records=warmup,
+                collect_per_pc=True,
+            )
+            live = simulate_many(
+                [make_indirect("BTB"), make_indirect("2bit-BTB")],
+                mixed_trace, warmup_records=warmup, collect_per_pc=True,
+            )
+            for left, middle, right in zip(fast, general, live):
+                assert _result_key(left) == _result_key(middle)
+                assert _result_key(left) == _result_key(right)
+                assert _by_pc_order(left) == _by_pc_order(middle)
+                assert _by_pc_order(left) == _by_pc_order(right)
+
+    @pytest.mark.usefixtures("compiled_cores")
+    @pytest.mark.parametrize("name", ["BLBP", "ITTAGE", "VPC"])
+    def test_by_pc_order_is_the_same_on_every_path(self, name):
+        # First-miss order, whichever scorer ran: the live-RAS span
+        # scorer, the plane scorer on a scalar lane, and the plane
+        # scorer on a core.  A journal writes the dict in this order.
+        from repro.workloads import VirtualDispatchSpec
+
+        trace = VirtualDispatchSpec(
+            name="vd-by-pc", seed=3, num_records=4000
+        ).generate()
+        derived = compute_derived(trace, 32)
+        orders = [
+            _by_pc_order(simulate(
+                make_indirect(name), trace, collect_per_pc=True, **options
+            ))
+            for options in (
+                {}, {"derived": derived}, {"backend": "columnar"},
+            )
+        ]
+        assert orders[0] != sorted(orders[0])
+        assert orders[1] == orders[0]
+        assert orders[2] == orders[0]
 
     def test_empty_predictor_list(self, mixed_trace):
         assert simulate_many([], mixed_trace) == []

@@ -57,7 +57,12 @@ def _live_ras_outcomes(trace: Trace, depth: int):
 def _assert_ras_equivalent(trace: Trace, depth: int) -> None:
     plane = compute_derived(trace, depth)
     live_preds, live_ok = _live_ras_outcomes(trace, depth)
-    assert plane.return_predictions() == live_preds
+    assert [
+        prediction if valid else None
+        for prediction, valid in zip(
+            plane.return_preds.tolist(), plane.return_pred_valid.tolist()
+        )
+    ] == live_preds
     assert [bool(flag) for flag in plane.return_ok] == live_ok
     assert len(plane.return_idx) == len(live_preds)
 
