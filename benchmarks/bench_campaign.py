@@ -13,7 +13,7 @@ ways:
 * **fused** — ``execute_plan(fuse=True)``: contiguous same-trace cells
   grouped into :class:`FusedCellSpec`s, each group one
   :func:`simulate_many` pass sharing the decoded columns and the
-  on-disk derived plane (precomputed RAS outcomes, indirect index
+  in-memory derived plane (precomputed RAS outcomes, indirect index
   arrays).
 
 All three arms must produce identical results (asserted every run — a
@@ -159,8 +159,8 @@ def measure_campaign(
             campaign = _run_pr4(traces, factories, v1_dir)
             return time.perf_counter() - started, campaign
 
-        # Warmup: populates the worker trace cache and the on-disk
-        # derived planes, so repeats measure steady-state execution.
+        # Warmup: populates the worker trace cache and the derived planes
+        # its entries hold, so repeats measure steady-state execution.
         _, expected = fused_pass()
         best = {"pr4": None, "unfused": None, "fused": None}
         for _ in range(repeats):
@@ -203,7 +203,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--quick", action="store_true",
-        help="smaller sample for CI (scale 0.25, 2 repeats)",
+        help="smaller sample for CI (scale 0.25, 5 repeats)",
     )
     parser.add_argument("--scale", type=float, default=None)
     parser.add_argument("--stride", type=int, default=None)
@@ -224,7 +224,7 @@ def main(argv=None) -> int:
 
     scale = args.scale if args.scale is not None else (0.25 if args.quick else 0.5)
     stride = args.stride if args.stride is not None else 10
-    repeats = args.repeats if args.repeats is not None else (2 if args.quick else 3)
+    repeats = args.repeats if args.repeats is not None else (5 if args.quick else 3)
 
     summary = measure_campaign(scale, stride, repeats)
     print(

@@ -115,9 +115,9 @@ def measure_speedup(scale: float, stride: int, repeats: int) -> dict:
     reference_seconds = best_pass(ReferenceBLBP)
     optimized_seconds = best_pass(BLBP)
     # The columnar pass gets its derived planes up front, mirroring how
-    # campaigns run it: exec workers pull the plane from the RPDERIV1
-    # cache, so derivation is a one-time cost amortized across cells,
-    # not part of the per-pass hot path.
+    # campaigns run it: exec workers keep each trace's plane in their
+    # trace cache, so derivation is a one-time cost amortized across
+    # cells, not part of the per-pass hot path.
     planes = {trace.name: compute_derived(trace) for trace in traces}
     columnar_seconds = None
     for _ in range(repeats):

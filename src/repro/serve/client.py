@@ -128,6 +128,13 @@ def stream_for(
     Derived from a virtual-dispatch workload trace (indirect calls,
     filler conditionals, instruction gaps), so driven sessions exercise
     the same predictor machinery as the batch suite.
+
+    The stream holds at least ``num_events`` events, not exactly that
+    many: the generator emits whole dispatch iterations (12 events each
+    with these settings) and stops at the first that reaches
+    ``num_events``, so ``stream_for(1, 832)`` has 840.  The streams are
+    pinned by digest (``benchmarks/perf/golden.json``), so the overshoot
+    stays.
     """
     from repro.workloads.vdispatch import VirtualDispatchSpec
 

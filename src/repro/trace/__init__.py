@@ -12,10 +12,6 @@ from repro.trace.derived import (
     DerivedPlane,
     cached_derived,
     compute_derived,
-    derived_path_for,
-    load_or_compute_derived,
-    read_derived,
-    write_derived,
 )
 from repro.trace.plane import (
     TraceCache,
@@ -74,10 +70,6 @@ __all__ = [
     "DerivedPlane",
     "compute_derived",
     "cached_derived",
-    "derived_path_for",
-    "load_or_compute_derived",
-    "read_derived",
-    "write_derived",
     "TraceStats",
     "compute_stats",
     "IngestError",

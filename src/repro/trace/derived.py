@@ -12,12 +12,12 @@ cell are pure functions of the trace alone:
 * **Conditional-outcome bitstream.**  The taken/not-taken sequence,
   packed 8 outcomes per byte.
 
-:func:`compute_derived` builds all of this once; :func:`write_derived` /
-:func:`read_derived` cache it on disk next to the spill (``RPDERIV1``, the
-aligned column layout of :mod:`repro.trace.plane`), keyed by the spill's
-content hash and the RAS depth so a stale plane can never be attached to
-the wrong trace.  :func:`cached_derived` keeps the planes a worker uses in
-its trace's :class:`~repro.trace.plane.TraceCache` entry.
+:func:`compute_derived` builds all of this once per trace and RAS depth.
+The plane lives in memory only: :func:`cached_derived` keeps the planes a
+worker uses in its trace's :class:`~repro.trace.plane.TraceCache` entry,
+so a rewritten or evicted spill takes its planes along.  Computing a
+plane costs about what reading a stored copy back would, so none is
+written to disk.
 
 The replay here intentionally re-implements the ``ReturnAddressStack``
 contract (bounded stack, overflow drops the oldest entry, underflow
@@ -30,39 +30,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
-from repro.trace.plane import (
-    cached_entry,
-    read_columns,
-    spilled_hash,
-    trace_content_hash,
-    write_columns,
-)
+from repro.trace.plane import cached_entry, trace_content_hash
 from repro.trace.record import BranchType
 from repro.trace.stream import Trace
-
-MAGIC_DERIVED = b"RPDERIV1"
 
 _COND = int(BranchType.CONDITIONAL)
 _DIRECT_CALL = int(BranchType.DIRECT_CALL)
 _INDIRECT_CALL = int(BranchType.INDIRECT_CALL)
 _RETURN = int(BranchType.RETURN)
-
-#: On-disk column order and fixed little-endian dtypes.
-_COLUMNS: Tuple[Tuple[str, str], ...] = (
-    ("indirect_idx", "<i8"),
-    ("indirect_pcs", "<u8"),
-    ("indirect_targets", "<u8"),
-    ("cond_idx", "<i8"),
-    ("cond_bits", "u1"),
-    ("return_idx", "<i8"),
-    ("return_preds", "<u8"),
-    ("return_pred_valid", "u1"),
-    ("return_ok", "u1"),
-)
 
 
 @dataclass
@@ -177,85 +156,10 @@ def compute_derived(
     )
 
 
-def derived_path_for(spill_path: Union[str, Path], ras_depth: int) -> Path:
-    """Where the derived plane for ``spill_path`` at ``ras_depth`` lives."""
-    spill_path = Path(spill_path)
-    return spill_path.with_name(f"{spill_path.name}.d{ras_depth}.plane")
-
-
-def write_derived(plane: DerivedPlane, path: Union[str, Path]) -> None:
-    """Cache ``plane`` at ``path`` (atomic; raw aligned LE columns)."""
-    header = {
-        "version": 1,
-        "trace_name": plane.trace_name,
-        "records": plane.records,
-        "ras_depth": plane.ras_depth,
-        "content_hash": plane.content_hash,
-        "conditionals": plane.conditionals,
-    }
-    columns = [(name, dtype, getattr(plane, name)) for name, dtype in _COLUMNS]
-    write_columns(path, MAGIC_DERIVED, header, columns)
-
-
-def read_derived(path: Union[str, Path]) -> DerivedPlane:
-    """Attach a cached derived plane (``np.memmap``; raises on damage)."""
-    header, arrays = read_columns(path, MAGIC_DERIVED)
-    missing = {name for name, _ in _COLUMNS} - set(arrays)
-    if missing:
-        raise ValueError(f"{path}: missing derived columns {sorted(missing)}")
-    return DerivedPlane(
-        trace_name=header["trace_name"],
-        records=int(header["records"]),
-        ras_depth=int(header["ras_depth"]),
-        content_hash=header["content_hash"],
-        conditionals=int(header["conditionals"]),
-        **{name: arrays[name] for name, _ in _COLUMNS},
-    )
-
-
-def load_or_compute_derived(
-    trace: Trace,
-    spill_path: Optional[Union[str, Path]] = None,
-    ras_depth: int = 32,
-    content_hash: Optional[str] = None,
-) -> DerivedPlane:
-    """The derived plane for ``trace``, via the on-disk cache when possible.
-
-    With a ``spill_path``, a valid cached plane (matching trace name,
-    record count, RAS depth, and content hash) is attached zero-copy;
-    otherwise the plane is computed and written next to the spill for the
-    next reader.  Damaged or stale cache files are silently recomputed.
-    """
-    if content_hash is None and spill_path is not None:
-        content_hash = spilled_hash(spill_path)
-    if content_hash is None:
-        content_hash = trace_content_hash(trace)
-
-    cache_path = (
-        derived_path_for(spill_path, ras_depth) if spill_path is not None else None
-    )
-    if cache_path is not None and cache_path.exists():
-        try:
-            plane = read_derived(cache_path)
-        except (OSError, ValueError, KeyError):
-            plane = None
-        if (
-            plane is not None
-            and plane.matches(trace, ras_depth)
-            and plane.content_hash == content_hash
-        ):
-            return plane
-
-    plane = compute_derived(trace, ras_depth, content_hash=content_hash)
-    if cache_path is not None:
-        write_derived(plane, cache_path)
-    return plane
-
-
 def cached_derived(
     spill_path: Union[str, Path], trace: Trace, ras_depth: int
 ) -> DerivedPlane:
-    """Per-worker memo of :func:`load_or_compute_derived`.
+    """Per-worker memo of :func:`compute_derived`.
 
     The plane lives in the spill's entry of the per-worker
     :class:`repro.trace.plane.TraceCache`, found by the same
@@ -266,8 +170,8 @@ def cached_derived(
     entry = cached_entry(spill_path)
     plane = entry.planes.get(ras_depth)
     if plane is None:
-        plane = load_or_compute_derived(
-            trace, spill_path, ras_depth, entry.content_hash
+        plane = compute_derived(
+            trace, ras_depth, content_hash=entry.content_hash
         )
         entry.planes[ras_depth] = plane
     return plane

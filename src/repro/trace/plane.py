@@ -1,13 +1,12 @@
 """The zero-copy trace plane: aligned column files and the per-worker cache.
 
 A campaign simulates the same immutable trace under many predictors, often
-from many worker processes at once.  Trace spills (``RPTRACE2``) and
-derived planes (``RPDERIV1``, :mod:`repro.trace.derived`) store each
-column as raw little-endian bytes at a 64-byte-aligned offset, so workers
-attach them with ``np.memmap``: the page cache holds one physical copy of
-the columns however many processes read them, and attaching is O(header).
-:func:`write_columns` and :func:`read_columns` are the layout's only
-writer and reader::
+from many worker processes at once.  Trace spills (``RPTRACE2``) store
+each column as raw little-endian bytes at a 64-byte-aligned offset, so
+workers attach them with ``np.memmap``: the page cache holds one physical
+copy of the columns however many processes read them, and attaching is
+O(header).  :func:`write_columns` and :func:`read_columns` are the
+layout's only writer and reader::
 
     magic | <I header_len | JSON header | pad | column bytes ...
 

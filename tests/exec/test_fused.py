@@ -15,8 +15,15 @@ from repro.exec.plan import (
 )
 from repro.exec.pool import CellTimeout, execute_plan, run_cell, run_fused_cell
 from repro.predictors import BranchTargetBuffer, TwoBitBTB
+from repro.registry import INDIRECT_PREDICTORS
 from repro.sim.runner import run_campaign
 from repro.trace.source import MaterializedSource
+
+
+#: Predictors every columnar lane replays through a compiled core.
+_COLUMNAR_ROSTER = {
+    name: INDIRECT_PREDICTORS[name] for name in ("BLBP", "ITTAGE", "VPC")
+}
 
 
 def _cells(tiny_trace, vdispatch_trace, tmp_path, factories=None):
@@ -267,3 +274,28 @@ class TestFusedExecution:
             checkpoint_every=1000, fuse=True,
         )
         assert rerun.results == campaign.results
+
+
+@pytest.mark.usefixtures("compiled_cores")
+class TestDerivedPlaneInMemory:
+    """Columnar workers compute the derived plane in memory and write
+    nothing beside the spills."""
+
+    @pytest.mark.parametrize("fuse", [True, False], ids=["fused", "unfused"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_columnar_campaign_writes_no_plane_files(
+        self, tiny_trace, vdispatch_trace, tmp_path, jobs, fuse
+    ):
+        traces = [tiny_trace, vdispatch_trace]
+        scalar = execute_plan(plan_campaign(
+            traces, _COLUMNAR_ROSTER, cache_dir=tmp_path / "scalar",
+        ))
+        columnar = execute_plan(
+            plan_campaign(
+                traces, _COLUMNAR_ROSTER, cache_dir=tmp_path / "columnar",
+                backend="columnar",
+            ),
+            jobs=jobs, fuse=fuse,
+        )
+        assert list(tmp_path.rglob("*.plane")) == []
+        assert columnar.results == scalar.results

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.registry import make_indirect
 from repro.serve import protocol
-from repro.serve.client import ClientError, ServeClient
+from repro.serve.client import ClientError, ServeClient, stream_for
 from repro.serve.protocol import ProtocolError
 from repro.serve.server import PredictionServer
 from repro.sim.engine import simulate
@@ -237,3 +237,12 @@ class TestTraceEvents:
         kinds = {event[1] for event in protocol.trace_events(_trace(200))}
         assert int(BranchType.CONDITIONAL) in kinds
         assert int(BranchType.INDIRECT_CALL) in kinds
+
+
+class TestStreamFor:
+    @pytest.mark.parametrize("num_events", [1, 2, 11, 12, 13, 64, 100, 832, 2000])
+    @pytest.mark.parametrize("stream_index", [0, 1, 15])
+    def test_returns_at_least_num_events(self, stream_index, num_events):
+        """Whole dispatch iterations: the stream may overshoot, never fall
+        short."""
+        assert len(stream_for(stream_index, num_events)) >= num_events

@@ -16,15 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.ras import ReturnAddressStack
-from repro.trace import derived as derived_module
-from repro.trace.derived import (
-    cached_derived,
-    compute_derived,
-    derived_path_for,
-    load_or_compute_derived,
-    read_derived,
-    write_derived,
-)
+from repro.trace.derived import cached_derived, compute_derived
 from repro.trace.plane import trace_content_hash, write_trace_v2
 from repro.trace.record import BranchRecord, BranchType
 from repro.trace.stream import Trace
@@ -65,15 +57,6 @@ def _assert_ras_equivalent(trace: Trace, depth: int) -> None:
     ] == live_preds
     assert [bool(flag) for flag in plane.return_ok] == live_ok
     assert len(plane.return_idx) == len(live_preds)
-
-
-def _recompute_after_barrier(barrier, spill_path: str) -> None:
-    """Worker for the two-process cache-write collision test."""
-    from repro.trace.stream import read_trace
-
-    trace = read_trace(spill_path)
-    barrier.wait()
-    load_or_compute_derived(trace, spill_path, 32)
 
 
 @st.composite
@@ -144,125 +127,6 @@ class TestDerivedStructure:
     def test_bad_ras_depth_rejected(self, tiny_trace):
         with pytest.raises(ValueError):
             compute_derived(tiny_trace, 0)
-
-
-class TestDiskCache:
-    def test_round_trip(self, callret_trace, tmp_path):
-        plane = compute_derived(callret_trace, 32)
-        path = tmp_path / "t.plane"
-        write_derived(plane, path)
-        loaded = read_derived(path)
-        assert loaded.trace_name == plane.trace_name
-        assert loaded.ras_depth == 32
-        assert loaded.content_hash == plane.content_hash
-        assert loaded.conditionals == plane.conditionals
-        for column in (
-            "indirect_idx", "indirect_pcs", "indirect_targets", "cond_idx",
-            "cond_bits", "return_idx", "return_preds", "return_pred_valid",
-            "return_ok",
-        ):
-            assert np.array_equal(getattr(loaded, column), getattr(plane, column))
-
-    def test_extra_columns_are_ignored(self, callret_trace, tmp_path,
-                                       monkeypatch):
-        """A plane file with columns this version no longer reads (older
-        planes carried a per-PC grouping) still attaches."""
-        plane = compute_derived(callret_trace, 32)
-        plane.pc_order = np.argsort(plane.indirect_pcs, kind="stable")
-        monkeypatch.setattr(
-            derived_module, "_COLUMNS",
-            derived_module._COLUMNS + (("pc_order", "<i8"),),
-        )
-        path = tmp_path / "old.plane"
-        write_derived(plane, path)
-        monkeypatch.undo()
-        loaded = read_derived(path)
-        assert not hasattr(loaded, "pc_order")
-        assert np.array_equal(loaded.return_ok, plane.return_ok)
-        assert np.array_equal(loaded.indirect_pcs, plane.indirect_pcs)
-
-    def test_load_or_compute_writes_then_reuses(self, callret_trace, tmp_path):
-        spill = tmp_path / "t.trace"
-        write_trace_v2(callret_trace, spill)
-        cache_path = derived_path_for(spill, 32)
-        assert not cache_path.exists()
-        first = load_or_compute_derived(callret_trace, spill, 32)
-        assert cache_path.exists()
-        stamp = cache_path.stat().st_mtime_ns
-        second = load_or_compute_derived(callret_trace, spill, 32)
-        assert cache_path.stat().st_mtime_ns == stamp  # no rewrite
-        assert np.array_equal(first.return_preds, second.return_preds)
-
-    def test_depths_cached_separately(self, callret_trace, tmp_path):
-        spill = tmp_path / "t.trace"
-        write_trace_v2(callret_trace, spill)
-        load_or_compute_derived(callret_trace, spill, 2)
-        load_or_compute_derived(callret_trace, spill, 32)
-        assert derived_path_for(spill, 2).exists()
-        assert derived_path_for(spill, 32).exists()
-        assert derived_path_for(spill, 2) != derived_path_for(spill, 32)
-
-    def test_stale_cache_recomputed(self, callret_trace, tiny_trace, tmp_path):
-        spill = tmp_path / "t.trace"
-        write_trace_v2(callret_trace, spill)
-        cache_path = derived_path_for(spill, 32)
-        # Plant a plane for a different trace under the same cache name.
-        write_derived(compute_derived(tiny_trace, 32), cache_path)
-        plane = load_or_compute_derived(callret_trace, spill, 32)
-        assert plane.trace_name == callret_trace.name
-        assert plane.content_hash == trace_content_hash(callret_trace)
-
-    def test_write_does_not_claim_fixed_tmp_name(
-        self, callret_trace, tmp_path
-    ):
-        """Staging must use a unique sibling, not ``<name>.tmp``.
-
-        With a fixed staging name, two writers racing on the same cache
-        path truncate each other's partial file and one publishes a torn
-        plane.  A foreign ``.tmp`` file standing in for the other
-        writer's staging file must survive the write untouched.
-        """
-        path = tmp_path / "t.plane"
-        decoy = tmp_path / "t.plane.tmp"
-        decoy.write_bytes(b"another writer's staging bytes")
-        write_derived(compute_derived(callret_trace, 32), path)
-        assert decoy.read_bytes() == b"another writer's staging bytes"
-        assert read_derived(path).trace_name == callret_trace.name
-
-    def test_concurrent_recompute_publishes_valid_plane(
-        self, callret_trace, tmp_path
-    ):
-        """Two processes recomputing the same plane never tear the file."""
-        import multiprocessing
-
-        spill = tmp_path / "t.trace"
-        write_trace_v2(callret_trace, spill)
-        context = multiprocessing.get_context("spawn")
-        barrier = context.Barrier(2)
-        workers = [
-            context.Process(
-                target=_recompute_after_barrier, args=(barrier, str(spill))
-            )
-            for _ in range(2)
-        ]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=120)
-            assert worker.exitcode == 0
-        plane = read_derived(derived_path_for(spill, 32))
-        assert plane.trace_name == callret_trace.name
-        assert plane.content_hash == trace_content_hash(callret_trace)
-
-    def test_damaged_cache_recomputed(self, callret_trace, tmp_path):
-        spill = tmp_path / "t.trace"
-        write_trace_v2(callret_trace, spill)
-        cache_path = derived_path_for(spill, 32)
-        cache_path.write_bytes(b"garbage, not a derived plane")
-        plane = load_or_compute_derived(callret_trace, spill, 32)
-        assert plane.trace_name == callret_trace.name
-        # And the damaged file was replaced with a good one.
-        assert read_derived(cache_path).trace_name == callret_trace.name
 
 
 class TestCachedDerived:

@@ -26,13 +26,10 @@ CHAMPSIM_FIXTURE = (
     Path(__file__).parent.parent / "fixtures" / "ingest" / "mini.champsim.txt"
 )
 
-#: sha256 of ``repro import mini.champsim.txt`` and of that trace's
-#: RAS-depth-32 derived plane.  Either changes only with a file format.
+#: sha256 of ``repro import mini.champsim.txt``; changes only with the
+#: spill format.
 MINI_TRACE_SHA256 = (
     "aad92a9e953f8c165b8cba23b65d870ea7bcec93297f93c4b6df2d73ef86c8dd"
-)
-MINI_PLANE_SHA256 = (
-    "0290e706b705590c6466f6a37c71788df255f91a51170d7164628093698c1f5a"
 )
 
 
@@ -103,16 +100,6 @@ class TestFormatPins:
         out = tmp_path / "mini.trace"
         assert main(["import", str(CHAMPSIM_FIXTURE), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == MINI_TRACE_SHA256
-
-    def test_derived_plane_bytes(self, tmp_path):
-        from repro.trace.derived import compute_derived, write_derived
-        from repro.trace.source import FileSource
-
-        spill = tmp_path / "mini.trace"
-        FileSource(CHAMPSIM_FIXTURE).spill(spill)
-        plane = tmp_path / "mini.plane"
-        write_derived(compute_derived(read_trace(spill), 32), plane)
-        assert hashlib.sha256(plane.read_bytes()).hexdigest() == MINI_PLANE_SHA256
 
 
 class TestConcurrentSpills:
