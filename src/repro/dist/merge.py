@@ -3,10 +3,11 @@
 A distributed campaign journals each finished cell into a *shard* —
 ``<journal>.shards/<node>.jsonl``, one file per worker node, appended in
 arrival order with the cell's ``node`` identity.  Shards are what makes
-distribution crash-safe without coordination: every append is a flushed
-one-line write to a file no other node touches, so any subset of nodes
-(or the coordinator itself) can die at any byte and leave at most one
-torn final line per shard.
+distribution crash-safe without coordination: every commit is one
+flushed write of a unit's whole lines to a file no other node touches,
+so any subset of nodes (or the coordinator itself) can die at any byte
+and leave at most one torn final line per shard, which the next writer
+of that shard cuts off before appending.
 
 On successful completion the shards are **merged** into the canonical
 journal at ``<journal>``: every plan cell's entry re-serialized in plan
@@ -31,6 +32,7 @@ from typing import Dict, IO, Iterable, List, Optional, Union
 
 from repro.exec.journal import (
     JournalError,
+    open_for_append,
     result_from_json,
     result_to_json,
 )
@@ -58,9 +60,10 @@ class ShardedJournal:
     """A journal writer that routes each entry to its node's shard.
 
     Drop-in for :class:`repro.exec.journal.Journal` (``append(result,
-    node=...)`` / ``close()``): the execution engine does not know it is
-    writing shards.  Entries carry their node identity on disk; the
-    canonical merge strips it again.
+    node=...)`` / ``commit()`` / ``close()``): the execution engine does
+    not know it is writing shards.  A commit writes each touched shard's
+    pending lines in one write and fsyncs that shard once.  Entries carry
+    their node identity on disk; the canonical merge strips it again.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -68,19 +71,28 @@ class ShardedJournal:
         self.directory = shards_dir(path)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._handles: Dict[str, IO[str]] = {}
+        self._pending: Dict[str, List[str]] = {}
 
     def append(self, result: SimulationResult, node: str = "") -> None:
-        handle = self._handles.get(node)
-        if handle is None:
-            handle = open(
-                self.directory / _shard_name(node), "a", encoding="utf-8"
-            )
-            self._handles[node] = handle
-        handle.write(json.dumps(result_to_json(result, node=node)) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
+        self._pending.setdefault(node, []).append(
+            json.dumps(result_to_json(result, node=node)) + "\n"
+        )
+
+    def commit(self) -> None:
+        """Write, flush and fsync every shard line appended since the
+        last commit."""
+        for node, lines in self._pending.items():
+            handle = self._handles.get(node)
+            if handle is None:
+                handle = open_for_append(self.directory / _shard_name(node))
+                self._handles[node] = handle
+            handle.write("".join(lines))
+            handle.flush()
+            os.fsync(handle.fileno())
+        self._pending.clear()
 
     def close(self) -> None:
+        self.commit()
         for handle in self._handles.values():
             handle.close()
         self._handles.clear()

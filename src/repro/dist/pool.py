@@ -99,12 +99,23 @@ class Pool(ABC):
     ) -> None:
         """Run ``units`` on this pool's runners, recording into ``state``.
 
+        A pool outside this process attaches traces from disk, so it
+        first spills the plan's resident traces its units use
+        (:meth:`repro.exec.plan.CampaignPlan.spill`, once per plan).
+
         Raises :class:`repro.exec.pool._PoolDegraded` when the pool
         itself (not a cell) is unusable — the executor then finishes the
         remaining cells in-process.
         """
         units = list(units)
         if not self.in_process:
+            state.plan.spill(
+                {
+                    spec.trace_path
+                    for unit in units
+                    for spec in _member_cells(unit)
+                }
+            )
             _require_picklable(units)
         scheduler = _Scheduler(state, units, timeout, retries, backoff)
         with self._runners(state, checkpoint_every) as runners:

@@ -5,13 +5,15 @@ predictor) cells one at a time in one process.  This package runs the
 same cells as a scheduled *campaign*:
 
 * :mod:`repro.exec.plan` expands traces × factories into serializable
-  :class:`CellSpec`s, spilling traces to the binary cache so workers
-  load columns from disk instead of pickling them;
+  :class:`CellSpec`s that name each trace by its spill path, so workers
+  load columns from disk instead of unpickling them — a trace passed
+  in memory is spilled only when a unit leaves the process;
 * :mod:`repro.exec.pool` executes cells across a process pool with
   per-cell timeouts, bounded retry, and graceful degradation to serial
   execution, merging results in deterministic plan order;
 * :mod:`repro.exec.journal` checkpoints every finished cell to a JSONL
-  file so an interrupted campaign resumes where it died;
+  file, one fsync per execution unit, so an interrupted campaign
+  resumes where it died;
 * :mod:`repro.exec.events` streams structured progress events
   (throughput, ETA, retries) into pluggable sinks.
 
@@ -143,8 +145,11 @@ def run_campaign_parallel(
         jobs: worker processes; ``None`` reads ``REPRO_JOBS`` (default 1).
         journal_path: JSONL checkpoint; pass the same path again to
             resume an interrupted campaign.
-        cache_dir: where trace spill files go; ``None`` uses a
-            temporary directory deleted when the call returns.
+        cache_dir: where trace spill files go when a runner outside
+            this process needs them (``jobs > 1`` or a node pool); a
+            ``jobs=1`` campaign simulates the traces from memory and
+            writes none.  ``None`` uses a temporary directory deleted
+            when the call returns.
         events: structured-event sink (combined with ``progress`` if
             both given).
         timeout, retries, backoff: per-cell execution policy, see

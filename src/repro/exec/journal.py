@@ -3,16 +3,22 @@
 A campaign that dies twenty minutes in should not owe the machine those
 twenty minutes again.  The executor appends every finished
 :class:`~repro.sim.metrics.SimulationResult` to a journal — one JSON
-object per line, flushed per cell — and on restart
-:func:`load_journal` replays it into a ``(trace, predictor) → result``
-map so finished cells are skipped.
+object per line — and on restart :func:`load_journal` replays it into a
+``(trace, predictor) → result`` map so finished cells are skipped.
+
+Lines are group-committed: the executor appends the member cells of one
+execution unit (a fused group or a solo cell), then :meth:`Journal.commit`
+writes them in one write, flushes and fsyncs once.  A process killed at
+any point loses at most the unit that had not committed, whose cells the
+resumed run simply re-simulates.
 
 The format is deliberately dumb: self-describing JSON lines with a
 version tag, append-only, no footer.  A process killed mid-write leaves
 at most one truncated final line, which the loader tolerates and
-drops; every earlier line is intact because each append ends with a
-flush.  Journals from a different format version are rejected loudly
-rather than silently mis-merged.
+drops, and which the next writer cuts off before appending; every
+earlier line is intact because each commit ends with a flush.
+Journals from a different format version are rejected loudly rather
+than silently mis-merged.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, IO, Optional, Union
+from typing import Dict, IO, List, Optional, Union
 
 from repro.exec.plan import CellKey
 from repro.sim.metrics import SimulationResult
@@ -119,32 +125,60 @@ def load_journal(path: Union[str, Path]) -> Dict[CellKey, SimulationResult]:
     return results
 
 
+def open_for_append(path: Union[str, Path]) -> IO[str]:
+    """Open a journal (or shard) file for appending whole lines.
+
+    A torn final line — a write cut short — is truncated first: the
+    loader drops it anyway, and a line appended after it would be glued
+    onto the fragment, corrupting both.
+    """
+    try:
+        with open(path, "rb+") as handle:
+            end = handle.seek(0, os.SEEK_END)
+            if end:
+                handle.seek(end - 1)
+                if handle.read(1) != b"\n":
+                    handle.seek(0)
+                    handle.truncate(handle.read().rfind(b"\n") + 1)
+    except FileNotFoundError:
+        pass
+    return open(path, "a", encoding="utf-8")
+
+
 class Journal:
     """An append-only journal writer (use as a context manager).
 
-    Appending re-opens nothing and rewrites nothing: each
-    :meth:`append` serializes one result, writes one line, and flushes
-    so the entry survives a subsequent SIGKILL.
+    :meth:`append` serializes one result into the pending batch and
+    :meth:`commit` makes the batch durable: one write, one flush, one
+    fsync, so it survives a subsequent SIGKILL.  :meth:`close` commits
+    whatever is still pending.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle: Optional[IO[str]] = open(
-            self.path, "a", encoding="utf-8"
-        )
+        self._handle: Optional[IO[str]] = open_for_append(self.path)
+        self._pending: List[str] = []
 
     def append(self, result: SimulationResult, node: str = "") -> None:
         if self._handle is None:
             raise JournalError(f"journal {self.path} is closed")
-        self._handle.write(
+        self._pending.append(
             json.dumps(result_to_json(result, node=node)) + "\n"
         )
+
+    def commit(self) -> None:
+        """Write, flush and fsync every line appended since the last commit."""
+        if self._handle is None or not self._pending:
+            return
+        self._handle.write("".join(self._pending))
+        self._pending.clear()
         self._handle.flush()
         os.fsync(self._handle.fileno())
 
     def close(self) -> None:
         if self._handle is not None:
+            self.commit()
             self._handle.close()
             self._handle = None
 
@@ -160,6 +194,7 @@ __all__ = [
     "Journal",
     "JournalError",
     "load_journal",
+    "open_for_append",
     "result_from_json",
     "result_to_json",
 ]

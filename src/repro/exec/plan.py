@@ -3,11 +3,18 @@
 A *plan* is the execution engine's unit of truth: one
 :class:`CellSpec` per (trace, predictor) pair, in the same
 deterministic order the serial runner would visit them.  Specs must
-cross a process boundary cheaply, so they reference traces **by on-disk
-path** — :func:`plan_campaign` spills each in-memory trace into the
-``RPTRACE2`` zero-copy format (:mod:`repro.trace.plane`) and workers
-attach it with ``np.memmap``, instead of pickling multi-megabyte NumPy
-columns into every task message.  A spill whose recorded content hash
+cross a process boundary cheaply, so they reference traces **by spill
+path**: workers attach the ``RPTRACE2`` zero-copy format
+(:mod:`repro.trace.plane`) with ``np.memmap`` instead of unpickling
+multi-megabyte NumPy columns from every task message.
+
+A trace the caller already holds in memory is not written at plan time:
+the plan keeps it, with its content hash, as *resident* under the path
+its spill would have.  An in-process run simulates it straight from
+memory; :meth:`CampaignPlan.spill` writes it, once per plan, when a unit
+is about to leave the process.  Sources that must be materialized
+(workload specs, trace files, samples) are spilled at plan time, which
+is what lets the plan release them.  A spill whose recorded content hash
 already matches is left untouched, so resumed campaigns rewrite nothing
 (and keep existing mappings and derived planes valid).
 
@@ -34,7 +41,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.sim.runner import PredictorFactory
-from repro.trace.source import TraceSource, as_source
+from repro.trace.source import MaterializedSource, TraceSource, as_source
 from repro.trace.stream import Trace
 
 #: What campaigns accept as a trace: an in-memory :class:`Trace`, any
@@ -112,7 +119,8 @@ class CellSpec:
     index: int
     trace_name: str
     predictor_name: str
-    #: RPTRACE2 spill file the worker attaches the trace from.
+    #: RPTRACE2 spill file the worker attaches the trace from (for a
+    #: resident trace, the path its spill gets when one is needed).
     trace_path: str
     factory: FactoryRef
     ras_depth: int = 32
@@ -239,6 +247,9 @@ class CampaignPlan:
 
     cells: List[CellSpec] = field(default_factory=list)
     cache_dir: Optional[Path] = None
+    #: In-memory traces by spill path, each with its content hash
+    #: memoized: nothing is written for them until :meth:`spill`.
+    resident: Dict[str, TraceSource] = field(default_factory=dict)
 
     @property
     def total(self) -> int:
@@ -246,6 +257,21 @@ class CampaignPlan:
 
     def keys(self) -> List[CellKey]:
         return [cell.key for cell in self.cells]
+
+    def spill(self, paths: Optional[Iterable[str]] = None) -> int:
+        """Write resident traces (all, or those at ``paths``) to disk.
+
+        A trace whose file already holds its content hash is not written
+        again, so spilling a plan twice writes each trace once.  Returns
+        how many files were written.
+        """
+        if paths is None:
+            paths = self.resident
+        return sum(
+            self.resident[path].spill(path)
+            for path in paths
+            if path in self.resident
+        )
 
 
 _UNSAFE_FILENAME = re.compile(r"[^A-Za-z0-9._-]+")
@@ -282,12 +308,13 @@ def plan_campaign(
     """Expand a campaign into a :class:`CampaignPlan`.
 
     ``traces`` may mix in-memory :class:`Trace`s, lazy
-    :class:`~repro.trace.source.TraceSource`s, and workload specs; each
-    is written once into ``cache_dir`` (created if needed) and each of
-    its cells points at that file.  Lazy sources materialize only here,
-    at spill time, and are released again afterwards — a plan over
-    workload sources produces byte-identical spills, cells, and journals
-    to one over eagerly generated traces.  Cell order matches
+    :class:`~repro.trace.source.TraceSource`s, and workload specs.  Each
+    gets one spill path in ``cache_dir`` (created if needed) that all its
+    cells point at.  An in-memory trace stays resident on the plan and is
+    written only by :meth:`CampaignPlan.spill`; any other source is
+    materialized, spilled and released here — a plan over workload
+    sources produces byte-identical spills, cells, and journals to one
+    over eagerly generated traces.  Cell order matches
     :func:`repro.sim.runner.run_campaign`: traces outermost, factories
     in dict order — so a merged parallel campaign is cell-for-cell
     identical to a serial one.
@@ -321,10 +348,15 @@ def plan_campaign(
     }
 
     cells: List[CellSpec] = []
+    resident: Dict[str, TraceSource] = {}
     index = 0
     for trace_index, source in enumerate(sources):
-        path = cache_dir / _spill_name(trace_index, source.name)
-        source.spill(path)
+        path = str(cache_dir / _spill_name(trace_index, source.name))
+        if isinstance(source, MaterializedSource):
+            source.content_hash()  # the hash its spill header would hold
+            resident[path] = source
+        else:
+            source.spill(path)
         records = len(source)
         source.release()
         for predictor_name, ref in refs.items():
@@ -333,7 +365,7 @@ def plan_campaign(
                     index=index,
                     trace_name=source.name,
                     predictor_name=predictor_name,
-                    trace_path=str(path),
+                    trace_path=path,
                     factory=ref,
                     ras_depth=ras_depth,
                     warmup_records=warmup_records,
@@ -343,7 +375,7 @@ def plan_campaign(
                 )
             )
             index += 1
-    return CampaignPlan(cells=cells, cache_dir=cache_dir)
+    return CampaignPlan(cells=cells, cache_dir=cache_dir, resident=resident)
 
 
 #: Estimated fixed spill overhead (RPTRACE2 magic + JSON header + column

@@ -5,13 +5,19 @@ produces the same :class:`~repro.sim.metrics.CampaignResult` the serial
 runner would.  Every campaign goes through one :class:`_Scheduler`,
 which pulls execution units off one queue for a list of *runners*:
 
-* the in-process runner (``jobs == 1``), driven on the calling thread;
+* the in-process runner (``jobs == 1``), driven on the calling thread,
+  which simulates the plan's resident (in-memory) traces directly;
 * ``jobs`` process-pool slots sharing one
   :class:`~concurrent.futures.ProcessPoolExecutor` (``jobs > 1``);
 * worker nodes of a :class:`repro.dist.NodePool` / ``SSHPool``.
 
-Results are merged **in plan order**, so the outcome is byte-identical
-regardless of which runner finished first.
+Runners outside this process attach traces from disk, so the pool
+spills the plan's resident traces (once per plan) before the first unit
+leaves.  Results are merged **in plan order**, so the outcome is
+byte-identical regardless of which runner finished first.  Each unit's
+cells are journaled with one commit (one fsync) before the unit's
+``cell_finish`` events, so a killed campaign loses at most the units
+that had not finished.
 
 Robustness ladder, roughly in the order things go wrong in practice:
 
@@ -85,7 +91,7 @@ from repro.sim.counters import SimCounters
 from repro.sim.engine import simulate, simulate_many
 from repro.sim.metrics import CampaignResult, SimulationResult
 from repro.trace.derived import cached_derived
-from repro.trace.plane import cached_trace
+from repro.trace.plane import cached_trace, resident_traces
 
 
 class CellTimeout(RuntimeError):
@@ -157,7 +163,10 @@ def run_cell(
     """Execute one cell: load its trace, simulate, stamp the name.
 
     This is the entry point of every runner kind (in-process, process
-    pool worker, dist node).  Returns ``(plan index, result, wall-clock
+    pool worker, dist node).  The trace comes from the per-worker
+    :class:`~repro.trace.plane.TraceCache`: the in-memory trace when
+    ``execute_plan`` registered the path as resident, else the spill at
+    ``spec.trace_path``.  Returns ``(plan index, result, wall-clock
     seconds)``.
 
     When the spec carries a ``checkpoint_path``, the worker resumes from
@@ -334,27 +343,36 @@ class _Execution:
 
     def record(
         self,
-        spec: CellSpec,
-        result: SimulationResult,
-        duration: float,
+        outcomes: List[Tuple[CellSpec, SimulationResult, float]],
         node: str = "",
     ) -> None:
-        self.results[spec.key] = result
-        self.completed += 1
-        self.live_finished += 1
+        """Record one unit's ``(spec, result, seconds)`` rows, in order.
+
+        Every member's journal line is appended and then committed with
+        one fsync, before any ``cell_finish``: a unit is durable before
+        it is announced, and the fsync counts toward the unit's time.
+        """
         if self.journal is not None:
-            self.journal.append(result, node=node)
-        self.emit(
-            CELL_FINISH, spec,
-            completed=self.completed,
-            duration=duration,
-            records=spec.records,
-            records_per_sec=spec.records / duration if duration > 0 else 0.0,
-            eta_seconds=self._eta(),
-            mpki=result.mpki(),
-            profile=result.profile,
-            node=node,
-        )
+            for _, result, _ in outcomes:
+                self.journal.append(result, node=node)
+            self.journal.commit()
+        for spec, result, duration in outcomes:
+            self.results[spec.key] = result
+            self.completed += 1
+            self.live_finished += 1
+            self.emit(
+                CELL_FINISH, spec,
+                completed=self.completed,
+                duration=duration,
+                records=spec.records,
+                records_per_sec=(
+                    spec.records / duration if duration > 0 else 0.0
+                ),
+                eta_seconds=self._eta(),
+                mpki=result.mpki(),
+                profile=result.profile,
+                node=node,
+            )
 
     def pending(self) -> List[CellSpec]:
         return [
@@ -576,9 +594,10 @@ class _Scheduler:
         with self.lock:
             # Member (plan) order keeps a fused journal byte-identical to
             # an unfused one.
-            for spec in cells:
-                result, seconds = by_index[spec.index]
-                self.state.record(spec, result, seconds, node=runner.node)
+            self.state.record(
+                [(spec, *by_index[spec.index]) for spec in cells],
+                node=runner.node,
+            )
         return []
 
     def _failed(
@@ -670,7 +689,7 @@ def _attach_checkpoints(
         )
         for cell in plan.cells
     ]
-    return CampaignPlan(cells=cells, cache_dir=plan.cache_dir)
+    return dataclasses.replace(plan, cells=cells)
 
 
 def execute_plan(
@@ -758,30 +777,35 @@ def execute_plan(
 
     state = _Execution(plan, events, journal)
     state.emit(CAMPAIGN_START, jobs=jobs, completed=0)
+    resident = {
+        path: (source.trace(), source.content_hash())
+        for path, source in plan.resident.items()
+    }
     try:
         for cell in plan.cells:
             if cell.key in journaled:
                 state.skip(cell, journaled[cell.key])
         pending = state.pending()
         if pending:
-            try:
-                pool.execute(
-                    state,
-                    _plan_units(pending, fuse),
-                    timeout=timeout,
-                    retries=retries,
-                    backoff=backoff,
-                    checkpoint_every=checkpoint_every,
-                )
-            except _PoolDegraded as degraded:
-                state.emit(FALLBACK, message=str(degraded))
-                _Scheduler(
-                    state,
-                    _plan_units(state.pending(), fuse),
-                    timeout,
-                    retries,
-                    backoff,
-                ).run([_InProcessRunner()])
+            with resident_traces(resident):
+                try:
+                    pool.execute(
+                        state,
+                        _plan_units(pending, fuse),
+                        timeout=timeout,
+                        retries=retries,
+                        backoff=backoff,
+                        checkpoint_every=checkpoint_every,
+                    )
+                except _PoolDegraded as degraded:
+                    state.emit(FALLBACK, message=str(degraded))
+                    _Scheduler(
+                        state,
+                        _plan_units(state.pending(), fuse),
+                        timeout,
+                        retries,
+                        backoff,
+                    ).run([_InProcessRunner()])
     finally:
         if journal is not None:
             journal.close()

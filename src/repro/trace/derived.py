@@ -166,6 +166,7 @@ def cached_derived(
     ``(path, size, mtime_ns)`` key and header content-hash re-check as
     :func:`repro.trace.plane.cached_trace` — a rewritten spill drops its
     planes with its mapping, and an evicted trace takes its planes along.
+    A resident (in-memory) trace's planes live in its entry the same way.
     """
     entry = cached_entry(spill_path)
     plane = entry.planes.get(ras_depth)

@@ -1,26 +1,28 @@
-"""The zero-copy trace plane: aligned column files and the per-worker cache.
+"""The zero-copy trace plane: the spill format and the per-worker cache.
 
 A campaign simulates the same immutable trace under many predictors, often
 from many worker processes at once.  Trace spills (``RPTRACE2``) store
 each column as raw little-endian bytes at a 64-byte-aligned offset, so
 workers attach them with ``np.memmap``: the page cache holds one physical
 copy of the columns however many processes read them, and attaching is
-O(header).  :func:`write_columns` and :func:`read_columns` are the
-layout's only writer and reader::
+O(header).  :func:`write_trace_v2` and :func:`attach_trace` are the
+format's only writer and reader::
 
-    magic | <I header_len | JSON header | pad | column bytes ...
+    RPTRACE2 | <I header_len | JSON header | pad | column bytes ...
 
-The JSON header (sorted keys) carries the file's own fields plus a column
-table of ``{name, dtype, offset, bytes}`` entries.  A spill's header holds
-the trace name, record count and SHA-256 content hash (the planner skips
-re-spilling a matching trace); ``takens`` is stored as ``u1`` and viewed
-as ``bool`` on attach, which keeps the view zero-copy.
+The JSON header (sorted keys) holds the trace name, record count and
+SHA-256 content hash (a spill whose hash matches is not rewritten) plus a
+column table of ``{name, dtype, offset, bytes}`` entries; ``takens`` is
+stored as ``u1`` and viewed as ``bool`` on attach, which keeps the view
+zero-copy.
 
 :class:`TraceCache` fronts :func:`attach_trace` with a small LRU keyed by
 ``(path, size, mtime_ns)``, so a worker maps each spill once however many
 cells reference it.  An entry also holds the trace's derived planes by RAS
 depth, so a plane leaves the cache with its trace.  :func:`cached_trace`
-uses a module-level instance as the per-worker-process cache.
+uses a module-level instance as the per-worker-process cache, and
+:func:`resident_traces` lets an in-process campaign serve traces it holds
+in memory through the same cache, by the path they would be spilled to.
 """
 
 from __future__ import annotations
@@ -30,9 +32,12 @@ import json
 import os
 import tempfile
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -74,87 +79,9 @@ def atomic_write_bytes(
         raise
 
 
-_ALIGNMENT = 64
-
-#: ``(name, on-disk dtype, values)`` — one column of a column file.
-Column = Tuple[str, str, np.ndarray]
-
-
-def _pad_to(offset: int) -> int:
-    remainder = offset % _ALIGNMENT
-    return offset if remainder == 0 else offset + (_ALIGNMENT - remainder)
-
-
-def write_columns(
-    path: Union[str, Path], magic: bytes, header: dict, columns: Sequence[Column]
-) -> None:
-    """Atomically publish ``header`` and ``columns`` (in order) at ``path``."""
-    arrays = [
-        (name, dtype, np.ascontiguousarray(values, dtype=np.dtype(dtype)))
-        for name, dtype, values in columns
-    ]
-    prefix = len(magic) + 4
-    # Offsets feed the header's length and the header's length feeds the
-    # offsets, so re-measure from zero offsets until they are stable.
-    offsets = [0] * len(arrays)
-    while True:
-        table = [
-            {"name": name, "dtype": dtype, "offset": offset, "bytes": array.nbytes}
-            for (name, dtype, array), offset in zip(arrays, offsets)
-        ]
-        encoded = json.dumps({**header, "columns": table}, sort_keys=True).encode()
-        cursor, settled = prefix + len(encoded), []
-        for _, _, array in arrays:
-            cursor = _pad_to(cursor)
-            settled.append(cursor)
-            cursor += array.nbytes
-        if settled == offsets:
-            break
-        offsets = settled
-
-    parts: List[Any] = [magic, len(encoded).to_bytes(4, "little"), encoded]
-    cursor = prefix + len(encoded)
-    for offset, (_, _, array) in zip(offsets, arrays):
-        parts += [bytes(offset - cursor), array]
-        cursor = offset + array.nbytes
-    atomic_write_bytes(path, *parts)
-
-
-def _read_header(path: Union[str, Path], magic: bytes) -> dict:
-    with open(path, "rb") as handle:
-        if handle.read(len(magic)) != magic:
-            raise ValueError(f"{path} has no {magic.decode()} magic")
-        header_len = int.from_bytes(handle.read(4), "little")
-        return json.loads(handle.read(header_len).decode("utf-8"))
-
-
-def read_columns(
-    path: Union[str, Path], magic: bytes
-) -> Tuple[dict, Dict[str, np.ndarray]]:
-    """The header and columns of a ``magic`` column file, zero-copy.
-
-    Each column is a read-only ``np.memmap`` view over the page cache,
-    keyed by name.  Raises ``ValueError`` for a file of another format or
-    a column whose byte count is not a whole number of its dtype.
-    """
-    header = _read_header(path, magic)
-    columns = {}
-    for entry in header["columns"]:
-        dtype = np.dtype(entry["dtype"])
-        count, misaligned = divmod(entry["bytes"], dtype.itemsize)
-        if misaligned:
-            raise ValueError(f"{path}: column {entry['name']} byte count misaligned")
-        columns[entry["name"]] = (
-            np.memmap(
-                path, dtype=dtype, mode="r", offset=entry["offset"], shape=(count,)
-            )
-            if count
-            else np.empty(0, dtype=dtype)
-        )
-    return header, columns
-
-
 MAGIC_V2 = b"RPTRACE2"
+
+_ALIGNMENT = 64
 
 #: Column storage order and fixed on-disk dtypes (explicitly little-endian,
 #: so spills are portable and hashes machine-independent).
@@ -167,17 +94,22 @@ _COLUMNS: Tuple[Tuple[str, str], ...] = (
 )
 
 
-def _trace_columns(trace: Trace) -> List[Column]:
-    """The trace's columns in storage order and their on-disk dtypes."""
+def _pad_to(offset: int) -> int:
+    remainder = offset % _ALIGNMENT
+    return offset if remainder == 0 else offset + (_ALIGNMENT - remainder)
+
+
+def _trace_columns(trace: Trace) -> List[np.ndarray]:
+    """The trace's columns in storage order and on-disk dtypes."""
     return [
-        (name, dtype, np.ascontiguousarray(getattr(trace, name), dtype=np.dtype(dtype)))
+        np.ascontiguousarray(getattr(trace, name), dtype=np.dtype(dtype))
         for name, dtype in _COLUMNS
     ]
 
 
-def _content_hash(name: str, columns: Sequence[Column]) -> str:
+def _content_hash(name: str, columns: Sequence[np.ndarray]) -> str:
     digest = hashlib.sha256(name.encode("utf-8") + b"\x00")
-    for _, _, array in columns:
+    for array in columns:
         digest.update(array)
     return digest.hexdigest()
 
@@ -212,23 +144,55 @@ def write_trace_v2(
     the caller already has it).  The write is atomic, so concurrent
     attachers never see a torn spill.
     """
-    columns = _trace_columns(trace)
+    arrays = _trace_columns(trace)
     if content_hash is None:
-        content_hash = _content_hash(trace.name, columns)
+        content_hash = _content_hash(trace.name, arrays)
     header = {
         "version": 2,
         "name": trace.name,
         "records": len(trace),
         "content_hash": content_hash,
     }
-    write_columns(path, MAGIC_V2, header, columns)
+    prefix = len(MAGIC_V2) + 4
+    # Offsets feed the header's length and the header's length feeds the
+    # offsets, so re-measure from zero offsets until they are stable.
+    offsets = [0] * len(arrays)
+    while True:
+        table = [
+            {"name": name, "dtype": dtype, "offset": offset, "bytes": array.nbytes}
+            for (name, dtype), array, offset in zip(_COLUMNS, arrays, offsets)
+        ]
+        encoded = json.dumps({**header, "columns": table}, sort_keys=True).encode()
+        cursor, settled = prefix + len(encoded), []
+        for array in arrays:
+            cursor = _pad_to(cursor)
+            settled.append(cursor)
+            cursor += array.nbytes
+        if settled == offsets:
+            break
+        offsets = settled
+
+    parts: List[Any] = [MAGIC_V2, len(encoded).to_bytes(4, "little"), encoded]
+    cursor = prefix + len(encoded)
+    for offset, array in zip(offsets, arrays):
+        parts += [bytes(offset - cursor), array]
+        cursor = offset + array.nbytes
+    atomic_write_bytes(path, *parts)
     return content_hash
+
+
+def _read_header(path: Union[str, Path]) -> dict:
+    with open(path, "rb") as handle:
+        if handle.read(len(MAGIC_V2)) != MAGIC_V2:
+            raise ValueError(f"{path} has no {MAGIC_V2.decode()} magic")
+        header_len = int.from_bytes(handle.read(4), "little")
+        return json.loads(handle.read(header_len).decode("utf-8"))
 
 
 def read_header_v2(path: Union[str, Path]) -> Optional[dict]:
     """The RPTRACE2 JSON header of ``path``, or ``None`` if it is not v2."""
     try:
-        return _read_header(path, MAGIC_V2)
+        return _read_header(path)
     except (OSError, ValueError):
         return None
 
@@ -248,10 +212,25 @@ def attach_trace(path: Union[str, Path]) -> Trace:
 
     The returned :class:`Trace` holds read-only views over the page cache;
     every worker attaching the same file shares one physical copy of the
-    column data.
+    column data.  Raises ``ValueError`` for a file of another format, a
+    column whose byte count is not a whole number of its dtype, or one
+    whose length is not the header's record count.
     """
-    header, columns = read_columns(path, MAGIC_V2)
+    header = _read_header(path)
     records = int(header["records"])
+    columns = {}
+    for entry in header["columns"]:
+        dtype = np.dtype(entry["dtype"])
+        count, misaligned = divmod(entry["bytes"], dtype.itemsize)
+        if misaligned:
+            raise ValueError(f"{path}: column {entry['name']} byte count misaligned")
+        columns[entry["name"]] = (
+            np.memmap(
+                path, dtype=dtype, mode="r", offset=entry["offset"], shape=(count,)
+            )
+            if count
+            else np.empty(0, dtype=dtype)
+        )
     for name, _ in _COLUMNS:
         found = len(columns.get(name, ()))
         if found != records:
@@ -271,10 +250,11 @@ def attach_trace(path: Union[str, Path]) -> Trace:
 
 @dataclass
 class CachedSpill:
-    """One :class:`TraceCache` entry: an attached spill and what hangs off it."""
+    """One :class:`TraceCache` entry: a trace and what hangs off it."""
 
     trace: Trace
-    #: The header content hash at attach time, re-checked on every hit.
+    #: The header content hash at attach time, re-checked on every hit
+    #: (for a resident trace, the hash its owner computed).
     content_hash: Optional[str]
     #: Derived planes by RAS depth (:func:`repro.trace.derived.cached_derived`).
     planes: Dict[int, Any] = field(default_factory=dict)
@@ -282,7 +262,10 @@ class CachedSpill:
 
 _CacheKey = Tuple[str, int, int]
 
-#: Attached traces one worker keeps (:func:`cached_trace`).
+#: The size/mtime slots of a resident trace's cache key (no file backs it).
+_RESIDENT = -1
+
+#: Entries one worker keeps (:func:`cached_trace`).
 TRACE_CACHE_CAPACITY = 8
 
 
@@ -295,6 +278,10 @@ class TraceCache:
     Every hit therefore re-reads the spill's JSON header (O(header),
     page-cached) and compares its content hash against the one captured
     at attach time; a mismatch evicts the stale entry and re-attaches.
+
+    Inside a :meth:`resident` block, a path can instead name an in-memory
+    trace: its entry (and derived planes) lives in the same LRU, and no
+    file need exist.
     """
 
     def __init__(self, capacity: int = TRACE_CACHE_CAPACITY) -> None:
@@ -304,6 +291,7 @@ class TraceCache:
         self.hits = 0
         self.misses = 0
         self._entries: "OrderedDict[_CacheKey, CachedSpill]" = OrderedDict()
+        self._resident: Dict[str, Tuple[Trace, str]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -311,6 +299,24 @@ class TraceCache:
     def entry(self, path: Union[str, Path]) -> CachedSpill:
         """The live entry for ``path``, attaching the spill on a miss."""
         path = Path(path)
+        resident = self._resident.get(str(path))
+        if resident is not None:
+            key = (str(path), _RESIDENT, _RESIDENT)
+            cached = self._entries.get(key)
+            if cached is not None:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                return cached
+            self.misses += 1
+            trace, content_hash = resident
+            # A new Trace over the same columns: what the engine memoizes
+            # on a trace (its scalar columns) then leaves with this entry
+            # instead of staying on the caller's trace.
+            view = Trace(
+                trace.name, trace.pcs, trace.types, trace.takens,
+                trace.targets, trace.gaps,
+            )
+            return self._admit(key, CachedSpill(view, content_hash))
         stat = os.stat(path)
         key = (str(path), stat.st_size, stat.st_mtime_ns)
         cached = self._entries.get(key)
@@ -323,18 +329,44 @@ class TraceCache:
         self.misses += 1
         # Drop stale generations of the same file before admitting the new
         # one, so a rewritten spill cannot pin two mappings.
-        for stale in [k for k in self._entries if k[0] == key[0]]:
-            del self._entries[stale]
+        self._drop(key[0])
         # Hash before attaching: a rewrite in between then fails the next
         # hit's re-check instead of pinning the new hash to old columns.
         recorded = spilled_hash(path)
-        cached = self._entries[key] = CachedSpill(attach_trace(path), recorded)
+        return self._admit(key, CachedSpill(attach_trace(path), recorded))
+
+    def _admit(self, key: _CacheKey, cached: CachedSpill) -> CachedSpill:
+        self._entries[key] = cached
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
         return cached
 
+    def _drop(self, path: str) -> None:
+        for stale in [key for key in self._entries if key[0] == path]:
+            del self._entries[stale]
+
     def get(self, path: Union[str, Path]) -> Trace:
         return self.entry(path).trace
+
+    @contextmanager
+    def resident(self, traces: Dict[str, Tuple[Trace, str]]) -> Iterator[None]:
+        """Serve in-memory traces by path for the duration of the block.
+
+        ``traces`` maps a spill path to ``(trace, content hash)``.  Inside
+        the block :meth:`entry` answers those paths from memory, whether
+        or not a spill exists there.  On exit every entry of those paths
+        leaves the cache, so nothing here outlives the block.  A path
+        already resident (a nested block) stays with its outer block.
+        """
+        added = [path for path in traces if path not in self._resident]
+        for path in added:
+            self._resident[path] = traces[path]
+        try:
+            yield
+        finally:
+            for path in added:
+                del self._resident[path]
+                self._drop(path)
 
     def clear(self) -> None:
         self._entries.clear()
@@ -354,3 +386,8 @@ def cached_entry(path: Union[str, Path]) -> CachedSpill:
 def cached_trace(path: Union[str, Path]) -> Trace:
     """Attach ``path`` through the per-worker-process :class:`TraceCache`."""
     return _worker_cache.get(path)
+
+
+def resident_traces(traces: Dict[str, Tuple[Trace, str]]):
+    """:meth:`TraceCache.resident` on the per-worker-process cache."""
+    return _worker_cache.resident(traces)

@@ -26,6 +26,16 @@ from repro.trace.stream import Trace
 TEXT_BASE = 0x0000_0000_0040_0000
 
 
+#: Branch type codes as plain ints: the builder appends one per record,
+#: and ``int()`` of an ``IntEnum`` member is not free.
+_CONDITIONAL = int(BranchType.CONDITIONAL)
+_INDIRECT_CALL = int(BranchType.INDIRECT_CALL)
+_INDIRECT_JUMP = int(BranchType.INDIRECT_JUMP)
+_DIRECT_CALL = int(BranchType.DIRECT_CALL)
+_DIRECT_JUMP = int(BranchType.DIRECT_JUMP)
+_RETURN = int(BranchType.RETURN)
+
+
 class TraceBuilder:
     """Column-wise accumulator for branch records."""
 
@@ -40,12 +50,13 @@ class TraceBuilder:
     def branch(
         self,
         pc: int,
-        branch_type: BranchType,
+        branch_type: int,
         taken: bool,
         target: int,
         gap: int = 0,
     ) -> None:
-        """Append one dynamic branch execution."""
+        """Append one dynamic branch execution (``branch_type`` is a
+        :class:`BranchType` or its int code)."""
         self._pcs.append(pc)
         self._types.append(int(branch_type))
         self._takens.append(taken)
@@ -54,27 +65,32 @@ class TraceBuilder:
 
     def conditional(self, pc: int, taken: bool, target: int, gap: int = 0) -> None:
         """Append a conditional branch."""
-        self.branch(pc, BranchType.CONDITIONAL, taken, target, gap)
+        # The most frequent record, so appended here rather than via branch().
+        self._pcs.append(pc)
+        self._types.append(_CONDITIONAL)
+        self._takens.append(taken)
+        self._targets.append(target)
+        self._gaps.append(gap)
 
     def indirect_call(self, pc: int, target: int, gap: int = 0) -> None:
         """Append an indirect call."""
-        self.branch(pc, BranchType.INDIRECT_CALL, True, target, gap)
+        self.branch(pc, _INDIRECT_CALL, True, target, gap)
 
     def indirect_jump(self, pc: int, target: int, gap: int = 0) -> None:
         """Append an indirect jump."""
-        self.branch(pc, BranchType.INDIRECT_JUMP, True, target, gap)
+        self.branch(pc, _INDIRECT_JUMP, True, target, gap)
 
     def direct_call(self, pc: int, target: int, gap: int = 0) -> None:
         """Append a direct call."""
-        self.branch(pc, BranchType.DIRECT_CALL, True, target, gap)
+        self.branch(pc, _DIRECT_CALL, True, target, gap)
 
     def direct_jump(self, pc: int, target: int, gap: int = 0) -> None:
         """Append a direct jump."""
-        self.branch(pc, BranchType.DIRECT_JUMP, True, target, gap)
+        self.branch(pc, _DIRECT_JUMP, True, target, gap)
 
     def ret(self, pc: int, target: int, gap: int = 0) -> None:
         """Append a procedure return."""
-        self.branch(pc, BranchType.RETURN, True, target, gap)
+        self.branch(pc, _RETURN, True, target, gap)
 
     def __len__(self) -> int:
         return len(self._pcs)

@@ -171,6 +171,18 @@ class TestShardedJournalRoundTrip:
         assert len(loaded) == 3
         assert loaded[_key(_result(1))].node == "node1"
 
+    def test_append_after_torn_shard_line(self, tmp_path):
+        path = tmp_path / "campaign.jsonl"
+        with ShardedJournal(path) as journal:
+            journal.append(_result(0), node="node0")
+            journal.append(_result(1), node="node0")
+        shard = shards_dir(path) / "node0.jsonl"
+        shard.write_text(shard.read_text()[:-20])  # SIGKILL mid-write
+        with ShardedJournal(path) as journal:
+            journal.append(_result(1), node="node0")
+            journal.append(_result(2), node="node0")
+        assert len(load_shards(path)) == 3
+
     def test_hostile_node_name_sanitized(self, tmp_path):
         path = tmp_path / "campaign.jsonl"
         with ShardedJournal(path) as journal:

@@ -87,6 +87,7 @@ def test_unit_round_trip_has_no_stall(tmp_path):
         "BTB": BranchTargetBuffer, "2bit": TwoBitBTB, "ITTAGE": ITTAGE,
     }
     plan = plan_campaign([trace], factories, cache_dir=tmp_path / "spill")
+    plan.spill()
     path = plan.cells[0].trace_path
     content_hash = trace_file_hash(path)
     wires = [protocol.cell_to_wire(spec, content_hash) for spec in plan.cells]

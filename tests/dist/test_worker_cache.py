@@ -51,6 +51,7 @@ def _wires(tmp_path, factories):
     holding the spilled trace."""
     trace = _trace()
     plan = plan_campaign([trace], factories, cache_dir=tmp_path / "spill")
+    plan.spill()
     store = TraceStore(tmp_path / "store")
     wires = []
     for spec in plan.cells:

@@ -59,6 +59,7 @@ def unit(tmp_path):
         "BTB": BranchTargetBuffer, "2bit": TwoBitBTB, "ITTAGE": ITTAGE,
     }
     plan = plan_campaign([trace], factories, cache_dir=tmp_path / "spill")
+    plan.spill()
     store = TraceStore(tmp_path / "store")
     wires = []
     for spec in plan.cells:

@@ -117,6 +117,7 @@ class TestMidCellResume:
     def test_killed_cell_resumes_and_matches_baseline(self, traces, tmp_path):
         factories = {"BLBP": BLBP, "ITTAGE": ITTAGE}
         plan = plan_campaign(traces, factories, cache_dir=tmp_path / "c")
+        plan.spill()  # the planted checkpoint reads the spill
         baseline = execute_plan(plan, jobs=1)
 
         journal = tmp_path / "resumed.jsonl"
@@ -142,6 +143,7 @@ class TestMidCellResume:
     ):
         factories = {"BLBP": BLBP}
         plan = plan_campaign(traces, factories, cache_dir=tmp_path / "c")
+        plan.spill()  # the planted checkpoint reads the spill
 
         clean_journal = tmp_path / "clean.jsonl"
         execute_plan(
@@ -180,6 +182,7 @@ class TestMidCellResume:
         other_plan = plan_campaign(
             traces[1:2], factories, cache_dir=tmp_path / "c2"
         )
+        other_plan.spill()  # the planted checkpoint reads the spill
         planted = _plant_partial_checkpoint(other_plan.cells[0], checkpoint_dir)
         target = checkpoint_dir / checkpoint_name(plan.cells[0])
         planted.rename(target)
@@ -213,6 +216,7 @@ class TestMidCellResume:
         retry restarts the trace from record zero."""
         plan = plan_campaign(traces[:1], {"BLBP": BLBP},
                              cache_dir=tmp_path / "c")
+        plan.spill()  # the planted checkpoint reads the spill
         baseline = execute_plan(plan, jobs=1)
 
         journal = tmp_path / "bad-ibtb.jsonl"
@@ -235,6 +239,7 @@ class TestMidCellResume:
         plan = plan_campaign(
             traces[:1], {"BTB": BranchTargetBuffer}, cache_dir=tmp_path / "c"
         )
+        plan.spill()  # run_cell outside execute_plan attaches the spill
         path = tmp_path / "one.ckpt.json"
         spec = dataclasses.replace(
             plan.cells[0], checkpoint_every=_EVERY, checkpoint_path=str(path)

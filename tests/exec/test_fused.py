@@ -123,13 +123,13 @@ class TestSpillReuse:
                                        tmp_path):
         """Resuming into the same cache_dir performs zero spill writes."""
         factories = {"BTB": BranchTargetBuffer}
-        plan_campaign([tiny_trace, vdispatch_trace], factories,
-                      cache_dir=tmp_path)
+        assert plan_campaign([tiny_trace, vdispatch_trace], factories,
+                             cache_dir=tmp_path).spill() == 2
         spills = sorted(tmp_path.glob("*.trace"))
         assert spills
         stamps = [path.stat().st_mtime_ns for path in spills]
-        plan_campaign([tiny_trace, vdispatch_trace], factories,
-                      cache_dir=tmp_path)
+        assert plan_campaign([tiny_trace, vdispatch_trace], factories,
+                             cache_dir=tmp_path).spill() == 0
         assert [p.stat().st_mtime_ns for p in spills] == stamps
 
     def test_spill_trace_reports_writes(self, tiny_trace, vdispatch_trace,
@@ -151,6 +151,7 @@ class TestFusedTimeout:
             for name in ("s1", "s2", "s3")
         }
         plan = plan_campaign([tiny_trace], factories, cache_dir=tmp_path)
+        plan.spill()  # run_fused_cell outside execute_plan attaches it
         [group] = fuse_cells(plan.cells)
         assert group.size == 3
         outcomes = run_fused_cell(group, timeout=budget)
@@ -162,6 +163,7 @@ class TestFusedTimeout:
             {"slow": functools.partial(_slow_factory, 5.0)},
             cache_dir=tmp_path,
         )
+        plan.spill()  # run_cell outside execute_plan attaches the spill
         with pytest.raises(CellTimeout):
             run_cell(plan.cells[0], timeout=0.2)
 
@@ -170,6 +172,7 @@ class TestFusedExecution:
     def test_run_fused_cell_matches_run_cell(self, tiny_trace,
                                              vdispatch_trace, tmp_path):
         plan = _cells(tiny_trace, vdispatch_trace, tmp_path)
+        plan.spill()  # runs outside execute_plan attach the spills
         [g1, g2] = fuse_cells(plan.cells)
         fused = {
             index: result

@@ -93,6 +93,30 @@ class TestJournalFile:
             journal.append(_result("a", "BTB", misses=9))
         assert load_journal(path)[("a", "BTB")].indirect_mispredictions == 9
 
+    def test_append_after_torn_final_line(self, tmp_path):
+        """A resumed writer cuts the torn line off before appending, so
+        the next line is not glued onto the fragment."""
+        path = tmp_path / "j.jsonl"
+        with Journal(path) as journal:
+            journal.append(_result("a", "BTB"))
+            journal.append(_result("b", "BTB"))
+        path.write_text(path.read_text()[:-20])  # SIGKILL mid-write
+        with Journal(path) as journal:
+            journal.append(_result("b", "BTB"))
+            journal.append(_result("c", "BTB"))
+        assert set(load_journal(path)) == {
+            ("a", "BTB"), ("b", "BTB"), ("c", "BTB"),
+        }
+
+    def test_commit_writes_a_units_lines_together(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        with Journal(path) as journal:
+            journal.append(_result("a", "BTB"))
+            journal.append(_result("a", "2bit"))
+            assert path.read_text() == ""
+            journal.commit()
+            assert len(path.read_text().splitlines()) == 2
+
     def test_closed_journal_refuses_append(self, tmp_path):
         journal = Journal(tmp_path / "j.jsonl")
         journal.close()

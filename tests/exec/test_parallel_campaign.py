@@ -137,7 +137,7 @@ class TestCacheDir:
     def test_explicit_cache_dir_keeps_spills(self, tiny_trace, tmp_path):
         spill = tmp_path / "spill"
         run_campaign_parallel(
-            [tiny_trace], {"BTB": BranchTargetBuffer}, jobs=1,
+            [tiny_trace], {"BTB": BranchTargetBuffer}, jobs=2,
             cache_dir=spill,
         )
         assert list(spill.glob("*.trace"))

@@ -72,6 +72,8 @@ class TestPlanCampaign:
             {"BTB": BranchTargetBuffer, "2bit": TwoBitBTB},
             cache_dir=tmp_path,
         )
+        assert plan.spill() == 2  # one write per trace
+        assert plan.spill() == 0  # ... and only one
         paths = {cell.trace_path for cell in plan.cells}
         assert len(paths) == 2  # one spill file per trace, shared by cells
         for cell in plan.cells:
@@ -111,6 +113,7 @@ class TestPlanCampaign:
         plan = plan_campaign(
             [weird], {"BTB": BranchTargetBuffer}, cache_dir=tmp_path,
         )
+        plan.spill()
         loaded = read_trace(plan.cells[0].trace_path)
         assert loaded.name == "a/b c:δ"
 
@@ -133,6 +136,7 @@ class TestPlanOverSources:
             [spec.generate()], {"BTB": BranchTargetBuffer},
             cache_dir=tmp_path / "eager",
         )
+        eager.spill()
         lazy = plan_campaign(
             [WorkloadSource(spec)], {"BTB": BranchTargetBuffer},
             cache_dir=tmp_path / "lazy",
@@ -154,12 +158,12 @@ class TestPlanOverSources:
         assert plan.cells[0].records == 400
 
     def test_spill_once_keyed_on_content_hash(self, tiny_trace, tmp_path):
-        plan_campaign([tiny_trace], {"BTB": BranchTargetBuffer},
-                      cache_dir=tmp_path)
+        assert plan_campaign([tiny_trace], {"BTB": BranchTargetBuffer},
+                             cache_dir=tmp_path).spill() == 1
         spill = tmp_path / f"0000-{tiny_trace.name}.trace"
         stamp = spill.stat().st_mtime_ns
-        plan_campaign([tiny_trace], {"BTB": BranchTargetBuffer},
-                      cache_dir=tmp_path)
+        assert plan_campaign([tiny_trace], {"BTB": BranchTargetBuffer},
+                             cache_dir=tmp_path).spill() == 0
         assert spill.stat().st_mtime_ns == stamp
 
     def test_lazy_source_released_after_planning(self, tmp_path):

@@ -70,6 +70,7 @@ class TestRunCell:
         plan = plan_campaign(
             [tiny_trace], {"BTB": BranchTargetBuffer}, cache_dir=tmp_path,
         )
+        plan.spill()  # run_cell outside execute_plan attaches the spill
         index, result, duration = run_cell(plan.cells[0])
         assert index == 0
         assert result.trace_name == "tiny"
@@ -82,6 +83,7 @@ class TestRunCell:
             {"slow": functools.partial(_slow_factory, 5.0)},
             cache_dir=tmp_path,
         )
+        plan.spill()  # run_cell outside execute_plan attaches the spill
         with pytest.raises(CellTimeout):
             run_cell(plan.cells[0], timeout=0.2)
 

@@ -394,6 +394,7 @@ class TestCampaignKillResumeEquivalence:
         traces = [trace for _, trace in _traces()[:2]]
         factories = {"BLBP": BLBP}
         plan = plan_campaign(traces, factories, cache_dir=tmp_path / "cache")
+        plan.spill()  # the planted checkpoint reads the spill
 
         clean_journal = tmp_path / "clean.jsonl"
         clean = execute_plan(
