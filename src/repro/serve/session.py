@@ -15,12 +15,13 @@ indirect of the message, on one of two paths decided at its first step
 (:attr:`PredictorSession.step_path`):
 
 * **core** — a BLBP or ITTAGE predictor the compiled cores accept
-  replays the message in one core call over its columns
-  (:func:`repro.sim.kernel.replay_blbp`,
-  :func:`repro.sim.kernel_ittage.replay_ittage`).  Each call pays a
-  fixed marshalling cost, so this beats the scalar calls from about 6
-  events per message and loses below that (``docs/serving.md``
-  tabulates the step cost by message size);
+  (:func:`repro.sim.kernel.span_support`, the test the engine applies
+  to its checkpoint spans) replays the message over its columns through
+  :func:`repro.sim.kernel.replay_cores`, the core dispatch the engine's
+  spans and campaigns also call.  Each core call pays a fixed
+  marshalling cost, so this beats the scalar calls from about 6 events
+  per message and loses below that (``docs/serving.md`` tabulates the
+  step cost by message size);
 * **scalar** — every other predictor runs the engine's predictions-only
   driver: the conditional hook, then predict/train/retire for
   indirects, per event.
@@ -58,8 +59,6 @@ from __future__ import annotations
 from itertools import count
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.blbp import BLBP
-from repro.predictors.ittage import ITTAGE
 from repro.registry import RegistryError, make_indirect
 from repro.sim.checkpoint import SimulationCheckpoint
 from repro.sim.engine import replay_predictions
@@ -251,20 +250,12 @@ class PredictorSession:
 
 
 def _step_path(predictor: object) -> Tuple[str, str]:
-    """``("core", <kernel>)`` for a BLBP or ITTAGE the compiled cores
-    accept, else ``("scalar", <reason>)``."""
-    from repro.sim.kernel import columnar_support
+    """``("core", <kernel>)`` for a predictor whose compiled core takes
+    one message's columns, else ``("scalar", <reason>)``."""
+    from repro.sim.kernel import span_support
 
-    supported, reason = columnar_support(predictor)
-    if not supported:
-        return "scalar", reason
-    if type(predictor) not in (BLBP, ITTAGE):
-        return "scalar", (
-            f"serve steps {type(predictor).__name__} on the scalar calls: "
-            f"its core replays a whole trace through the derived plane and "
-            f"the shared precompute, not one message's columns"
-        )
-    return "core", reason
+    supported, reason = span_support(predictor)
+    return ("core" if supported else "scalar"), reason
 
 
 def step_sessions_fused(
@@ -275,9 +266,10 @@ def step_sessions_fused(
 
     Two phases.  First each predictor predicts every indirect of the
     run: sessions on the compiled cores (:attr:`PredictorSession.step_path`)
-    in one core call per session, BLBP sessions sharing one multi-lane
-    call, and the rest in one pass of the engine's predictions-only
-    driver (:func:`repro.sim.engine.replay_predictions`), which pays the
+    through one :func:`repro.sim.kernel.replay_cores` call, BLBP sessions
+    sharing one multi-lane core call, and the rest in one pass of the
+    engine's predictions-only driver
+    (:func:`repro.sim.engine.replay_predictions`), which pays the
     per-event decode and dispatch once for all of them.  Then
     :func:`repro.sim.retire.retire_span` retires the run into each
     session's own retirement state.  Each predictor sees exactly what
@@ -296,26 +288,13 @@ def step_sessions_fused(
     for slot, session in enumerate(sessions):
         (core if session.step_path[0] == "core" else scalar).append(slot)
     if core:
-        from repro.sim.kernel import event_columns, replay_blbp
-        from repro.sim.kernel_ittage import replay_ittage
+        from repro.sim import kernel
 
-        columns = event_columns(pcs, types, takens, targets)
-        blbp = [slot for slot in core
-                if type(sessions[slot].predictor) is BLBP]
-        replayed = dict(zip(blbp, replay_blbp(
-            [sessions[slot].predictor for slot in blbp], columns
-        ))) if blbp else {}
-        for slot in core:
-            predictions, valid = (
-                replayed[slot] if slot in replayed
-                else replay_ittage(sessions[slot].predictor, columns)
-            )
-            predicted[slot] = [
-                prediction if made else None
-                for prediction, made in zip(
-                    predictions.tolist(), valid.tolist()
-                )
-            ]
+        for slot, output in zip(core, kernel.replay_cores(
+            [sessions[slot].predictor for slot in core],
+            kernel.event_columns(pcs, types, takens, targets),
+        )):
+            predicted[slot] = kernel.predicted_targets(output)
     if scalar:
         for slot, lane in zip(scalar, replay_predictions(
             [sessions[slot].predictor for slot in scalar],

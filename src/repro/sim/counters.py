@@ -33,7 +33,12 @@ _STAT_KEYS = ("predictions", "ibtb_probes", "trained_bits", "fold_updates")
 
 @dataclass
 class SimCounters:
-    """Cumulative event counts and phase timings for simulation runs."""
+    """Cumulative event counts and phase timings for simulation runs.
+
+    The three phase timers wrap the scalar driver's Python calls, which
+    a lane on the compiled cores never makes: its phase times read 0,
+    ``elapsed_seconds`` is its core replay's wall time, and its event
+    counts equal the scalar run's."""
 
     #: Indirect-target predictions made (``predictor.sim_stats()``).
     predictions: int = 0

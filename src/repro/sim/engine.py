@@ -15,7 +15,8 @@ Scalar lanes predict through one driver, :func:`replay_predictions`,
 which works on plain Python scalars extracted from the trace columns
 once up front (constructing a record object per branch would dominate
 runtime at multi-million-record scale); columnar lanes predict on the
-compiled cores of :mod:`repro.sim.kernel`.  Either way
+compiled cores of :mod:`repro.sim.kernel`, over the whole trace or, when
+the run checkpoints or resumes, a span at a time.  Either way
 :mod:`repro.sim.retire` scores the predictions: the return-address
 stack takes the returns, which stay out of the indirect MPKI, and the
 warmup stays out of every count.
@@ -48,10 +49,11 @@ from repro.trace.stream import Trace
 
 #: Recognized simulation backends.  "scalar" is the predictions-only
 #: driver below; "columnar" replays each lane the compiled cores in
-#: :mod:`repro.sim.kernel` support (bit-identical results) and hands
-#: every other lane to the scalar loop, naming why in one
-#: ``RuntimeWarning`` per call.  A caller that needs the cores or an
-#: error turns that warning into one with
+#: :mod:`repro.sim.kernel` support (bit-identical results), whether or
+#: not the run checkpoints, resumes or profiles, and hands every other
+#: lane to the scalar loop, naming why in one ``RuntimeWarning`` per
+#: call.  Only a predictor can be the reason.  A caller that needs the
+#: cores or an error turns that warning into one with
 #: ``warnings.simplefilter("error", RuntimeWarning)``.
 BACKENDS: Tuple[str, ...] = ("scalar", "columnar")
 
@@ -102,7 +104,8 @@ def simulate(
             the predictor's own hot-path counters are accumulated into
             ``counters`` and this cell's numbers land on the result's
             ``profile`` field.  The unprofiled path pays nothing for
-            this.
+            this.  A lane on the cores is profiled there (see
+            :class:`SimCounters` for its phase times).
         checkpoint_every: when > 0, snapshot the full simulation state
             (predictor, RAS, cursor, accumulators) after every this-many
             records into ``checkpoint_path`` and/or ``on_checkpoint``.
@@ -124,13 +127,13 @@ def simulate(
             resuming, because those paths must snapshot real RAS state.
         backend: "scalar" (the predictions-only driver) or "columnar" (the
             compiled replay cores behind :mod:`repro.sim.kernel`).  The
-            columnar backend produces bit-identical results and final
-            predictor state; it runs the scalar loop instead, with one
+            columnar backend produces bit-identical results, final
+            predictor state and snapshots, checkpointed, resumed or
+            profiled; it runs the scalar loop instead, with one
             ``RuntimeWarning`` naming the reason, for a predictor it
             does not support (on a host where the compiled replay cores
-            cannot be built, that is every predictor) and for the
-            features the cores do not cover (checkpointing, resume,
-            profiling counters).
+            cannot be built, that is every predictor; in checkpoint or
+            resume spans, VPC: see :func:`repro.sim.kernel.span_support`).
     """
     sinks: List[Callable[[SimulationCheckpoint], None]] = []
     if checkpoint_path is not None:
@@ -238,8 +241,9 @@ def simulate_sampled(
         ras_depth, collect_per_pc, backend: forwarded to
             :func:`simulate` per region (the columnar backend
             accelerates sampled spans exactly as it does full runs; a
-            region that checkpoints or resumes runs scalar, with the
-            engine's warning).
+            region that checkpoints or resumes replays BLBP and ITTAGE
+            on the cores in spans, and VPC scalar, with the engine's
+            warning).
         checkpoint_dir: when given, each region's post-warm-up state is
             cached as a PR 4 :class:`SimulationCheckpoint` in a
             content-addressed file; later calls with the same trace
@@ -490,9 +494,9 @@ def simulate_many(
             shared precompute pass, compatible BLBP lanes
             lane-parallel) and the rest run through the fused scalar
             loop; the merged results and final states are bit-identical
-            to an all-scalar pass.  Checkpointing runs every lane
-            scalar.  Either fallback issues the one ``RuntimeWarning``
-            described under :func:`simulate`.
+            to an all-scalar pass.  Checkpointing replays BLBP and
+            ITTAGE on the cores a span at a time, and VPC scalar.  A
+            fallback issues the one ``RuntimeWarning`` of :func:`simulate`.
     """
     predictors = list(predictors)
     if checkpoint_paths is None:
@@ -549,32 +553,28 @@ def _simulate_lanes(
             "checkpoint_every needs a checkpoint_path or on_checkpoint sink"
         )
     _check_backend(backend)
-    if checkpoint_every or resume_from is not None:
-        # Snapshots and resumes carry the live RAS, which the plane's
-        # precomputed return outcomes cannot stand in for.
+    # Snapshots and resumes carry the live RAS, which the plane's
+    # precomputed return outcomes cannot stand in for: they replay in
+    # spans, on the cores that take any run of columns.
+    spans = checkpoint_every or resume_from is not None
+    if spans:
         derived = None
     if derived is not None:
         derived.check(trace, ras_depth)
     if not predictors:
         return []
 
-    results: List[Optional[SimulationResult]] = [None] * len(predictors)
+    cores: List[int] = []
     if backend == "columnar":
         # Imported here: the scalar paths (a serve child, say) never
         # load the kernels or build the compiled cores.
         from repro.sim import kernel
 
-        blockers = [
-            f"the columnar kernels do not cover {feature}"
-            for feature, active in (
-                ("checkpointing (checkpoint_every)", checkpoint_every),
-                ("resume (resume_from)", resume_from is not None),
-                ("profiling (counters)", counters is not None),
-            )
-            if active
+        support = [
+            (kernel.span_support if spans else kernel.columnar_support)(p)
+            for p in predictors
         ]
-        support = [kernel.columnar_support(p) for p in predictors]
-        reasons = blockers + [reason for ok, reason in support if not ok]
+        reasons = [reason for ok, reason in support if not ok]
         if reasons:
             # Every lane the scalar loop replays below is named here.
             warnings.warn(
@@ -584,47 +584,31 @@ def _simulate_lanes(
                 RuntimeWarning,
                 stacklevel=3,
             )
-        columnar = [] if blockers else [
-            slot for slot, (ok, _) in enumerate(support) if ok
-        ]
-        if columnar:
-            if derived is None:
-                from repro.trace.derived import compute_derived
+        cores = [slot for slot, (ok, _) in enumerate(support) if ok]
+        if cores and not spans and derived is None:
+            from repro.trace.derived import compute_derived
 
-                derived = compute_derived(trace, ras_depth)
-            # One shared precompute pass serves every supported lane;
-            # compatible BLBP lanes advance lane-parallel inside.
-            for slot, result in zip(
-                columnar,
-                kernel.simulate_columnar_many(
-                    [predictors[slot] for slot in columnar],
-                    trace,
-                    ras_depth=ras_depth,
-                    warmup_records=warmup_records,
-                    collect_per_pc=collect_per_pc,
-                    derived=derived,
-                ),
-            ):
-                results[slot] = result
+            derived = compute_derived(trace, ras_depth)
 
-    scalar = [slot for slot, result in enumerate(results) if result is None]
-    if scalar:
-        for slot, result in zip(
-            scalar,
-            _replay_lanes(
-                [predictors[slot] for slot in scalar],
-                trace,
-                ras_depth,
-                warmup_records,
-                collect_per_pc,
-                derived,
-                checkpoint_every,
-                [sinks[slot] for slot in scalar],
-                resume_from,
-                counters,
-            ),
-        ):
-            results[slot] = result
+    # The lanes on the cores first, then the scalar lanes.
+    order = cores + [
+        slot for slot in range(len(predictors)) if slot not in cores
+    ]
+    results: List[Optional[SimulationResult]] = [None] * len(predictors)
+    for slot, result in zip(order, _replay_lanes(
+        [predictors[slot] for slot in order],
+        len(cores),
+        trace,
+        ras_depth,
+        warmup_records,
+        collect_per_pc,
+        derived,
+        checkpoint_every,
+        [sinks[slot] for slot in order],
+        resume_from,
+        counters,
+    )):
+        results[slot] = result
     return results
 
 
@@ -643,6 +627,7 @@ def _timed(inner: Callable, cell: SimCounters, phase: str) -> Callable:
 
 def _replay_lanes(
     lanes: List[IndirectBranchPredictor],
+    on_cores: int,
     trace: Trace,
     ras_depth: int,
     warmup_records: int,
@@ -653,20 +638,24 @@ def _replay_lanes(
     resume_from: Optional[SimulationCheckpoint],
     counters: Optional[SimCounters],
 ) -> List[SimulationResult]:
-    """Scalar replay: the predictions-only driver, then the retirement
-    rule of :mod:`repro.sim.retire`.
+    """Replay ``lanes``, the first ``on_cores`` of them on the compiled
+    cores and the rest through the predictions-only driver, then apply
+    the retirement rule of :mod:`repro.sim.retire`.
 
     Over a plane (``derived``, already checked against the trace) the
-    lanes predict the whole trace in one pass, over the plane's indirect
-    records alone when no lane overrides a hook, and
+    core lanes replay in one :func:`repro.sim.kernel.simulate_columnar_many`
+    call, and the scalar lanes predict the whole trace in one pass, over
+    the plane's indirect records alone when no lane overrides a hook;
     :func:`~repro.sim.retire.score_plane` scores each lane.  Without
     one, they predict a span at a time (``checkpoint_every`` records,
-    or the whole trace) and :func:`~repro.sim.retire.retire_span`
-    retires each span into one live-RAS state, which ``resume_from``
-    restores and each checkpoint snapshots.  ``counters`` profiles the
-    pass.
+    or the whole trace), the core lanes in one
+    :func:`repro.sim.kernel.replay_cores` call over the span's columns,
+    and :func:`~repro.sim.retire.retire_span` retires each span into one
+    live-RAS state, which ``resume_from`` restores and each checkpoint
+    snapshots.  ``counters`` profiles the pass: its phase timers wrap
+    the scalar lanes' calls only.
     """
-    cond_hooks, retire_hooks, engines = _lane_calls(lanes)
+    cond_hooks, retire_hooks, engines = _lane_calls(lanes[on_cores:])
     cell: Optional[SimCounters] = None
     if counters is not None:
         # Timers wrap the hot callables only on this branch, so the
@@ -688,28 +677,40 @@ def _replay_lanes(
     started_at = 0
     loop_started = time.perf_counter()
 
+    if on_cores:
+        from repro.sim import kernel
+
     if derived is not None:
-        targets = derived.indirect_targets.tolist()
-        if cond_hooks or retire_hooks:
-            columns = trace.scalar_columns()
-        else:
-            # Every record hookless lanes act on is in the plane's
-            # indirect columns.
-            index = derived.indirect_idx
-            columns = (
-                derived.indirect_pcs.tolist(),
-                trace.types[index].tolist(),
-                trace.takens[index].tolist(),
-                targets,
-            )
-        results = [
-            score_plane(
-                trace, derived, predictor.name,
-                np.fromiter(map(ne, predicted, targets), bool, len(targets)),
-                warmup_records, collect_per_pc,
-            )
-            for predictor, predicted in zip(lanes, _predict(calls, *columns))
-        ]
+        results = kernel.simulate_columnar_many(
+            lanes[:on_cores], trace, ras_depth=ras_depth,
+            warmup_records=warmup_records, collect_per_pc=collect_per_pc,
+            derived=derived,
+        ) if on_cores else []
+        if engines:
+            targets = derived.indirect_targets.tolist()
+            if cond_hooks or retire_hooks:
+                columns = trace.scalar_columns()
+            else:
+                # Every record hookless lanes act on is in the plane's
+                # indirect columns.
+                index = derived.indirect_idx
+                columns = (
+                    derived.indirect_pcs.tolist(),
+                    trace.types[index].tolist(),
+                    trace.takens[index].tolist(),
+                    targets,
+                )
+            results += [
+                score_plane(
+                    trace, derived, predictor.name,
+                    np.fromiter(map(ne, predicted, targets), bool,
+                                len(targets)),
+                    warmup_records, collect_per_pc,
+                )
+                for predictor, predicted in zip(
+                    lanes[on_cores:], _predict(calls, *columns)
+                )
+            ]
     else:
         state = Retirement(
             len(lanes), ras_depth, warmup_records, collect_per_pc
@@ -722,7 +723,8 @@ def _replay_lanes(
                 )
             state.restore(resume_from, trace.name, lanes[0])
             started_at = state.cursor
-        columns = trace.scalar_columns()
+        if engines:
+            columns = trace.scalar_columns()
         # The records retire_span reads, found without a Python pass.
         branch_idx = np.flatnonzero(trace.types != _COND)
         span = checkpoint_every or total
@@ -735,13 +737,19 @@ def _replay_lanes(
                 (at - lower).tolist(), trace.pcs[at].tolist(),
                 trace.types[at].tolist(), trace.targets[at].tolist(),
             ))
-            if upper - lower < total:
-                span_columns = [column[lower:upper] for column in columns]
-            else:
-                span_columns = columns  # the whole trace: no column copies
-            retire_span(
-                state, _predict(calls, *span_columns), branches, upper - lower
-            )
+            predicted = [
+                kernel.predicted_targets(output)
+                for output in kernel.replay_cores(
+                    lanes[:on_cores], kernel.trace_columns(trace, lower, upper)
+                )
+            ] if on_cores else []
+            if engines:
+                if upper - lower < total:
+                    span_columns = [column[lower:upper] for column in columns]
+                else:
+                    span_columns = columns  # the whole trace: no copies
+                predicted += _predict(calls, *span_columns)
+            retire_span(state, predicted, branches, upper - lower)
             if checkpoint_every and state.cursor < total:
                 for slot, predictor in enumerate(lanes):
                     if sinks[slot]:

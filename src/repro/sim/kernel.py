@@ -21,25 +21,25 @@ array, and runs the weight/θ recurrence; the IBTB's flat fields and the
 region array live in ``array('q')`` buffers the core writes directly.
 A solo run is a one-lane call, and every BLBP lane of a fused group
 goes into one multi-lane call.  :func:`replay_blbp` (and
-:func:`repro.sim.kernel_ittage.replay_ittage`) do the marshalling once
-for both callers: they take a :class:`ReplayColumns` run — a trace's
-columns in a campaign, one message's in ``repro serve`` — and return
-the per-indirect out-arrays.  Without the compiled cores,
-:func:`columnar_support` reports why and callers run the scalar oracle
-instead.
+:func:`repro.sim.kernel_ittage.replay_ittage`) do the marshalling of a
+:class:`ReplayColumns` run, and :func:`replay_cores`, the one dispatch
+to both, replays a trace's columns in a campaign, a checkpoint span's
+in the engine, one message's in ``repro serve``.  Without the compiled
+cores, :func:`columnar_support` reports why and callers run the scalar
+oracle instead.
 
 This module is the front door for every columnar predictor, not just
 BLBP: :func:`columnar_support` reports whether — and *why not* — a
-predictor can be replayed columnar, and :func:`simulate_columnar_many`,
-the one columnar entry point, replays a group of one or more
-predictors over one trace, dispatching ITTAGE and VPC lanes to their
-kernels (:mod:`repro.sim.kernel_ittage`, :mod:`repro.sim.kernel_vpc`).
-VPC's virtual-PC tables come from a :class:`SharedPrecompute` cached
-per trace content.
+predictor can be replayed columnar over a whole trace, and
+:func:`span_support` whether over any run of columns, which VPC's core
+cannot do yet.  :func:`simulate_columnar_many`, the whole-trace entry
+point, replays a group of one or more predictors over one trace,
+dispatching VPC lanes to :mod:`repro.sim.kernel_vpc`, whose virtual-PC
+tables come from a :class:`SharedPrecompute` cached per trace content.
 
 The engine's backend dispatch (behind :func:`repro.sim.engine.simulate`
-and :func:`repro.sim.engine.simulate_many`) only needs this module's
-``columnar_support`` / ``simulate_columnar_many`` pair; new
+and :func:`repro.sim.engine.simulate_many`) needs this module's support
+tests, ``simulate_columnar_many`` and ``replay_cores``; new
 per-predictor kernels slot in by extending the registry in
 :func:`columnar_support`.
 """
@@ -202,6 +202,20 @@ _BLOCKERS: Dict[type, Callable[[object], Optional[str]]] = {
 }
 
 
+def span_support(predictor: object) -> Tuple[bool, str]:
+    """:func:`columnar_support` for a replay in spans (checkpoint spans,
+    a resumed run, serve messages), which :func:`replay_cores` runs: VPC's
+    core replays only whole traces, so it gets a reason of its own."""
+    supported, reason = columnar_support(predictor)
+    if supported and type(predictor) is VPCPredictor:
+        return False, (
+            "the VPCPredictor columnar kernel replays only whole traces, "
+            "through the derived plane and the shared precompute, not a "
+            "checkpoint span's or one serve message's columns"
+        )
+    return supported, reason
+
+
 # ----------------------------------------------------------------------
 # Shared precompute
 # ----------------------------------------------------------------------
@@ -301,12 +315,21 @@ class ReplayColumns(NamedTuple):
     buffers: tuple
 
 
-def trace_columns(trace: Trace, derived: DerivedPlane) -> ReplayColumns:
-    """A trace's columns, counted by its derived plane."""
-    columns = (trace.types, trace.pcs, trace.takens, trace.targets)
+def trace_columns(
+    trace: Trace, lower: int = 0, upper: Optional[int] = None
+) -> ReplayColumns:
+    """Records ``lower:upper`` of a trace (a checkpoint span, or the
+    whole trace) as views of its columns, counted from the type column."""
+    columns = tuple(
+        column[lower:upper]
+        for column in (trace.types, trace.pcs, trace.takens, trace.targets)
+    )
+    types = columns[0]
     return ReplayColumns(
-        len(trace), tuple(column.ctypes.data for column in columns),
-        derived.conditionals, len(derived.indirect_idx), columns,
+        len(types), tuple(column.ctypes.data for column in columns),
+        int(np.count_nonzero(types == _CONDITIONAL)),
+        int(np.count_nonzero(types == _INDIRECT_JUMP))
+        + int(np.count_nonzero(types == _INDIRECT_CALL)), columns,
     )
 
 
@@ -542,6 +565,38 @@ def replay_blbp(
     return [lane_output(prep["predictions"], prep["valid"]) for prep in preps]
 
 
+def replay_cores(
+    predictors: Sequence[object], columns: ReplayColumns
+) -> List[LaneOutput]:
+    """Replay BLBP and ITTAGE lanes over one run of columns: every BLBP
+    lane in one :func:`replay_blbp` call, each ITTAGE lane through
+    :func:`~repro.sim.kernel_ittage.replay_ittage`.
+
+    The one core dispatch: :func:`simulate_columnar_many` runs it over a
+    trace, the engine over each checkpoint span, serve over each
+    message.  Returns each lane's output, aligned with ``predictors``.
+    """
+    from repro.sim import kernel_ittage
+
+    blbp = [lane for lane in predictors if type(lane) is BLBP]
+    outputs = iter(replay_blbp(blbp, columns) if blbp else ())
+    return [
+        next(outputs) if type(lane) is BLBP
+        else kernel_ittage.replay_ittage(lane, columns)
+        for lane in predictors
+    ]
+
+
+def predicted_targets(output: LaneOutput) -> List[Optional[int]]:
+    """A lane's output as :func:`repro.sim.retire.retire_span` reads it:
+    each indirect's predicted target, ``None`` where none was made."""
+    predictions, valid = output
+    return [
+        prediction if made else None
+        for prediction, made in zip(predictions.tolist(), valid.tolist())
+    ]
+
+
 # ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
@@ -560,15 +615,15 @@ def simulate_columnar_many(
 ) -> List[SimulationResult]:
     """Fused columnar replay of many predictors over one trace.
 
-    Every BLBP lane goes into one multi-lane ``blbp_replay_many`` call
-    over the trace's columns; ITTAGE and VPC lanes replay through their
-    own cores, VPC against a :class:`SharedPrecompute` cached per trace
-    content.
+    BLBP and ITTAGE lanes replay over the trace's columns through
+    :func:`replay_cores` (every BLBP lane in one multi-lane call); VPC
+    lanes replay through their own core, against a
+    :class:`SharedPrecompute` cached per trace content.
 
-    This is the one columnar entry point; a solo run is a one-lane
-    call.  Results are positionally aligned with ``predictors`` and each
-    is bit-identical to ``simulate(predictor, trace, ...)``: the same
-    predictions, the same counters, and the same final predictor state
+    This is the whole-trace columnar entry point; a solo run is a
+    one-lane call.  Results are positionally aligned with ``predictors``
+    and each is bit-identical to ``simulate(predictor, trace, ...)``: the
+    same predictions, the same counters, and the same final predictor state
     (``state_dict`` / ``state_hash`` equal).  Lanes are fully
     independent, and a lane may be warm — mid-campaign state, restored
     snapshots — since the cores start from the live registers.  Raises
@@ -605,7 +660,6 @@ def simulate_columnar_many(
             )
 
     results: List[Optional[SimulationResult]] = [None] * count
-    columns = trace_columns(trace, derived)
 
     def finish(position: int, output: LaneOutput) -> None:
         predictions, valid = output
@@ -621,22 +675,20 @@ def simulate_columnar_many(
             warmup_records, collect_per_pc,
         )
 
-    blbp = [
+    cores = [
         position for position, predictor in enumerate(predictors)
-        if type(predictor) is BLBP
+        if type(predictor) is not VPCPredictor
     ]
-    if blbp:
-        outputs = replay_blbp([predictors[p] for p in blbp], columns)
-        for position, output in zip(blbp, outputs):
+    if cores:
+        for position, output in zip(cores, replay_cores(
+            [predictors[p] for p in cores], trace_columns(trace)
+        )):
             finish(position, output)
 
-    from repro.sim.kernel_ittage import replay_ittage
     from repro.sim.kernel_vpc import replay_vpc
 
     for position, predictor in enumerate(predictors):
-        if type(predictor) is ITTAGE:
-            finish(position, replay_ittage(predictor, columns))
-        elif type(predictor) is VPCPredictor:
+        if type(predictor) is VPCPredictor:
             finish(position, replay_vpc(
                 predictor, trace, derived,
                 shared_precompute(trace, ras_depth, derived),

@@ -5,12 +5,13 @@ from __future__ import annotations
 import subprocess
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Tuple
 
 import numpy as np
 import pytest
 
 from repro.sim import native
+from repro.sim.engine import BACKENDS
 from repro.trace.record import BranchRecord, BranchType
 from repro.trace.stream import Trace
 from repro.workloads import (
@@ -80,6 +81,16 @@ def compiled_cores() -> None:
     reason = native.unavailable_reason()
     if reason is not None:
         pytest.skip(f"compiled replay cores unavailable: {reason}")
+
+
+@pytest.fixture(scope="session")
+def backends() -> Tuple[str, ...]:
+    """The backends a test runs against the scalar oracle: both where
+    the compiled replay cores build, else scalar alone (a columnar run
+    would only replay the scalar fallback)."""
+    if native.unavailable_reason() is None:
+        return BACKENDS
+    return ("scalar",)
 
 
 def _reset_loader(monkeypatch) -> None:

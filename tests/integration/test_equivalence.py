@@ -380,11 +380,14 @@ class TestColumnarEquivalenceAllKernels:
 
 class TestCampaignKillResumeEquivalence:
     def test_killed_campaign_resumes_to_identical_journal_and_mpki(
-        self, tmp_path
+        self, tmp_path, backends
     ):
         """An exec-pool campaign killed mid-cell and resumed must leave
         a journal byte-identical to an undisturbed run's and report the
-        same MPKI for every cell."""
+        same MPKI for every cell.  On every backend that can run here:
+        a columnar campaign checkpoints and resumes on the cores, and
+        both its journals equal the scalar clean journal byte for
+        byte."""
         from repro.exec.plan import checkpoint_name, plan_campaign
         from repro.exec.pool import execute_plan
         from repro.sim.checkpoint import save_checkpoint
@@ -393,34 +396,46 @@ class TestCampaignKillResumeEquivalence:
 
         traces = [trace for _, trace in _traces()[:2]]
         factories = {"BLBP": BLBP}
-        plan = plan_campaign(traces, factories, cache_dir=tmp_path / "cache")
-        plan.spill()  # the planted checkpoint reads the spill
-
-        clean_journal = tmp_path / "clean.jsonl"
-        clean = execute_plan(
-            plan, jobs=1, journal_path=clean_journal, checkpoint_every=500
-        )
-
-        # "Kill" the first cell mid-trace: leave its real checkpoint.
-        killed_journal = tmp_path / "killed.jsonl"
-        checkpoint_dir = tmp_path / "killed.jsonl.ckpt"
-        checkpoint_dir.mkdir()
-        spec = plan.cells[0]
-        grabbed = []
-        engine_simulate(
-            spec.factory.build(),
-            read_trace(spec.trace_path),
-            checkpoint_every=500,
-            on_checkpoint=grabbed.append,
-        )
-        save_checkpoint(grabbed[0], checkpoint_dir / checkpoint_name(spec))
-
-        resumed = execute_plan(
-            plan, jobs=1, journal_path=killed_journal, checkpoint_every=500
-        )
-
-        assert killed_journal.read_bytes() == clean_journal.read_bytes()
-        for trace in traces:
-            assert resumed.mpki_of(trace.name, "BLBP") == pytest.approx(
-                clean.mpki_of(trace.name, "BLBP")
+        reference = None
+        for backend in backends:
+            root = tmp_path / backend
+            plan = plan_campaign(
+                traces, factories, cache_dir=root / "cache", backend=backend
             )
+            plan.spill()  # the planted checkpoint reads the spill
+
+            clean_journal = root / "clean.jsonl"
+            clean = execute_plan(
+                plan, jobs=1, journal_path=clean_journal,
+                checkpoint_every=500,
+            )
+            if reference is None:
+                reference = clean_journal.read_bytes()
+
+            # "Kill" the first cell mid-trace: leave its real checkpoint.
+            killed_journal = root / "killed.jsonl"
+            checkpoint_dir = root / "killed.jsonl.ckpt"
+            checkpoint_dir.mkdir()
+            spec = plan.cells[0]
+            grabbed = []
+            engine_simulate(
+                spec.factory.build(),
+                read_trace(spec.trace_path),
+                checkpoint_every=500,
+                on_checkpoint=grabbed.append,
+            )
+            save_checkpoint(
+                grabbed[0], checkpoint_dir / checkpoint_name(spec)
+            )
+
+            resumed = execute_plan(
+                plan, jobs=1, journal_path=killed_journal,
+                checkpoint_every=500,
+            )
+
+            assert clean_journal.read_bytes() == reference, backend
+            assert killed_journal.read_bytes() == reference, backend
+            for trace in traces:
+                assert resumed.mpki_of(trace.name, "BLBP") == pytest.approx(
+                    clean.mpki_of(trace.name, "BLBP")
+                )

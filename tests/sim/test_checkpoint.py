@@ -34,74 +34,100 @@ def trace():
     return suite88_specs(_SCALE)[0].generate()
 
 
-def _collect(predictor, trace, every=500):
+def _collect(predictor, trace, every=500, backend="scalar", **kwargs):
     """Run with an in-memory checkpoint sink; return (result, snapshots)."""
     grabbed = []
     result = simulate(
-        predictor, trace, checkpoint_every=every, on_checkpoint=grabbed.append
+        predictor, trace, checkpoint_every=every,
+        on_checkpoint=grabbed.append, backend=backend, **kwargs,
     )
     return result, grabbed
 
 
+def _hashes(snapshots):
+    return [snapshot.checkpoint_hash() for snapshot in snapshots]
+
+
 class TestCheckpointedRunEquivalence:
-    def test_checkpointing_does_not_change_results(self, trace):
+    """Each test runs on every backend that can run here; a columnar
+    run replays its spans on the cores and matches the scalar oracle
+    snapshot for snapshot."""
+
+    def test_checkpointing_does_not_change_results(self, trace, backends):
         plain = simulate(BLBP(), trace)
-        checkpointed, grabbed = _collect(BLBP(), trace)
-        assert grabbed, "expected mid-trace checkpoints"
-        assert (
-            checkpointed.indirect_mispredictions
-            == plain.indirect_mispredictions
-        )
-        assert checkpointed.mpki() == pytest.approx(plain.mpki())
+        _, reference = _collect(BLBP(), trace)
+        for backend in backends:
+            checkpointed, grabbed = _collect(BLBP(), trace, backend=backend)
+            assert grabbed, "expected mid-trace checkpoints"
+            assert (
+                checkpointed.indirect_mispredictions
+                == plain.indirect_mispredictions
+            ), backend
+            assert checkpointed.mpki() == pytest.approx(plain.mpki())
+            assert _hashes(grabbed) == _hashes(reference), backend
 
-    def test_end_state_identical_with_and_without_checkpointing(self, trace):
-        a, b = BLBP(), BLBP()
+    def test_end_state_identical_with_and_without_checkpointing(
+        self, trace, backends
+    ):
+        a = BLBP()
         simulate(a, trace)
-        _collect(b, trace)
-        assert a.state_hash() == b.state_hash()
+        for backend in backends:
+            b = BLBP()
+            _collect(b, trace, backend=backend)
+            assert a.state_hash() == b.state_hash(), backend
 
-    def test_resume_from_every_checkpoint_matches(self, trace):
+    def test_resume_from_every_checkpoint_matches(self, trace, backends):
         plain = simulate(BLBP(), trace)
         end_hash_predictor = BLBP()
         _, grabbed = _collect(end_hash_predictor, trace)
         for checkpoint in grabbed:
-            fresh = BLBP()
             # Round-trip through JSON: resume must survive a process hop.
             revived = SimulationCheckpoint.from_state(
                 json.loads(json.dumps(checkpoint.state_dict()))
             )
-            resumed = simulate(fresh, trace, resume_from=revived)
+            for backend in backends:
+                fresh = BLBP()
+                resumed = simulate(
+                    fresh, trace, resume_from=revived, backend=backend
+                )
+                assert resumed == plain, (
+                    f"{backend} diverged resuming from cursor "
+                    f"{checkpoint.cursor}"
+                )
+                assert fresh.state_hash() == end_hash_predictor.state_hash()
+
+    def test_resume_preserves_warmup_accounting(self, trace, backends):
+        plain = simulate(BLBP(), trace, warmup_records=700)
+        # Grab a checkpoint from inside the warmup zone.
+        _, reference = _collect(BLBP(), trace, warmup_records=700)
+        for backend in backends:
+            _, grabbed = _collect(
+                BLBP(), trace, backend=backend, warmup_records=700
+            )
+            assert _hashes(grabbed) == _hashes(reference), backend
+            early = grabbed[0]
+            assert early.skip > 0, "checkpoint should land inside warmup"
+            resumed = simulate(
+                BLBP(), trace, warmup_records=700, resume_from=early,
+                backend=backend,
+            )
+            assert resumed.indirect_branches == plain.indirect_branches
             assert (
                 resumed.indirect_mispredictions
                 == plain.indirect_mispredictions
-            ), f"diverged resuming from cursor {checkpoint.cursor}"
-            assert fresh.state_hash() == end_hash_predictor.state_hash()
+            ), backend
 
-    def test_resume_preserves_warmup_accounting(self, trace):
-        plain = simulate(BLBP(), trace, warmup_records=700)
-        _, grabbed = _collect(BLBP(), trace)
-        # Redo with warmup: grab a checkpoint from inside the warmup zone.
-        grabbed = []
-        simulate(
-            BLBP(), trace, warmup_records=700,
-            checkpoint_every=500, on_checkpoint=grabbed.append,
-        )
-        early = grabbed[0]
-        assert early.skip > 0, "checkpoint should land inside warmup"
-        resumed = simulate(BLBP(), trace, warmup_records=700, resume_from=early)
-        assert resumed.indirect_branches == plain.indirect_branches
-        assert (
-            resumed.indirect_mispredictions == plain.indirect_mispredictions
-        )
-
-    def test_ittage_resume_matches(self, trace):
+    def test_ittage_resume_matches(self, trace, backends):
         plain = simulate(ITTAGE(), trace)
-        _, grabbed = _collect(ITTAGE(), trace)
-        revived = SimulationCheckpoint.from_state(grabbed[-1].state_dict())
-        resumed = simulate(ITTAGE(), trace, resume_from=revived)
-        assert (
-            resumed.indirect_mispredictions == plain.indirect_mispredictions
-        )
+        _, reference = _collect(ITTAGE(), trace)
+        for backend in backends:
+            _, grabbed = _collect(ITTAGE(), trace, backend=backend)
+            assert _hashes(grabbed) == _hashes(reference), backend
+            revived = SimulationCheckpoint.from_state(grabbed[-1].state_dict())
+            resumed = simulate(
+                ITTAGE(), trace, resume_from=revived, backend=backend
+            )
+            assert resumed == plain, backend
 
 
 class TestResumeValidation:
@@ -163,36 +189,39 @@ class TestNegativeCountsRejected:
 
 
 class TestProfiledCheckpointing:
-    """``counters=`` composes with resume and checkpointing."""
+    """``counters=`` composes with resume and checkpointing, on every
+    backend that can run here."""
 
-    def test_profiled_resume_matches_uninterrupted_run(self, trace):
+    def test_profiled_resume_matches_uninterrupted_run(self, trace, backends):
         reference = BLBP()
         plain = simulate(reference, trace)
         _, grabbed = _collect(BLBP(), trace)
         checkpoint = grabbed[len(grabbed) // 2]
-        counters = SimCounters()
-        predictor = BLBP()
-        resumed = simulate(
-            predictor, trace, resume_from=checkpoint, counters=counters
-        )
-        assert dataclasses.replace(resumed, profile=None) == plain
-        assert predictor.state_hash() == reference.state_hash()
-        # The profile covers only the records this process replayed.
-        assert resumed.profile["records"] == len(trace) - checkpoint.cursor
-        assert counters.records == len(trace) - checkpoint.cursor
+        for backend in backends:
+            counters = SimCounters()
+            predictor = BLBP()
+            resumed = simulate(
+                predictor, trace, resume_from=checkpoint, counters=counters,
+                backend=backend,
+            )
+            assert dataclasses.replace(resumed, profile=None) == plain
+            assert predictor.state_hash() == reference.state_hash()
+            # The profile covers only the records this process replayed.
+            assert resumed.profile["records"] == len(trace) - checkpoint.cursor
+            assert counters.records == len(trace) - checkpoint.cursor
 
-    def test_profiled_snapshots_match_unprofiled(self, trace):
+    def test_profiled_snapshots_match_unprofiled(self, trace, backends):
         plain, plain_snapshots = _collect(BLBP(), trace)
-        snapshots = []
-        profiled = simulate(
-            BLBP(), trace, checkpoint_every=500,
-            on_checkpoint=snapshots.append, counters=SimCounters(),
-        )
-        assert profiled.profile["records"] == len(trace)
-        assert dataclasses.replace(profiled, profile=None) == plain
-        assert [s.checkpoint_hash() for s in snapshots] == [
-            s.checkpoint_hash() for s in plain_snapshots
-        ]
+        for backend in backends:
+            snapshots = []
+            profiled = simulate(
+                BLBP(), trace, checkpoint_every=500,
+                on_checkpoint=snapshots.append, counters=SimCounters(),
+                backend=backend,
+            )
+            assert profiled.profile["records"] == len(trace)
+            assert dataclasses.replace(profiled, profile=None) == plain
+            assert _hashes(snapshots) == _hashes(plain_snapshots), backend
 
 
 class TestCheckpointFiles:

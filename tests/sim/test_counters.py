@@ -79,41 +79,67 @@ class TestSimCounters:
         assert "records/s" in text
 
 
+#: The profile fields that are wall times, not event counts.
+_TIMES = ("predict_seconds", "train_seconds", "conditional_seconds",
+          "elapsed_seconds")
+
+
 class TestEngineProfiling:
-    def test_unprofiled_result_has_no_profile(self):
-        result = simulate(BLBP(), _trace())
-        assert result.profile is None
+    """Each test profiles on every backend that can run here: a
+    columnar lane is profiled on the cores, with the scalar run's event
+    counts and phase times of 0 (its core makes no scalar calls)."""
 
-    def test_profiled_result_and_counters(self):
-        counters = SimCounters()
+    def test_unprofiled_result_has_no_profile(self, backends):
+        for backend in backends:
+            result = simulate(BLBP(), _trace(), backend=backend)
+            assert result.profile is None
+
+    def test_profiled_result_and_counters(self, backends):
         trace = _trace()
-        result = simulate(BLBP(), trace, counters=counters)
-        assert result.profile is not None
-        assert counters.records == len(trace)
-        assert counters.predictions == result.indirect_branches
-        assert counters.conditionals == result.conditional_branches
-        assert counters.fold_updates > 0
-        assert counters.elapsed_seconds > 0.0
-        assert counters.predict_seconds > 0.0
-        assert counters.train_seconds > 0.0
-        # The result's profile holds this cell's numbers exactly.
-        assert result.profile == counters.as_dict()
+        events = {}
+        for backend in backends:
+            counters = SimCounters()
+            result = simulate(
+                BLBP(), trace, counters=counters, backend=backend
+            )
+            assert result.profile is not None
+            assert counters.records == len(trace)
+            assert counters.predictions == result.indirect_branches
+            assert counters.conditionals == result.conditional_branches
+            assert counters.fold_updates > 0
+            assert counters.elapsed_seconds > 0.0
+            phases = (counters.predict_seconds, counters.train_seconds,
+                      counters.conditional_seconds)
+            if backend == "scalar":
+                assert counters.predict_seconds > 0.0
+                assert counters.train_seconds > 0.0
+            else:
+                assert phases == (0.0, 0.0, 0.0)
+            # The result's profile holds this cell's numbers exactly.
+            assert result.profile == counters.as_dict()
+            events[backend] = {
+                key: value for key, value in result.profile.items()
+                if key not in _TIMES
+            }
+        assert all(counts == events["scalar"] for counts in events.values())
 
-    def test_counters_accumulate_across_runs(self):
-        counters = SimCounters()
+    def test_counters_accumulate_across_runs(self, backends):
         trace = _trace()
-        simulate(BLBP(), trace, counters=counters)
-        simulate(BLBP(), trace, counters=counters)
-        assert counters.records == 2 * len(trace)
+        for backend in backends:
+            counters = SimCounters()
+            simulate(BLBP(), trace, counters=counters, backend=backend)
+            simulate(BLBP(), trace, counters=counters, backend=backend)
+            assert counters.records == 2 * len(trace)
 
-    def test_profiling_does_not_change_results(self):
+    def test_profiling_does_not_change_results(self, backends):
         trace = _trace()
         plain = simulate(BLBP(), trace)
-        profiled = simulate(BLBP(), trace, counters=SimCounters())
-        assert (
-            profiled.indirect_mispredictions == plain.indirect_mispredictions
-        )
-        assert profiled.indirect_branches == plain.indirect_branches
+        for backend in backends:
+            profiled = simulate(
+                BLBP(), trace, counters=SimCounters(), backend=backend
+            )
+            profiled.profile = None
+            assert profiled == plain, backend
 
 
 class TestRunnerProfiling:

@@ -4,12 +4,14 @@ The engine's ``backend`` parameter has two values.  ``"columnar"``
 replays every lane the compiled cores support and hands the rest to the
 scalar loop; a call that replays any lane scalar issues exactly one
 ``RuntimeWarning``, naming every reason — an unsupported type or
-configuration, missing compiled cores, or an engine feature the cores
-do not cover (checkpointing, resume, profiling counters).  A call whose
-lanes all run on the cores warns not at all.  Strictness comes from the
-warnings filter: under ``warnings.simplefilter("error", RuntimeWarning)``
-each fallback raises its warning.  Either way the numbers are
-bit-identical to scalar.
+configuration, missing compiled cores, or (for VPC, whose core replays
+only whole traces) a run in checkpoint or resume spans.  Checkpointing,
+resume and profiling counters are no reason of their own: BLBP and
+ITTAGE lanes stay on the cores under each.  A call whose lanes all run
+on the cores warns not at all.  Strictness comes from the warnings
+filter: under ``warnings.simplefilter("error", RuntimeWarning)`` each
+fallback raises its warning.  Either way the numbers are bit-identical
+to scalar.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.core import BLBP, BLBPConfig
 from repro.predictors import BranchTargetBuffer
 from repro.predictors.ittage import ITTAGE
 from repro.predictors.vpc import VPCConfig, VPCPredictor
+from repro.sim.checkpoint import load_checkpoint
 from repro.sim.counters import SimCounters
 from repro.sim.engine import (
     BACKENDS,
@@ -72,12 +75,34 @@ def _runtime_warnings(call):
     ]
 
 
-def _warm_checkpoint():
-    """A scalar snapshot of BLBP on ``_TRACE`` after 100 records."""
+def _warm_checkpoint(factory=BLBP):
+    """A scalar snapshot of ``factory()`` on ``_TRACE`` after 100
+    records."""
     grabbed = []
-    simulate(BLBP(), _TRACE, checkpoint_every=100,
+    simulate(factory(), _TRACE, checkpoint_every=100,
              on_checkpoint=grabbed.append)
     return grabbed[0]
+
+
+def _vpc() -> VPCPredictor:
+    return VPCPredictor(VPCConfig(btb_entries=128))
+
+
+#: What the one warning says of a VPC lane replayed in spans.
+_SPAN_REASON = "VPCPredictor columnar kernel replays only whole traces"
+
+#: The predictors the cores replay in spans as well as whole traces.
+_SPAN_KINDS = (BLBP, ITTAGE)
+
+#: The profile fields that are wall times, not event counts.
+_TIMES = ("predict_seconds", "train_seconds", "conditional_seconds",
+          "elapsed_seconds")
+
+
+def _events(result):
+    """``result``'s profile without its wall times."""
+    return {key: value for key, value in result.profile.items()
+            if key not in _TIMES}
 
 
 #: One case per fallback reason: (predictor factory, factory of extra
@@ -94,15 +119,13 @@ _REASONS = {
         dict, "conditional is TAGE",
     ),
     "checkpointing": (
-        BLBP,
+        _vpc,
         lambda: {"checkpoint_every": 64,
                  "on_checkpoint": lambda snapshot: None},
-        "checkpointing (checkpoint_every)",
+        _SPAN_REASON,
     ),
-    "resume": (BLBP, lambda: {"resume_from": _warm_checkpoint()},
-               "resume (resume_from)"),
-    "counters": (BLBP, lambda: {"counters": SimCounters()},
-                 "profiling (counters)"),
+    "resume": (_vpc, lambda: {"resume_from": _warm_checkpoint(_vpc)},
+               _SPAN_REASON),
 }
 
 
@@ -116,19 +139,47 @@ class TestStrictBackend:
         with pytest.raises(RuntimeWarning, match="subclasses BLBP"):
             simulate(TracingBLBP(), _TRACE, backend="columnar")
 
+    @pytest.mark.usefixtures("compiled_cores")
     def test_checkpointing_blocker_raises(self):
-        with pytest.raises(RuntimeWarning, match="checkpointing"):
-            simulate(
-                BLBP(), _TRACE, backend="columnar",
-                checkpoint_every=50, on_checkpoint=lambda snapshot: None,
-            )
+        """Checkpointing is no fallback reason: BLBP and ITTAGE replay
+        their spans on the cores, raise nothing and equal scalar,
+        snapshot for snapshot."""
+        for kind in _SPAN_KINDS:
+            runs = {}
+            for backend in ("scalar", "columnar"):
+                predictor, grabbed = kind(), []
+                result = simulate(
+                    predictor, _TRACE, backend=backend, warmup_records=30,
+                    checkpoint_every=50, on_checkpoint=grabbed.append,
+                )
+                runs[backend] = (
+                    result, predictor.state_hash(),
+                    [snapshot.checkpoint_hash() for snapshot in grabbed],
+                )
+            assert runs["scalar"][2], "no checkpoints were taken"
+            assert runs["columnar"] == runs["scalar"], kind.__name__
 
+    @pytest.mark.usefixtures("compiled_cores")
     def test_counters_blocker_raises(self):
-        with pytest.raises(RuntimeWarning, match="counters"):
-            simulate(
-                BLBP(), _TRACE, backend="columnar",
-                counters=SimCounters(),
-            )
+        """Profiling is no fallback reason: BLBP and ITTAGE are profiled
+        on the cores, raise nothing, and count the scalar run's events;
+        their phase timers, which wrap scalar calls, read 0."""
+        for kind in _SPAN_KINDS:
+            runs = {}
+            for backend in ("scalar", "columnar"):
+                predictor, counters = kind(), SimCounters()
+                result = simulate(
+                    predictor, _TRACE, backend=backend, counters=counters,
+                )
+                events = _events(result)
+                result.profile = None  # wall times differ
+                runs[backend] = (result, events, predictor.state_hash())
+            assert runs["columnar"] == runs["scalar"], kind.__name__
+            # ``counters`` is the columnar run's.
+            assert counters.predict_seconds == 0.0
+            assert counters.train_seconds == 0.0
+            assert counters.conditional_seconds == 0.0
+            assert counters.elapsed_seconds > 0.0
 
     @pytest.mark.usefixtures("compiled_cores")
     def test_supported_predictor_matches_scalar(self):
@@ -145,13 +196,24 @@ class TestStrictBackend:
                 [BLBP(), TracingBLBP()], _TRACE, backend="columnar"
             )
 
+    @pytest.mark.usefixtures("compiled_cores")
     def test_simulate_many_checkpointing_raises(self, tmp_path):
-        with pytest.raises(RuntimeWarning, match="checkpointing"):
-            simulate_many(
-                [BLBP()], _TRACE, backend="columnar",
-                checkpoint_every=50,
-                checkpoint_paths=[str(tmp_path / "cell.ckpt")],
+        """A fused checkpointed group of BLBP and ITTAGE lanes raises
+        nothing and equals scalar, down to each lane's last snapshot."""
+        runs = {}
+        for backend in ("scalar", "columnar"):
+            lanes = [BLBP(), ITTAGE()]
+            paths = [str(tmp_path / f"{backend}-{slot}.ckpt")
+                     for slot in range(len(lanes))]
+            results = simulate_many(
+                lanes, _TRACE, backend=backend, checkpoint_every=50,
+                checkpoint_paths=paths,
             )
+            runs[backend] = (
+                results, [lane.state_hash() for lane in lanes],
+                [load_checkpoint(path).checkpoint_hash() for path in paths],
+            )
+        assert runs["columnar"] == runs["scalar"]
 
 
 class TestColumnarFallback:
@@ -170,22 +232,26 @@ class TestColumnarFallback:
             columnar_predictor.state_hash() == scalar_predictor.state_hash()
         )
 
+    @pytest.mark.usefixtures("compiled_cores")
     def test_feature_fallback_warns(self):
-        """Checkpointing under ``backend="columnar"`` runs scalar (the
-        cores cannot snapshot mid-trace), and the warning says so."""
+        """A checkpointed VPC lane runs scalar (its core replays only
+        whole traces), and the warning says so."""
         grabbed = []
         result, texts = _runtime_warnings(lambda: simulate(
-            BLBP(), _TRACE, backend="columnar",
+            _vpc(), _TRACE, backend="columnar",
             checkpoint_every=64, on_checkpoint=grabbed.append,
         ))
         assert len(texts) == 1
-        assert "checkpointing (checkpoint_every)" in texts[0]
+        assert _SPAN_REASON in texts[0]
         assert grabbed, "checkpoints were not taken on the fallback path"
-        assert result == simulate(BLBP(), _TRACE)
+        assert result == simulate(_vpc(), _TRACE)
 
     @pytest.mark.parametrize("case", sorted(_REASONS))
-    def test_one_warning_names_the_reason(self, case):
+    def test_one_warning_names_the_reason(self, case, request):
         factory, arguments, reason = _REASONS[case]
+        if reason == _SPAN_REASON:
+            # Without the cores the reason is the missing compiler.
+            request.getfixturevalue("compiled_cores")
         columnar_predictor, scalar_predictor = factory(), factory()
         columnar, texts = _runtime_warnings(lambda: simulate(
             columnar_predictor, _TRACE, backend="columnar", **arguments()
@@ -203,17 +269,21 @@ class TestColumnarFallback:
             columnar_predictor.state_hash() == scalar_predictor.state_hash()
         )
 
+    @pytest.mark.usefixtures("compiled_cores")
     def test_one_warning_names_every_reason(self, tmp_path):
-        lanes = [BLBP(), TracingBLBP(),
+        lanes = [BLBP(), _vpc(), TracingBLBP(),
                  BLBP(BLBPConfig(use_hierarchical_ibtb=True))]
         _, texts = _runtime_warnings(lambda: simulate_many(
             lanes, _TRACE, backend="columnar", checkpoint_every=50,
-            checkpoint_paths=[str(tmp_path / "cell.ckpt"), None, None],
+            checkpoint_paths=[str(tmp_path / "cell.ckpt"), None, None, None],
         ))
         assert len(texts) == 1, texts
-        for reason in ("checkpointing", "subclasses BLBP",
+        for reason in (_SPAN_REASON, "subclasses BLBP",
                        "use_hierarchical_ibtb=True"):
             assert reason in texts[0]
+        # Three reasons: the plain BLBP lane replays its spans on the
+        # cores.
+        assert texts[0].count("; ") == 2, texts[0]
 
     def test_predictor_fallback_text_is_stable(self):
         """Callers filter the expected BTB fallback by this exact text."""
